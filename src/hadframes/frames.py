@@ -75,7 +75,10 @@ def frame_from_integer_columns(raw, scale_sq, *, degenerate: bool = False) -> Sc
             raise ValidationError(
                 f"column {i} has squared norm {int(nrm)} * {scale} != 1"
             )
-    if n < m or int_rank(a) < m:
+    # A frame operator c * I with c > 0 is invertible, which proves spanning
+    # without the rank computation.
+    c = identity_multiple(checked_matmul(a, a.T))
+    if (c is None or c <= 0) and (n < m or int_rank(a) < m):
         raise ValidationError(
             f"vectors do not span: rank < ambient dimension {m} (count {n})"
         )
@@ -95,21 +98,27 @@ def gram(f: ScaledFrame) -> np.ndarray:
     return scaled_fraction_matrix(_raw_gram(f), f.scale_sq)
 
 
+def _off_diagonal_abs(g: np.ndarray) -> np.ndarray:
+    # |g| with -1 on the diagonal, below every off-diagonal value.
+    absg = np.abs(g)
+    np.fill_diagonal(absg, -1)
+    return absg
+
+
+def _corr_sq(entry: int, f: ScaledFrame) -> Fraction:
+    return Fraction(entry * entry) * f.scale_sq * f.scale_sq
+
+
 def coherence(f: ScaledFrame) -> CoherenceReport:
     """Maximal squared frame correlation over all pairs, exact."""
     if f.count < 2:
         raise ValidationError("coherence needs at least two frame vectors")
-    g = _raw_gram(f)
-    absg = np.abs(g)
-    np.fill_diagonal(absg, -1)
+    absg = _off_diagonal_abs(_raw_gram(f))
     peak = int(absg.max())
     pairs = tuple(
         (int(i), int(j)) for i, j in np.argwhere(absg == peak) if i < j
     )
-    return CoherenceReport(
-        max_corr_sq=Fraction(peak * peak) * f.scale_sq * f.scale_sq,
-        achieving_pairs=pairs,
-    )
+    return CoherenceReport(max_corr_sq=_corr_sq(peak, f), achieving_pairs=pairs)
 
 
 def welch_bound_sq(count: int, dim: int) -> Fraction:
@@ -131,17 +140,18 @@ def is_tight(f: ScaledFrame) -> tuple[bool, Fraction | None]:
     return True, Fraction(c) * f.scale_sq
 
 
+def _equiangular(absg: np.ndarray, f: ScaledFrame) -> tuple[bool, Fraction | None]:
+    vals = absg[absg >= 0]
+    if not (vals == vals[0]).all():
+        return False, None
+    return True, _corr_sq(int(vals[0]), f)
+
+
 def is_equiangular(f: ScaledFrame) -> tuple[bool, Fraction | None]:
     """All off-diagonal Gram entries share one squared value; return it."""
     if f.count < 2:
         raise ValidationError("equiangularity needs at least two frame vectors")
-    g = np.abs(_raw_gram(f))
-    np.fill_diagonal(g, -1)
-    vals = g[g >= 0]
-    if not (vals == vals[0]).all():
-        return False, None
-    alpha = int(vals[0])
-    return True, Fraction(alpha * alpha) * f.scale_sq * f.scale_sq
+    return _equiangular(_off_diagonal_abs(_raw_gram(f)), f)
 
 
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
@@ -170,13 +180,15 @@ def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
     """Assemble tightness, equiangularity, and Welch-equality verdicts.
 
     tight and equiangular together are sufficient for minimal coherence;
-    no optimality claim is made when either flag is false.
+    no optimality claim is made when either flag is false. The N x N Gram
+    is formed once and read by both the equiangularity and Welch checks.
     """
     if f.count < 2:
         raise ValidationError("certificate needs at least two frame vectors")
     tight, bound = is_tight(f)
-    equi, alpha_sq = is_equiangular(f)
-    welch_eq = coherence(f).max_corr_sq == welch_bound_sq(f.count, f.ambient_dim)
+    absg = _off_diagonal_abs(_raw_gram(f))
+    equi, alpha_sq = _equiangular(absg, f)
+    welch_eq = _corr_sq(int(absg.max()), f) == welch_bound_sq(f.count, f.ambient_dim)
     return FrameCertificate(
         tight=tight,
         bound_A=bound,

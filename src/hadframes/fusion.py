@@ -2,9 +2,11 @@
 
 A subspace is stored as integer basis columns plus a rational scale making
 them exactly orthonormal. Tightness of a fusion frame (sum of projections
-equal to A * I) is decided two independent ways: by accumulating the
-projection sum subspace by subspace, and by the row criterion on the
-matrix stacking every basis vector. Both are exact.
+equal to A * I) is decided by one exact product per distinct scale: the
+bases of that scale stacked side by side, times their transpose, which is
+the sum of their B_i @ B_i.T. The row criterion (lemma_row_check) is the
+same test read row by row. Pairwise chordal distances of a whole frame come
+from one block Gram of the stacked bases.
 """
 
 from __future__ import annotations
@@ -136,26 +138,18 @@ def make_fusion_frame(
             raise ValidationError(
                 f"subspace {i} lives in F^{s.ambient_dim}, expected F^{big_m}"
             )
-    stacked = np.hstack([s.basis_raw for s in subs])
-    if int_rank(stacked) < big_m:
-        raise ValidationError("subspaces do not jointly span the ambient space")
+    # A tight frame's projection sum A * I with A > 0 is invertible, which
+    # proves spanning without the rank computation.
+    bound = _stacked_identity_multiple(subs)
+    if bound is None or bound <= 0:
+        if int_rank(np.hstack([s.basis_raw for s in subs])) < big_m:
+            raise ValidationError("subspaces do not jointly span the ambient space")
     return FusionFrame(
         ambient_dim=big_m,
         subspaces=subs,
         constructed_grassmannian=constructed_grassmannian,
         degenerate=degenerate,
     )
-
-
-def _grouped_projection_sums(ff: FusionFrame) -> dict[Fraction, np.ndarray]:
-    # Integer sum of B @ B.T per distinct scale, accumulated subspace by
-    # subspace so the route stays independent of the stacked row check.
-    groups: dict[Fraction, np.ndarray] = {}
-    for s in ff.subspaces:
-        outer = checked_matmul(s.basis_raw, s.basis_raw.T)
-        acc = groups.get(s.scale_sq)
-        groups[s.scale_sq] = outer if acc is None else acc + outer
-    return groups
 
 
 def _rational_identity_multiple(parts: dict[Fraction, np.ndarray]) -> Fraction | None:
@@ -176,30 +170,36 @@ def _rational_identity_multiple(parts: dict[Fraction, np.ndarray]) -> Fraction |
     return diag[0]
 
 
+def _stacked_identity_multiple(subs: Sequence[Subspace]) -> Fraction | None:
+    # Per distinct scale, the bases stacked side by side times their
+    # transpose is the integer sum of B_i @ B_i.T over that scale.
+    by_scale: dict[Fraction, list[np.ndarray]] = {}
+    for s in subs:
+        by_scale.setdefault(s.scale_sq, []).append(s.basis_raw)
+    row_grams = {}
+    for sc, blocks in by_scale.items():
+        stacked = np.hstack(blocks)
+        row_grams[sc] = checked_matmul(stacked, stacked.T)
+    return _rational_identity_multiple(row_grams)
+
+
 def fusion_tight(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     """Decide sum_i P_i == A * I exactly; return A when tight."""
-    a = _rational_identity_multiple(_grouped_projection_sums(ff))
+    a = _stacked_identity_multiple(ff.subspaces)
     return (a is not None), a
 
 
 def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     """Row criterion: stack every scaled basis vector as a column and test
     whether the rows of the stacked matrix are pairwise orthogonal with one
-    common squared norm. When they are, the fusion frame is tight with
-    bound equal to that squared row norm.
+    common squared norm, A. That is the statement stacked @ stacked.T ==
+    A * I, and stacked @ stacked.T is the sum of the projections, so the
+    check holds exactly when the fusion frame is tight with bound A.
 
-    This is a sufficient condition only; a failed row check never infers
-    non-tightness (fusion_tight remains the decision procedure).
+    Per scale it computes the same stacked product as fusion_tight, so the
+    two always agree; a failed row check proves non-tightness.
     """
-    by_scale: dict[Fraction, list[np.ndarray]] = {}
-    for s in ff.subspaces:
-        by_scale.setdefault(s.scale_sq, []).append(s.basis_raw)
-    row_grams = {
-        sc: checked_matmul(np.hstack(blocks), np.hstack(blocks).T)
-        for sc, blocks in by_scale.items()
-    }
-    a = _rational_identity_multiple(row_grams)
-    return (a is not None), a
+    return fusion_tight(ff)
 
 
 def build_gff(n: int, m: int) -> FusionFrame:
@@ -233,33 +233,49 @@ def build_gff(n: int, m: int) -> FusionFrame:
     )
 
 
+def _pairwise_traces(subs: Sequence[Subspace]) -> tuple[np.ndarray, int]:
+    # Integer L x L matrix t and denominator q with tr(P_i P_j) = t[i, j] / q,
+    # for subspaces of one dimension d. One block Gram of the stacked bases,
+    # reshaped to (L, d, L, d), holds every B_i.T @ B_j; its squared
+    # Frobenius norms are weighted by scale_i * scale_j = p_i * p_j / q
+    # over a common denominator, so mixed scales take the same route.
+    n_sub, d = len(subs), subs[0].dim
+    stacked = np.hstack([s.basis_raw for s in subs])
+    g = checked_matmul(stacked.T, stacked)
+    peak = max(int(g.max()), -int(g.min()))
+    if g.dtype == object or peak * peak * d * d >= 1 << 63:
+        g = g.astype(object)
+    g *= g
+    frob = g.reshape(n_sub, d, n_sub, d).sum(axis=(1, 3))
+    den = math.lcm(*(s.scale_sq.denominator for s in subs))
+    p = np.array([s.scale_sq.numerator * (den // s.scale_sq.denominator) for s in subs],
+                 dtype=object)
+    return np.outer(p, p) * frob.astype(object), den * den
+
+
 def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
     """Tightness, equal dimensions, and equal pairwise chordal distances.
+
+    The distances m - tr(P_i P_j) of every pair come from one block Gram
+    (see chordal_dist_sq for the single-pair definition).
 
     ``grassmannian_by_construction`` is a provenance flag: it is set only
     for frames produced by build_gff (and only when every computed check
     also holds); it is not an independent optimality proof.
     """
-    if len(ff.subspaces) < 2:
+    subs = ff.subspaces
+    if len(subs) < 2:
         raise ValidationError("certificate needs at least two subspaces")
     tight, bound = fusion_tight(ff)
-    dims = {s.dim for s in ff.subspaces}
-    equal_dim = len(dims) == 1
+    equal_dim = len({s.dim for s in subs}) == 1
     equi = False
     dist_sq: Fraction | None = None
     if equal_dim:
-        subs = ff.subspaces
-        seen: set[Fraction] = set()
-        for i in range(len(subs)):
-            for j in range(i + 1, len(subs)):
-                seen.add(chordal_dist_sq(subs[i], subs[j]))
-                if len(seen) > 1:
-                    break
-            if len(seen) > 1:
-                break
-        if len(seen) == 1:
-            equi = True
-            dist_sq = seen.pop()
+        traces, den = _pairwise_traces(subs)
+        upper = traces[np.triu_indices(len(subs), 1)]
+        equi = bool((upper == upper[0]).all())
+        if equi:
+            dist_sq = subs[0].dim - Fraction(int(upper[0]), den)
     return FusionCertificate(
         tight=tight,
         bound_A=bound,

@@ -19,6 +19,13 @@ _RANK_PRIME = 2_147_483_647
 # float64 holds integers exactly up to 2**53; keep a wide safety margin.
 _PM1_GRAM_MAX_ORDER = 1 << 26
 
+# checked_matmul takes the float64 BLAS path below this product bound: a
+# factor 8 of headroom under 2**53, the limit of the exactness argument.
+_FLOAT_EXACT_BOUND = 1 << 50
+
+# Below this bound int64 cannot overflow; above it, Python integers.
+_INT64_EXACT_BOUND = 1 << 62
+
 
 def as_int_matrix(rows, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a contiguous 2-D int64 array, rejecting non-integer input."""
@@ -33,16 +40,51 @@ def as_int_matrix(rows, *, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+def _exact_dtype(a: np.ndarray, b: np.ndarray):
+    """The dtype checked_matmul computes a @ b in: float64, int64 or object.
+
+    Chosen from the worst-case bound max|a| * max|b| * k on every partial
+    sum of the product, where k is the inner dimension. Each maximum counts
+    as at least 1, so the entries themselves also lie below the bound.
+    """
+    bound = int(np.abs(a).max(initial=1)) * int(np.abs(b).max(initial=1)) * a.shape[1]
+    if bound < _FLOAT_EXACT_BOUND:
+        return np.float64
+    if bound < _INT64_EXACT_BOUND:
+        return np.int64
+    return object
+
+
+def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
+    # b views the same memory as a with its axes swapped, so b equals a.T.
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape[::-1]
+        and a.strides == b.strides[::-1]
+        and a.ctypes.data == b.ctypes.data
+    )
+
+
 def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer matrix product, exact for any magnitude.
 
-    Uses int64 when a worst-case bound proves no overflow, otherwise
-    switches to Python integers.
+    The dtype comes from _exact_dtype. On the float64 path BLAS is exact:
+    every product a[i, l] * b[l, j] and every partial sum of them, in any
+    order and with or without fused multiply-add, is an integer of
+    magnitude at most max|a| * max|b| * k < 2**50, and float64 holds every
+    integer up to 2**53, so no operation rounds. The result is returned as
+    int64. Between 2**50 and 2**62 int64 cannot overflow; beyond that the
+    product runs on Python integers and returns an object array.
+
+    A Gram product checked_matmul(a, a.T) converts a only once.
     """
-    bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1]
-    if bound < 2**62:
-        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
-    return np.asarray(a.astype(object) @ b.astype(object))
+    dtype = _exact_dtype(a, b)
+    ca = a.astype(dtype, copy=False)
+    cb = ca.T if _is_transpose(a, b) else b.astype(dtype, copy=False)
+    out = ca @ cb
+    if dtype is np.float64:
+        return out.astype(np.int64)
+    return np.asarray(out)
 
 
 def pm1_gram(h: np.ndarray) -> np.ndarray:

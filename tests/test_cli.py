@@ -121,6 +121,35 @@ def test_export_json_to_csv_and_back(tmp_path, capsys):
     assert back["scale_sq"] == original["scale_sq"]
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ("gen-etf", "--order", "4"),
+            "# kind=frame scale_sq=1/3\n1,1,-1,-1\n1,-1,-1,1\n1,-1,1,-1\n",
+        ),
+        (
+            ("gen-gff", "--n", "2", "--m", "0"),
+            "# kind=fusion_frame scale_sq=1/3 subspace_dims=1,1,1,1\n"
+            "1,1,-1,-1\n1,-1,-1,1\n1,-1,1,-1\n",
+        ),
+    ],
+)
+def test_csv_export_bytes_without_a_certificate(tmp_path, capsys, monkeypatch, argv, expected):
+    import hadframes.cli as cli_module
+
+    j, c = tmp_path / "obj.json", tmp_path / "obj.csv"
+    run(capsys, *argv, "--output", str(j))
+
+    def no_certificate(obj):
+        raise AssertionError("CSV export computed a certificate")
+
+    monkeypatch.setattr(cli_module, "_checks_for", no_certificate)
+    code, _, _ = run(capsys, "export", "--input", str(j), "--format", "csv", "--output", str(c))
+    assert code == 0
+    assert c.read_bytes() == expected.encode()
+
+
 def test_simulate_json_report(tmp_path, capsys):
     path = tmp_path / "gff.json"
     run(capsys, "gen-gff", "--n", "3", "--m", "1", "--output", str(path))

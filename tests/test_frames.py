@@ -339,3 +339,44 @@ def test_random_frames_respect_welch_inequality():
 def test_exact_frames_respect_welch_inequality(etf4, etf8, basis2, fourth_roots):
     for f in (etf4, etf8, basis2, fourth_roots):
         assert coherence(f).max_corr_sq >= welch_bound_sq(f.count, f.ambient_dim)
+
+
+# ---------------------------------------------------------------------------
+# spanning: a tight frame operator proves it, int_rank decides the rest
+
+
+@pytest.fixture()
+def rank_calls(monkeypatch):
+    import hadframes.frames as frames_module
+
+    calls = []
+    real = frames_module.int_rank
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(frames_module, "int_rank", counting)
+    return calls
+
+
+def test_tight_frames_never_reach_int_rank(rank_calls, had12):
+    etf_from_hadamard(build_walsh(5).base)
+    etf_from_hadamard(normalize_first_row(had12))
+    frame_from_integer_columns([[1, 0, -1, 0], [0, 1, 0, -1]], 1)
+    assert rank_calls == []
+
+
+def test_spanning_frame_that_is_not_tight_is_accepted_by_rank(rank_calls):
+    f = frame_from_integer_columns([[1, 1, 1], [1, -1, 1]], Fraction(1, 2))
+    assert is_tight(f) == (False, None)
+    assert rank_calls == [(2, 3)]
+
+
+@pytest.mark.parametrize("columns", [[[1, -1], [0, 0]], [[1], [0]]])
+def test_frame_that_does_not_span_is_rejected(rank_calls, columns):
+    with pytest.raises(
+        ValidationError,
+        match=r"^vectors do not span: rank < ambient dimension 2 \(count \d\)$",
+    ):
+        frame_from_integer_columns(columns, 1)

@@ -11,10 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hadframes import (
     ValidationError,
     build_gff,
+    build_sylvester,
     build_walsh,
     chordal_dist,
     chordal_dist_sq,
@@ -372,3 +375,131 @@ def test_analyze_checks_ambient_dimension():
 def test_fusion_frame_must_span():
     with pytest.raises(ValidationError, match="span"):
         make_fusion_frame([line(3, 0), line(3, 1)])
+
+
+# ---------------------------------------------------------------------------
+# spanning: a tight projection sum proves it, int_rank decides the rest
+
+
+@pytest.fixture()
+def rank_calls(monkeypatch):
+    import hadframes.fusion as fusion_module
+
+    calls = []
+    real = fusion_module.int_rank
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(fusion_module, "int_rank", counting)
+    return calls
+
+
+def test_tight_fusion_frames_never_reach_int_rank(rank_calls):
+    build_gff(5, 2)
+    build_gff(4, 0)
+    diag_plus = subspace_from_columns([[1], [1]], Fraction(1, 2))
+    diag_minus = subspace_from_columns([[1], [-1]], Fraction(1, 2))
+    make_fusion_frame([line(2, 0), line(2, 1), diag_plus, diag_minus])
+    assert rank_calls == []
+
+
+def test_spanning_fusion_frame_that_is_not_tight_is_accepted_by_rank(rank_calls):
+    ff = make_fusion_frame([line(2, 0), line(2, 0), line(2, 1)])
+    assert fusion_tight(ff) == (False, None)
+    assert rank_calls == [(2, 3)]
+
+
+def test_fusion_frame_that_does_not_span_is_rejected(rank_calls):
+    with pytest.raises(
+        ValidationError, match="^subspaces do not jointly span the ambient space$"
+    ):
+        make_fusion_frame([line(3, 0), line(3, 1), line(3, 1)])
+    assert rank_calls == [(3, 3)]
+
+
+# ---------------------------------------------------------------------------
+# the block-Gram certificate against the pairwise definition
+
+
+def pairwise_equidistance(ff):
+    """(equi_distance, dist_sq) from chordal_dist_sq on every pair."""
+    subs = ff.subspaces
+    if len({s.dim for s in subs}) != 1:
+        return False, None
+    seen = {
+        chordal_dist_sq(subs[i], subs[j])
+        for i in range(len(subs))
+        for j in range(i + 1, len(subs))
+    }
+    return (True, seen.pop()) if len(seen) == 1 else (False, None)
+
+
+def assert_certificate_matches_pairs(ff):
+    c = equidistance_certificate(ff)
+    assert c.equal_dim == (len({s.dim for s in ff.subspaces}) == 1)
+    assert (c.equi_distance, c.dist_sq) == pairwise_equidistance(ff)
+
+
+def _fixed_fusion_frames():
+    diag_plus = subspace_from_columns([[1], [1]], Fraction(1, 2))
+    diag_minus = subspace_from_columns([[1], [-1]], Fraction(1, 2))
+    whole = subspace_from_columns(np.eye(2, dtype=int), 1)
+    return {
+        "gff31": build_gff(3, 1),
+        "gff42": build_gff(4, 2),
+        "gff21-coincident": build_gff(2, 1),
+        "mixed-scales-not-equidistant": make_fusion_frame(
+            [line(2, 0), line(2, 1), diag_plus, diag_minus]
+        ),
+        "mixed-scales-equidistant": make_fusion_frame([line(2, 0), diag_plus]),
+        "mixed-scales-lines-at-45-degrees": make_fusion_frame(
+            [diag_plus, line(2, 0), diag_minus]
+        ),
+        "repeated-subspace": make_fusion_frame([line(2, 0), line(2, 0), line(2, 1)]),
+        "unequal-dims": make_fusion_frame([line(2, 0), whole]),
+        "axis-vs-diagonal": make_fusion_frame([line(2, 0), line(2, 1), diag_plus]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_fixed_fusion_frames()))
+def test_block_gram_certificate_matches_pairwise_distances(name):
+    assert_certificate_matches_pairs(_fixed_fusion_frames()[name])
+
+
+def test_block_gram_weights_mixed_scales_exactly():
+    diag_plus = subspace_from_columns([[1], [1]], Fraction(1, 2))
+    c = equidistance_certificate(make_fusion_frame([line(2, 0), diag_plus]))
+    assert c.equi_distance and c.dist_sq == Fraction(1, 2)
+
+
+@st.composite
+def small_fusion_frames(draw):
+    """Subspaces of F^(2^k): columns of a row-permuted, sign-flipped
+    Sylvester matrix (scale 2^-k) or coordinate axes (scale 1)."""
+    k = draw(st.integers(1, 3))
+    big_m = 1 << k
+    h = build_sylvester(k).entries.astype(np.int64)
+    common_dim = draw(st.integers(1, big_m - 1))
+    equal_dims = draw(st.sampled_from([True, True, False]))
+    subs = []
+    for _ in range(draw(st.integers(2, 6))):
+        dim = common_dim if equal_dims else draw(st.integers(1, big_m))
+        cols = draw(st.lists(st.integers(0, big_m - 1), min_size=dim, max_size=dim, unique=True))
+        if draw(st.booleans()):
+            rows = draw(st.permutations(range(big_m)))
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=big_m, max_size=big_m))
+            basis = (h * np.array(signs)[:, None])[rows][:, cols]
+            subs.append(subspace_from_columns(basis, Fraction(1, big_m)))
+        else:
+            subs.append(subspace_from_columns(np.eye(big_m, dtype=np.int64)[:, cols], 1))
+    stacked = np.hstack([s.basis_raw for s in subs]).astype(np.float64)
+    assume(np.linalg.matrix_rank(stacked) == big_m)
+    return make_fusion_frame(subs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fusion_frames())
+def test_block_gram_certificate_matches_pairwise_distances_on_random_frames(ff):
+    assert_certificate_matches_pairs(ff)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadframes import ValidationError
 from hadframes.intlinalg import (
@@ -13,6 +17,8 @@ from hadframes.intlinalg import (
     identity_multiple,
     int_rank,
     pm1_gram,
+    _exact_dtype,
+    _is_transpose,
     _rank_fraction_free,
 )
 from fractions import Fraction
@@ -51,6 +57,103 @@ def test_checked_matmul_falls_back_to_python_ints():
     big = np.array([[1 << 40]], dtype=np.int64)
     out = checked_matmul(big, big)
     assert int(out[0, 0]) == 1 << 80  # would overflow int64
+
+
+def object_product(a, b):
+    """Reference product on Python integers."""
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object)).tolist()
+
+
+def as_ints(m):
+    return [[int(x) for x in row] for row in np.asarray(m)]
+
+
+def extreme_pair(peak_a: int, peak_b: int, k: int, seed: int):
+    # Random signs with one row of a and one column of b at full magnitude,
+    # so one entry of the product equals the bound peak_a * peak_b * k.
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-peak_a, peak_a, size=(3, k), endpoint=True).astype(object)
+    b = rng.integers(-peak_b, peak_b, size=(k, 4), endpoint=True).astype(object)
+    a[0, :] = peak_a
+    b[:, 0] = peak_b
+    return a, b
+
+
+@pytest.mark.parametrize(
+    "peak_a,peak_b,k,dtype",
+    [
+        ((1 << 24) - 1, (1 << 24) + 1, 4, np.float64),  # bound 2**50 - 4
+        (1 << 24, 1 << 24, 4, np.int64),  # bound 2**50, the float64 threshold
+        ((1 << 31) - 1, (1 << 31) + 1, 1, np.int64),  # bound 2**62 - 1
+        (1 << 30, 1 << 30, 4, object),  # bound 2**62
+    ],
+)
+def test_checked_matmul_is_exact_at_each_path_threshold(peak_a, peak_b, k, dtype):
+    a, b = extreme_pair(peak_a, peak_b, k, seed=k)
+    if dtype is not object:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    assert _exact_dtype(a, b) is dtype
+    out = checked_matmul(a, b)
+    assert as_ints(out) == object_product(a, b)
+    assert int(out[0, 0]) == peak_a * peak_b * k
+
+
+def test_large_entries_take_the_int64_path_where_float64_rounds():
+    k = 64
+    a = np.full((2, k), (1 << 27) + 1, dtype=np.int64)
+    a[1, ::2] = -(1 << 27) + 3
+    b = a.T.copy()
+    exact = object_product(a, b)
+    rounded = (a.astype(np.float64) @ b.astype(np.float64)).astype(object)
+    assert [[int(x) for x in row] for row in rounded] != exact  # float64 is wrong here
+    assert _exact_dtype(a, b) is np.int64
+    assert as_ints(checked_matmul(a, b)) == exact
+
+
+def test_all_zero_factor_does_not_hide_a_huge_entry():
+    huge = np.array([[1 << 70]], dtype=object)
+    zero = np.zeros((1, 1), dtype=np.int64)
+    assert _exact_dtype(huge, zero) is object
+    assert as_ints(checked_matmul(huge, zero)) == [[0]]
+
+
+_magnitudes = st.sampled_from([0, 1, 7, 20, 25, 27, 31, 40])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 5), k=st.integers(1, 6), n=st.integers(1, 5),
+    ea=_magnitudes, eb=_magnitudes, seed=st.integers(0, 2**32 - 1),
+)
+def test_checked_matmul_matches_python_integers(m, k, n, ea, eb, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-(1 << ea), 1 << ea, size=(m, k), endpoint=True)
+    b = rng.integers(-(1 << eb), 1 << eb, size=(k, n), endpoint=True)
+    assert as_ints(checked_matmul(a, b)) == object_product(a, b)
+    assert as_ints(checked_matmul(a, a.T)) == object_product(a, a.T)
+
+
+def test_gram_product_detects_the_transposed_view():
+    a = np.arange(12, dtype=np.int64).reshape(3, 4) - 5
+    assert _is_transpose(a, a.T) and _is_transpose(a.T, a)
+    assert not _is_transpose(a, a.T.copy())
+    assert not _is_transpose(a[:, :3], a[:3, :].T)
+    assert as_ints(checked_matmul(a, a.T)) == object_product(a, a.T)
+    assert as_ints(checked_matmul(a.T, a)) == object_product(a.T, a)
+
+
+def test_gram_product_converts_its_input_once():
+    # A wide a: one float64 copy of it dominates the peak, and a second
+    # copy for a.T would double it.
+    a = np.ones((4, 1 << 18), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        out = checked_matmul(a, a.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert as_ints(out) == [[1 << 18] * 4] * 4
+    assert peak < 1.5 * a.nbytes
 
 
 def test_pm1_gram_equals_integer_product():
