@@ -11,7 +11,8 @@ reproducible and order-independent; aggregation is in fixed trial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,8 +69,10 @@ class ChannelConfig:
     exact_threshold: float = 1e-20
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be nonnegative")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
+        if not math.isfinite(self.exact_threshold):
+            raise ValidationError(f"exact_threshold must be finite, got {self.exact_threshold}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -249,6 +252,23 @@ def simulate_fusion(
     return acc.report(cfg)
 
 
+# Entries call through the module names, so a simulator rebound on this module
+# (by a monkeypatch or the benchmark's span tracer) is the one that runs.
+_SIMULATORS = {
+    ScaledFrame: lambda f, cfg, source: simulate_frame(f, cfg, source),
+    FusionFrame: lambda ff, cfg, source: simulate_fusion(ff, cfg, source),
+}
+
+
+def simulate(obj, cfg: ChannelConfig,
+             signal_source: SignalSource = default_signal_source) -> SimReport:
+    """Run the channel over a frame or a fusion frame."""
+    run = _SIMULATORS.get(type(obj))
+    if run is None:
+        raise ValidationError(f"simulate needs a frame or fusion frame, got {type(obj).__name__}")
+    return run(obj, cfg, signal_source)
+
+
 def compare(
     candidates: Sequence[tuple[str, ScaledFrame | FusionFrame]],
     cfg: ChannelConfig,
@@ -262,16 +282,11 @@ def compare(
     cands = list(candidates)
     if not cands:
         raise ValidationError("compare needs at least one candidate")
+    for name, obj in cands:
+        if type(obj) not in _SIMULATORS:
+            raise ValidationError(f"candidate {name!r} is not a frame or fusion frame")
     dims = {obj.ambient_dim for _, obj in cands}
     if len(dims) != 1:
         raise ValidationError(f"candidates span different ambient dimensions: {sorted(dims)}")
-    rows = []
-    for name, obj in cands:
-        if isinstance(obj, ScaledFrame):
-            rows.append((name, simulate_frame(obj, cfg, signal_source)))
-        elif isinstance(obj, FusionFrame):
-            rows.append((name, simulate_fusion(obj, cfg, signal_source)))
-        else:
-            raise ValidationError(f"candidate {name!r} is not a frame or fusion frame")
-    rows.sort(key=lambda r: (r[1].mean_mse, r[0]))
-    return rows
+    rows = [(name, simulate(obj, cfg, signal_source)) for name, obj in cands]
+    return sorted(rows, key=lambda r: (r[1].mean_mse, r[0]))

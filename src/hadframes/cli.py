@@ -1,13 +1,16 @@
 """Command-line interface: generate, verify, export, and simulate.
 
 Exit codes: 0 when every requested certificate passes, 1 when a
-certificate fails, 2 for invalid input or arguments (with a diagnostic
-naming the violated precondition).
+certificate fails, 2 for anything malformed or out of bounds: a bad flag,
+an input file that is missing, not UTF-8, or not a well-formed object, a
+bad ``--config`` file, a bad HADFRAMES_MAX_ORDER, or a size over that cap.
+Exit 2 comes with a one-line ``error:`` diagnostic naming what was wrong.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,55 +26,33 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_object(path: str):
+def _read_text(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"input file not found: {path}")
-    if p.suffix.lower() == ".csv":
-        return serialize.object_from_csv(p.read_text())
     try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    return serialize.object_from_dict(payload)
+
+
+def _load_object(path: str):
+    if Path(path).suffix.lower() == ".csv":
+        return serialize.object_from_csv(_read_text(path))
+    return serialize.object_from_dict(_read_json(path))
 
 
 def _checks_for(obj) -> dict:
     """Applicable certificates for a loaded object, as JSON-ready dicts."""
-    if isinstance(obj, hadamard.WalshMatrix):
-        return {
-            "hadamard": serialize.matrix_certificate_to_dict(
-                hadamard.validate_hadamard(obj.base)
-            ),
-            "walsh_order": serialize.matrix_certificate_to_dict(
-                hadamard.validate_walsh_order(obj)
-            ),
-        }
-    if isinstance(obj, hadamard.SignMatrix):
-        return {
-            "hadamard": serialize.matrix_certificate_to_dict(
-                hadamard.validate_hadamard(obj)
-            )
-        }
-    if isinstance(obj, frames.ScaledFrame):
-        return serialize.frame_certificate_to_dict(frames.grassmannian_certificate(obj))
-    if isinstance(obj, fusion.FusionFrame):
-        return serialize.fusion_certificate_to_dict(fusion.equidistance_certificate(obj))
-    raise ValidationError(f"no certificates defined for {type(obj).__name__}")
-
-
-def _verify_pass(obj, checks: dict, require: str) -> bool:
-    if isinstance(obj, (hadamard.SignMatrix, hadamard.WalshMatrix)):
-        return all(c["ok"] for c in checks.values())
-    if require == "valid":
-        return True  # construction already re-validated all invariants
-    if isinstance(obj, frames.ScaledFrame):
-        if require == "tight":
-            return checks["tight"]
-        return checks["tight"] and checks["equiangular"] and checks["welch_equality"]
-    if require == "tight":
-        return checks["tight"]
-    return checks["tight"] and checks["equal_dim"] and checks["equi_distance"]
+    return serialize.kind_of(obj).checks(obj)
 
 
 def _checks_to_text(checks: dict) -> str:
@@ -93,31 +74,22 @@ def _emit_object(obj, checks: dict, fmt: str, output: str | None) -> None:
     if fmt == "csv":
         _emit(serialize.object_to_csv(obj), output)
         return
-    if isinstance(obj, hadamard.WalshMatrix):
-        payload = serialize.walsh_matrix_to_dict(obj)
-    elif isinstance(obj, hadamard.SignMatrix):
-        payload = serialize.sign_matrix_to_dict(obj)
-    elif isinstance(obj, frames.ScaledFrame):
-        payload = serialize.frame_to_dict(obj)
-    else:
-        payload = serialize.fusion_frame_to_dict(obj)
-    payload["certificate"] = checks
+    payload = {**serialize.kind_of(obj).to_dict(obj), "certificate": checks}
     if fmt == "text":
         _emit(f"kind = {payload['kind']}\n" + _checks_to_text(checks), output)
     else:
         _emit(serialize.canonical_dumps(payload), output)
 
 
-def _cmd_gen_hadamard(args) -> int:
-    m = hadamard.build_sylvester(args.k)
-    _emit_object(m, _checks_for(m), args.format, args.output)
-    return 0
+def _emit_certified(obj, args) -> int:
+    """Emit a generated object with its certificate; exit 1 unless it is Grassmannian."""
+    checks = _checks_for(obj)
+    _emit_object(obj, checks, args.format, args.output)
+    return 0 if serialize.kind_of(obj).passes(checks, "grassmannian") else 1
 
 
-def _cmd_gen_walsh(args) -> int:
-    w = hadamard.build_walsh(args.k)
-    _emit_object(w, _checks_for(w), args.format, args.output)
-    return 0
+def _cmd_gen_matrix(args) -> int:
+    return _emit_certified(args.build(args.k), args)
 
 
 def _cmd_gen_etf(args) -> int:
@@ -133,67 +105,42 @@ def _cmd_gen_etf(args) -> int:
         base = hadamard.build_walsh(n.bit_length() - 1).base
     else:
         obj = _load_object(args.input)
-        base = obj.base if isinstance(obj, hadamard.WalshMatrix) else obj
+        base = getattr(obj, "base", obj)  # a WalshMatrix wraps its SignMatrix
         if not isinstance(base, hadamard.SignMatrix):
             raise ValidationError("--input must contain a sign matrix")
-    f = frames.etf_from_hadamard(hadamard.normalize_first_row(base))
-    checks = _checks_for(f)
-    _emit_object(f, checks, args.format, args.output)
-    return 0 if _verify_pass(f, checks, "grassmannian") else 1
+    return _emit_certified(frames.etf_from_hadamard(hadamard.normalize_first_row(base)), args)
 
 
 def _cmd_gen_gff(args) -> int:
-    ff = fusion.build_gff(args.n, args.m)
-    checks = _checks_for(ff)
-    _emit_object(ff, checks, args.format, args.output)
-    return 0 if _verify_pass(ff, checks, "grassmannian") else 1
+    return _emit_certified(fusion.build_gff(args.n, args.m), args)
 
 
 def _cmd_verify(args) -> int:
     obj = _load_object(args.input)
     checks = _checks_for(obj)
-    ok = _verify_pass(obj, checks, args.require)
+    ok = serialize.kind_of(obj).passes(checks, args.require)
     payload = {"kind": type(obj).__name__, "checks": checks, "pass": ok}
     if args.format == "json":
         _emit(serialize.canonical_dumps(payload), args.output)
     else:
-        verdict = "PASS" if ok else "FAIL"
-        _emit(_checks_to_text(checks) + f"verdict = {verdict}\n", args.output)
+        _emit(_checks_to_text(checks) + f"verdict = {'PASS' if ok else 'FAIL'}\n", args.output)
     return 0 if ok else 1
 
 
 def _channel_config(args) -> channel.ChannelConfig:
-    if args.config:
-        cfg = serialize.config_from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = channel.ChannelConfig()
-    erasure = cfg.erasure
+    """The --config file's settings (or the defaults), overridden by the flags given."""
+    cfg = serialize.config_from_dict(_read_json(args.config) if args.config else {})
+    flags = {key: getattr(args, key) for key in ("noise_std", "trials", "seed", "mode")}
     if args.erase_fixed is not None:
-        ids = [int(t) for t in args.erase_fixed.split(",") if t.strip() != ""]
-        erasure = channel.ErasureSpec.fixed(ids)
+        flags["erasure"] = channel.ErasureSpec.fixed(args.erase_fixed)
     if args.erase_random is not None:
-        erasure = channel.ErasureSpec.random_k(args.erase_random)
-    return channel.ChannelConfig(
-        noise_std=cfg.noise_std if args.noise_std is None else args.noise_std,
-        erasure=erasure,
-        trials=cfg.trials if args.trials is None else args.trials,
-        seed=cfg.seed if args.seed is None else args.seed,
-        mode=cfg.mode if args.mode is None else args.mode,
-        exact_threshold=cfg.exact_threshold,
-    )
-
-
-def _simulate_object(obj, cfg: channel.ChannelConfig) -> channel.SimReport:
-    if isinstance(obj, frames.ScaledFrame):
-        return channel.simulate_frame(obj, cfg)
-    if isinstance(obj, fusion.FusionFrame):
-        return channel.simulate_fusion(obj, cfg)
-    raise ValidationError("simulate needs a frame or fusion frame input")
+        flags["erasure"] = channel.ErasureSpec.random_k(args.erase_random)
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
     cfg = _channel_config(args)
-    report = _simulate_object(_load_object(args.input), cfg)
+    report = channel.simulate(_load_object(args.input), cfg)
     if args.format == "json":
         _emit(serialize.canonical_dumps(serialize.report_to_dict(report)), args.output)
     else:
@@ -228,6 +175,13 @@ def _add_format(p: argparse.ArgumentParser, default: str, choices=("json", "csv"
     p.add_argument("--output", help="write to this path instead of stdout")
 
 
+def _index_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with channel settings")
     p.add_argument("--noise-std", type=float, default=None, dest="noise_std")
@@ -235,7 +189,7 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["lstsq", "naive"], default=None)
     p.add_argument(
-        "--erase-fixed", default=None, dest="erase_fixed",
+        "--erase-fixed", type=_index_list, default=None, dest="erase_fixed",
         help="comma-separated indices to erase every trial",
     )
     p.add_argument(
@@ -251,15 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-hadamard", help="order-2^k Hadamard matrix (doubling construction)")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p, "json")
-    p.set_defaults(handler=_cmd_gen_hadamard)
-
-    p = sub.add_parser("gen-walsh", help="sequency-ordered Hadamard matrix of order 2^k")
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p, "json")
-    p.set_defaults(handler=_cmd_gen_walsh)
+    for name, build, text in (
+        ("gen-hadamard", hadamard.build_sylvester,
+         "order-2^k Hadamard matrix (doubling construction)"),
+        ("gen-walsh", hadamard.build_walsh, "sequency-ordered Hadamard matrix of order 2^k"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--k", type=int, required=True)
+        _add_format(p, "json")
+        p.set_defaults(handler=_cmd_gen_matrix, build=build)
 
     p = sub.add_parser("gen-etf", help="equiangular tight frame from a Hadamard matrix")
     p.add_argument("--order", type=int, help="power-of-two order (built internally)")
@@ -308,10 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

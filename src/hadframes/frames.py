@@ -21,6 +21,7 @@ from .intlinalg import (
     as_fraction,
     as_int_matrix,
     checked_matmul,
+    column_norms_sq,
     identity_multiple,
     int_rank,
     scaled_fraction_matrix,
@@ -69,8 +70,7 @@ def frame_from_integer_columns(raw, scale_sq, *, degenerate: bool = False) -> Sc
     if scale <= 0:
         raise ValidationError(f"scale_sq must be positive, got {scale}")
     m, n = a.shape
-    norms = (a.astype(np.int64) ** 2).sum(axis=0)
-    for i, nrm in enumerate(norms):
+    for i, nrm in enumerate(column_norms_sq(a)):
         if int(nrm) * scale != 1:
             raise ValidationError(
                 f"column {i} has squared norm {int(nrm)} * {scale} != 1"

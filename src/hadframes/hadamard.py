@@ -31,9 +31,11 @@ _AUTO_VALIDATE_MAX_ORDER = 1 << 10
 
 
 def max_order() -> int:
-    """Configured order cap for constructions (override via HADFRAMES_MAX_ORDER)."""
-    raw = os.environ.get(MAX_ORDER_ENV, "")
-    return int(raw) if raw else DEFAULT_MAX_ORDER
+    """Configured order cap for constructions and imports (override via HADFRAMES_MAX_ORDER)."""
+    raw = os.environ.get(MAX_ORDER_ENV) or str(DEFAULT_MAX_ORDER)
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValidationError(f"{MAX_ORDER_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +54,7 @@ class SignMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("sign matrix must be square")
-        if not np.isin(a, (-1, 1)).all():
+        if not ((a == 1) | (a == -1)).all():
             raise ValidationError("sign matrix entries must be +1 or -1")
         if self.order != a.shape[0]:
             raise ValidationError(

@@ -40,6 +40,11 @@ def as_int_matrix(rows, *, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+def _max_abs(a: np.ndarray) -> int:
+    # From the extremes, not np.abs: np.abs wraps the int64 minimum to itself.
+    return max(int(a.max(initial=1)), -int(a.min(initial=-1)))
+
+
 def _exact_dtype(a: np.ndarray, b: np.ndarray):
     """The dtype checked_matmul computes a @ b in: float64, int64 or object.
 
@@ -47,7 +52,7 @@ def _exact_dtype(a: np.ndarray, b: np.ndarray):
     sum of the product, where k is the inner dimension. Each maximum counts
     as at least 1, so the entries themselves also lie below the bound.
     """
-    bound = int(np.abs(a).max(initial=1)) * int(np.abs(b).max(initial=1)) * a.shape[1]
+    bound = _max_abs(a) * _max_abs(b) * a.shape[1]
     if bound < _FLOAT_EXACT_BOUND:
         return np.float64
     if bound < _INT64_EXACT_BOUND:
@@ -85,6 +90,16 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if dtype is np.float64:
         return out.astype(np.int64)
     return np.asarray(out)
+
+
+def column_norms_sq(a: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean norm of every column of an integer matrix.
+
+    Computed in the dtype checked_matmul would use for a.T @ a, whose
+    diagonal these are, so large entries cannot wrap.
+    """
+    c = a.astype(_exact_dtype(a.T, a), copy=False)
+    return (c * c).sum(axis=0)
 
 
 def pm1_gram(h: np.ndarray) -> np.ndarray:

@@ -5,25 +5,114 @@ serialize to identical bytes; rationals appear as {"num", "den"} pairs in
 lowest terms with positive denominator. CSV carries only the raw integer
 matrix plus one header line with the scale (and subspace dimensions for
 fusion frames); flags that cannot ride along in CSV are JSON-only.
+
+``KINDS`` is the one place where a kind's format is stated: JSON name and
+fields, CSV header and matrix, certificate, and the verdict per --require
+level. Decoding coerces nothing: a JSON integer is not a bool, float or
+string, a CSV number is ASCII digits and a sign, and a size over
+``max_order()`` is refused before any array is built. A parsing step turns
+a malformed input into a ValidationError that names the field (or a
+ResourceLimitError); the constructors it feeds raise their own errors.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from . import frames, fusion, hadamard
 from .channel import ChannelConfig, ErasureSpec, SimReport
-from .errors import ValidationError
-from .frames import FrameCertificate, ScaledFrame, frame_from_integer_columns
-from .fusion import (
-    FusionCertificate,
-    FusionFrame,
-    make_fusion_frame,
-    subspace_from_columns,
-)
-from .hadamard import MatrixCertificate, SignMatrix, WalshMatrix, sign_matrix
+from .errors import ResourceLimitError, ValidationError
+
+# What malformed input can make a parsing step raise; each becomes a
+# ValidationError. Constructors run outside these steps and raise their own.
+_DECODE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError)
+_MISSING = object()
+
+
+@contextmanager
+def _blame(what: str):
+    """Re-raise a parsing failure inside the block as a ValidationError naming ``what``."""
+    try:
+        yield
+    except _DECODE_ERRORS as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+
+
+def _json(*types: type) -> Callable[[Any], Any]:
+    """Reader that accepts a value of exactly these types (a bool is no int)."""
+
+    def read(value):
+        if type(value) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise ValidationError(f"expected {names}, got {type(value).__name__}")
+        return value
+
+    return read
+
+
+_INT, _BOOL, _STR, _LIST, _OBJECT = (_json(t) for t in (int, bool, str, list, dict))
+
+
+def _float(value) -> float:
+    return float(_json(int, float)(value))
+
+
+def _field(d: dict, key: str, read: Callable, default=_MISSING):
+    """``read(d[key])``, or ``default`` when the key is absent."""
+    if key not in d:
+        if default is _MISSING:
+            raise ValidationError(f"missing field {key!r}")
+        return default
+    with _blame(f"field {key!r}"):
+        return read(d[key])
+
+
+def _fields(d, readers: dict) -> dict:
+    """The fields of the JSON object ``d`` that are present, each through its reader."""
+    d = _OBJECT(d)
+    return {key: _field(d, key, read) for key, read in readers.items() if key in d}
+
+
+def _int_token(text: str) -> int:
+    """A CSV header integer: an optional minus sign and ASCII digits, nothing else."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValidationError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _ratio_token(text: str) -> Fraction:
+    """A CSV header rational, written ``num/den`` or ``num``."""
+    num, slash, den = text.partition("/")
+    return Fraction(_int_token(num), _int_token(den) if slash else 1)
+
+
+def _size(name: str, n: int) -> int:
+    """``n`` as a dimension: at least 1 and at most ``max_order()``."""
+    if n < 1:
+        raise ValidationError(f"{name} must be >= 1, got {n}")
+    cap = hadamard.max_order()
+    if n > cap:
+        raise ResourceLimitError(
+            f"{name} {n} exceeds the configured cap {cap} ({hadamard.MAX_ORDER_ENV})"
+        )
+    return n
+
+
+def _int_matrix(flat, rows: int, cols: int) -> np.ndarray:
+    """A flat JSON array of exactly rows * cols integers, as an int64 matrix."""
+    if len(_LIST(flat)) != rows * cols:
+        raise ValidationError(f"expected {rows * cols} entries, got {len(flat)}")
+    # Element types, not the array's dtype: a bool/int mix reads as int64.
+    if set(map(type, flat)) - {int}:
+        raise ValidationError("entries must all be JSON integers")
+    return np.asarray(flat, dtype=np.int64).reshape(rows, cols)
 
 
 def fraction_to_pair(fr: Fraction) -> dict:
@@ -33,11 +122,20 @@ def fraction_to_pair(fr: Fraction) -> dict:
 def pair_to_fraction(d) -> Fraction:
     if not isinstance(d, dict) or set(d) != {"num", "den"}:
         raise ValidationError(f"expected a {{num, den}} pair, got {d!r}")
-    return Fraction(int(d["num"]), int(d["den"]))
+    return Fraction(_INT(d["num"]), _INT(d["den"]))
 
 
-def _optional_pair(fr: Fraction | None):
-    return None if fr is None else fraction_to_pair(fr)
+def _jsonable(value):
+    """A dataclass as a dict of its JSON-ready fields, in declaration order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Fraction):
+        return fraction_to_pair(value)
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, np.ndarray):
+        return value.reshape(-1).tolist()
+    return value
 
 
 def canonical_dumps(payload: dict) -> str:
@@ -49,280 +147,278 @@ def canonical_dumps(payload: dict) -> str:
 # objects -> dict
 
 
-def sign_matrix_to_dict(m: SignMatrix) -> dict:
-    return {
-        "kind": "sign_matrix",
-        "order": m.order,
-        "entries": [int(x) for x in m.entries.reshape(-1)],
-    }
+def sign_matrix_to_dict(m: hadamard.SignMatrix) -> dict:
+    return {"kind": "sign_matrix", "order": m.order, "entries": m.entries.reshape(-1).tolist()}
 
 
-def walsh_matrix_to_dict(w: WalshMatrix) -> dict:
-    d = sign_matrix_to_dict(w.base)
-    d["kind"] = "walsh_matrix"
-    d["log_order"] = w.log_order
-    return d
+def walsh_matrix_to_dict(w: hadamard.WalshMatrix) -> dict:
+    return {**sign_matrix_to_dict(w.base), "kind": "walsh_matrix", "log_order": w.log_order}
 
 
-def frame_to_dict(f: ScaledFrame) -> dict:
-    return {
-        "kind": "frame",
-        "ambient_dim": f.ambient_dim,
-        "count": f.count,
-        "scale_sq": fraction_to_pair(f.scale_sq),
-        "raw": [int(x) for x in f.raw.reshape(-1)],
-        "degenerate": f.degenerate,
-    }
+def frame_to_dict(f: frames.ScaledFrame) -> dict:
+    return {"kind": "frame", **_jsonable(f)}
 
 
-def fusion_frame_to_dict(ff: FusionFrame) -> dict:
+def _shared_scale(ff: fusion.FusionFrame) -> Fraction:
     scales = {s.scale_sq for s in ff.subspaces}
     if len(scales) != 1:
-        raise ValidationError(
-            "fusion frame schema carries a single scale_sq; subspace scales differ"
-        )
+        raise ValidationError("fusion frame schema needs a single scale_sq; subspace scales differ")
+    return scales.pop()
+
+
+def fusion_frame_to_dict(ff: fusion.FusionFrame) -> dict:
     return {
         "kind": "fusion_frame",
         "ambient_dim": ff.ambient_dim,
-        "scale_sq": fraction_to_pair(next(iter(scales))),
-        "subspaces": [
-            [int(x) for x in s.basis_raw.reshape(-1)] for s in ff.subspaces
-        ],
+        "scale_sq": fraction_to_pair(_shared_scale(ff)),
+        "subspaces": [s.basis_raw.reshape(-1).tolist() for s in ff.subspaces],
         "constructed_grassmannian": ff.constructed_grassmannian,
         "degenerate": ff.degenerate,
     }
 
 
-def matrix_certificate_to_dict(c: MatrixCertificate) -> dict:
-    return {"ok": c.ok, "order": c.order, "check": c.check, "detail": c.detail}
+def matrix_certificate_to_dict(c: hadamard.MatrixCertificate) -> dict:
+    return _jsonable(c)
 
 
-def frame_certificate_to_dict(c: FrameCertificate) -> dict:
-    return {
-        "tight": c.tight,
-        "bound_A": _optional_pair(c.bound_A),
-        "equiangular": c.equiangular,
-        "alpha_sq": _optional_pair(c.alpha_sq),
-        "welch_equality": c.welch_equality,
-        "grassmannian_by_etf": c.grassmannian_by_etf,
-    }
+def frame_certificate_to_dict(c: frames.FrameCertificate) -> dict:
+    return _jsonable(c)
 
 
-def fusion_certificate_to_dict(c: FusionCertificate) -> dict:
-    return {
-        "tight": c.tight,
-        "bound_A": _optional_pair(c.bound_A),
-        "equal_dim": c.equal_dim,
-        "equi_distance": c.equi_distance,
-        "dist_sq": _optional_pair(c.dist_sq),
-        "grassmannian_by_construction": c.grassmannian_by_construction,
-    }
-
-
-def erasure_to_dict(e: ErasureSpec) -> dict:
-    return {"mode": e.mode, "indices": list(e.indices), "k": e.k}
+def fusion_certificate_to_dict(c: fusion.FusionCertificate) -> dict:
+    return _jsonable(c)
 
 
 def config_to_dict(cfg: ChannelConfig) -> dict:
-    return {
-        "noise_std": cfg.noise_std,
-        "erasure": erasure_to_dict(cfg.erasure),
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "mode": cfg.mode,
-        "exact_threshold": cfg.exact_threshold,
-    }
-
-
-def config_from_dict(d: dict) -> ChannelConfig:
-    er = d.get("erasure", {"mode": "none"})
-    spec = ErasureSpec(
-        mode=er.get("mode", "none"),
-        indices=tuple(er.get("indices", ())),
-        k=int(er.get("k", 0)),
-    )
-    return ChannelConfig(
-        noise_std=float(d.get("noise_std", 0.0)),
-        erasure=spec,
-        trials=int(d.get("trials", 1)),
-        seed=int(d.get("seed", 0)),
-        mode=str(d.get("mode", "lstsq")),
-        exact_threshold=float(d.get("exact_threshold", 1e-20)),
-    )
+    return _jsonable(cfg)
 
 
 def report_to_dict(r: SimReport) -> dict:
-    return {
-        "mean_mse": r.mean_mse,
-        "max_mse": r.max_mse,
-        "trials_run": r.trials_run,
-        "exact_recovery_count": r.exact_recovery_count,
-        "non_recoverable_count": r.non_recoverable_count,
-        "config": config_to_dict(r.config),
-    }
+    return _jsonable(r)
+
+
+def config_from_dict(d) -> ChannelConfig:
+    """A ChannelConfig from the fields given; absent ones keep the dataclass defaults."""
+    cfg = _fields(d, {
+        "noise_std": _float, "exact_threshold": _float, "trials": _INT, "seed": _INT,
+        "mode": _STR, "erasure": _OBJECT,
+    })
+    if "erasure" in cfg:
+        er = cfg["erasure"]
+        readers = {"indices": lambda ids: tuple(map(_INT, _LIST(ids))), "k": _INT}
+        cfg["erasure"] = ErasureSpec(_field(er, "mode", _STR), **_fields(er, readers))
+    return ChannelConfig(**cfg)
 
 
 # ---------------------------------------------------------------------------
-# dict -> objects
+# dict / CSV -> objects, per kind
 
 
-def _reshape(flat, rows: int, cols: int, what: str) -> np.ndarray:
-    arr = np.asarray([int(x) for x in flat], dtype=np.int64)
-    if arr.size != rows * cols:
-        raise ValidationError(f"{what}: expected {rows * cols} entries, got {arr.size}")
-    return arr.reshape(rows, cols)
+def _sign_from_dict(d: dict) -> hadamard.SignMatrix:
+    order = _size("order", _field(d, "order", _INT))
+    return hadamard.sign_matrix(_field(d, "entries", lambda flat: _int_matrix(flat, order, order)))
 
 
-def object_from_dict(d: dict):
-    """Rebuild a SignMatrix, WalshMatrix, ScaledFrame, or FusionFrame.
-
-    Constructors re-run all structural validation, so a dict that decodes
-    successfully always yields an internally consistent object.
-    """
-    kind = d.get("kind")
-    if kind in ("sign_matrix", "walsh_matrix"):
-        order = int(d["order"])
-        m = sign_matrix(_reshape(d["entries"], order, order, "entries"))
-        if kind == "sign_matrix":
-            return m
-        log_order = int(d.get("log_order", max(order.bit_length() - 1, 0)))
-        if 1 << log_order != order:
-            raise ValidationError(f"walsh matrix order {order} is not 2**{log_order}")
-        return WalshMatrix(log_order=log_order, base=m)
-    if kind == "frame":
-        m, n = int(d["ambient_dim"]), int(d["count"])
-        return frame_from_integer_columns(
-            _reshape(d["raw"], m, n, "raw"),
-            pair_to_fraction(d["scale_sq"]),
-            degenerate=bool(d.get("degenerate", False)),
-        )
-    if kind == "fusion_frame":
-        m = int(d["ambient_dim"])
-        scale = pair_to_fraction(d["scale_sq"])
-        subs = []
-        for i, flat in enumerate(d["subspaces"]):
-            if len(flat) % m:
-                raise ValidationError(f"subspace {i}: length not a multiple of {m}")
-            subs.append(
-                subspace_from_columns(_reshape(flat, m, len(flat) // m, f"subspace {i}"), scale)
-            )
-        return make_fusion_frame(
-            subs,
-            constructed_grassmannian=bool(d.get("constructed_grassmannian", False)),
-            degenerate=bool(d.get("degenerate", False)),
-        )
-    raise ValidationError(f"unknown object kind {kind!r}")
+def _walsh(m: hadamard.SignMatrix, log_order: int | None) -> hadamard.WalshMatrix:
+    k = m.order.bit_length() - 1
+    want = k if log_order is None else log_order
+    if m.order & (m.order - 1) or want != k:
+        raise ValidationError(f"walsh matrix order {m.order} is not 2**{want}")
+    return hadamard.WalshMatrix(log_order=k, base=m)
 
 
-# ---------------------------------------------------------------------------
-# CSV
+def _frame_from_dict(d: dict) -> frames.ScaledFrame:
+    m, n = (_size(key, _field(d, key, _INT)) for key in ("ambient_dim", "count"))
+    return frames.frame_from_integer_columns(
+        _field(d, "raw", lambda flat: _int_matrix(flat, m, n)),
+        _field(d, "scale_sq", pair_to_fraction),
+        degenerate=_field(d, "degenerate", _BOOL, False),
+    )
 
 
-def _csv_header(fields: dict) -> str:
-    body = " ".join(f"{k}={v}" for k, v in fields.items())
-    return f"# {body}\n"
+def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
+    m = _size("ambient_dim", _field(d, "ambient_dim", _INT))
+    scale = _field(d, "scale_sq", pair_to_fraction)
+
+    def bases(flats) -> list[np.ndarray]:
+        return [_int_matrix(flat, m, len(_LIST(flat)) // m) for flat in _LIST(flats)]
+
+    return fusion.make_fusion_frame(
+        [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)],
+        constructed_grassmannian=_field(d, "constructed_grassmannian", _BOOL, False),
+        degenerate=_field(d, "degenerate", _BOOL, False),
+    )
+
+
+def _fusion_from_csv(fields: dict, mat: np.ndarray) -> fusion.FusionFrame:
+    scale = _field(fields, "scale_sq", _ratio_token, Fraction(1))
+    dims = _field(fields, "subspace_dims", lambda text: [_int_token(x) for x in text.split(",")])
+    if min(dims) < 1 or sum(dims) != mat.shape[1]:
+        raise ValidationError("subspace_dims must be positive and add up to the column count")
+    blocks = np.split(mat, np.cumsum(dims)[:-1], axis=1)
+    return fusion.make_fusion_frame([fusion.subspace_from_columns(b, scale) for b in blocks])
 
 
 def _scale_token(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def _fusion_csv(ff: fusion.FusionFrame) -> tuple[dict, np.ndarray]:
+    dims = ",".join(str(s.dim) for s in ff.subspaces)
+    fields = {"scale_sq": _scale_token(_shared_scale(ff)), "subspace_dims": dims}
+    return fields, np.hstack([s.basis_raw for s in ff.subspaces])
+
+
+# ---------------------------------------------------------------------------
+# the per-kind table
+
+
+class Kind(NamedTuple):
+    """How one kind of object is written, read back and certified."""
+
+    name: str  # "kind" in JSON and in the CSV header
+    type: type
+    to_dict: Callable[[Any], dict]
+    from_dict: Callable[[dict], Any]
+    to_csv: Callable[[Any], tuple[dict, np.ndarray]]  # header fields after kind, matrix
+    from_csv: Callable[[dict, np.ndarray], Any]
+    csv_sizes: tuple[str, str | None]  # what a CSV's row and column counts are; None: no cap
+    checks: Callable[[Any], dict]  # the JSON-ready certificate
+    passes: Callable[[dict, str], bool]  # (checks, --require level) -> verdict
+
+
+def _all_ok(checks: dict, require: str) -> bool:  # a matrix, at every level
+    return all(c["ok"] for c in checks.values())
+
+
+def _frame_passes(*grassmannian: str) -> Callable[[dict, str], bool]:
+    # "valid" needs no check: construction already re-validated every invariant.
+    needs = {"valid": (), "tight": ("tight",), "grassmannian": ("tight", *grassmannian)}
+    return lambda checks, require: all(checks[k] for k in needs[require])
+
+# Rows reach public functions through module names at call time, so a
+# function rebound there (by a monkeypatch or the benchmark's span tracer) is
+# the one every caller reaches.
+KINDS = (
+    Kind(
+        "sign_matrix", hadamard.SignMatrix,
+        to_dict=lambda m: sign_matrix_to_dict(m),
+        from_dict=_sign_from_dict,
+        to_csv=lambda m: ({"scale_sq": "1/1"}, m.entries),
+        from_csv=lambda fields, mat: hadamard.sign_matrix(mat),
+        csv_sizes=("order", "order"),
+        checks=lambda m: {"hadamard": matrix_certificate_to_dict(hadamard.validate_hadamard(m))},
+        passes=_all_ok,
+    ),
+    Kind(
+        "walsh_matrix", hadamard.WalshMatrix,
+        to_dict=lambda w: walsh_matrix_to_dict(w),
+        from_dict=lambda d: _walsh(_sign_from_dict(d), _field(d, "log_order", _INT, None)),
+        to_csv=lambda w: ({"scale_sq": "1/1"}, w.base.entries),
+        from_csv=lambda fields, mat: _walsh(hadamard.sign_matrix(mat), None),
+        csv_sizes=("order", "order"),
+        checks=lambda w: {
+            "hadamard": matrix_certificate_to_dict(hadamard.validate_hadamard(w.base)),
+            "walsh_order": matrix_certificate_to_dict(hadamard.validate_walsh_order(w)),
+        },
+        passes=_all_ok,
+    ),
+    Kind(
+        "frame", frames.ScaledFrame,
+        to_dict=lambda f: frame_to_dict(f),
+        from_dict=_frame_from_dict,
+        to_csv=lambda f: ({"scale_sq": _scale_token(f.scale_sq)}, f.raw),
+        from_csv=lambda fields, mat: frames.frame_from_integer_columns(
+            mat, _field(fields, "scale_sq", _ratio_token, Fraction(1))
+        ),
+        csv_sizes=("ambient_dim", "count"),
+        checks=lambda f: frame_certificate_to_dict(frames.grassmannian_certificate(f)),
+        passes=_frame_passes("equiangular", "welch_equality"),
+    ),
+    Kind(
+        "fusion_frame", fusion.FusionFrame,
+        to_dict=lambda ff: fusion_frame_to_dict(ff),
+        from_dict=_fusion_from_dict,
+        to_csv=_fusion_csv,
+        from_csv=_fusion_from_csv,
+        csv_sizes=("ambient_dim", None),
+        checks=lambda ff: fusion_certificate_to_dict(fusion.equidistance_certificate(ff)),
+        passes=_frame_passes("equal_dim", "equi_distance"),
+    ),
+)
+_BY_TYPE = {k.type: k for k in KINDS}
+_BY_NAME = {k.name: k for k in KINDS}
+
+
+def kind_of(obj) -> Kind:
+    """The table row for ``obj``'s type."""
+    kind = _BY_TYPE.get(type(obj))
+    if kind is None:
+        raise ValidationError(f"{type(obj).__name__} is not a matrix, frame or fusion frame")
+    return kind
+
+
+def _kind_named(name) -> Kind:
+    kind = _BY_NAME.get(name)
+    if kind is None:
+        raise ValidationError(f"unknown object kind {name!r}")
+    return kind
+
+
+def object_from_dict(d):
+    """Rebuild a SignMatrix, WalshMatrix, ScaledFrame, or FusionFrame.
+
+    Constructors re-run all structural validation, so a dict that decodes
+    successfully always yields an internally consistent object.
+    """
+    d = _OBJECT(d)
+    return _kind_named(_field(d, "kind", _STR)).from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# CSV
+
+
 def object_to_csv(obj) -> str:
     """Raw integer matrix rows under a single metadata header line."""
-    if isinstance(obj, WalshMatrix):
-        header = _csv_header({"kind": "walsh_matrix", "scale_sq": "1/1"})
-        mat = obj.base.entries
-    elif isinstance(obj, SignMatrix):
-        header = _csv_header({"kind": "sign_matrix", "scale_sq": "1/1"})
-        mat = obj.entries
-    elif isinstance(obj, ScaledFrame):
-        header = _csv_header({"kind": "frame", "scale_sq": _scale_token(obj.scale_sq)})
-        mat = obj.raw
-    elif isinstance(obj, FusionFrame):
-        scales = {s.scale_sq for s in obj.subspaces}
-        if len(scales) != 1:
-            raise ValidationError("CSV fusion export needs a single shared scale_sq")
-        dims = ",".join(str(s.dim) for s in obj.subspaces)
-        header = _csv_header(
-            {
-                "kind": "fusion_frame",
-                "scale_sq": _scale_token(next(iter(scales))),
-                "subspace_dims": dims,
-            }
-        )
-        mat = np.hstack([s.basis_raw for s in obj.subspaces])
-    else:
-        raise ValidationError(f"cannot export {type(obj).__name__} as CSV")
-    rows = "\n".join(",".join(str(int(x)) for x in row) for row in mat)
-    return header + rows + "\n"
+    kind = kind_of(obj)
+    fields, mat = kind.to_csv(obj)
+    header = " ".join(f"{k}={v}" for k, v in {"kind": kind.name, **fields}.items())
+    rows = "\n".join(",".join(map(str, row)) for row in mat.tolist())
+    return f"# {header}\n{rows}\n"
+
+
+def _csv_body(lines: list[str]) -> np.ndarray:
+    """The body rows as an int64 matrix; a cell that is not an integer is refused."""
+    # An integer body is ASCII. numpy 2.4's loadtxt can also crash the
+    # interpreter on lines holding characters beyond U+FFFF.
+    if not all(map(str.isascii, lines)):
+        raise ValidationError("CSV body is not an integer matrix: it holds non-ASCII text")
+    with _blame("CSV body is not an integer matrix"), warnings.catch_warnings():
+        # numpy releases that still read an int64 cell such as "1.5" through
+        # float only warn before they truncate it; as an error, loadtxt
+        # reports the cell in a ValueError.
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
 
 
 def object_from_csv(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    head, _, body = text.lstrip().partition("\n")
+    tokens = [t.partition("=") for t in head[1:].split()]
+    if not head.startswith("#") or not all(eq for _, eq, _ in tokens):
         raise ValidationError("CSV must start with a '# key=value ...' header line")
-    fields = {}
-    for token in lines[0].lstrip("#").split():
-        if "=" not in token:
-            raise ValidationError(f"malformed CSV header token {token!r}")
-        k, v = token.split("=", 1)
-        fields[k] = v
-    try:
-        mat = np.asarray([[int(x) for x in ln.split(",")] for ln in lines[1:]], dtype=np.int64)
-    except Exception as exc:
-        raise ValidationError(f"CSV body is not an integer matrix: {exc}") from None
-    if mat.ndim != 2:
-        raise ValidationError("CSV rows have inconsistent lengths")
-    kind = fields.get("kind")
-    if kind in ("sign_matrix", "walsh_matrix"):
-        m = sign_matrix(mat)
-        if kind == "sign_matrix":
-            return m
-        log_order = max(m.order.bit_length() - 1, 0)
-        if 1 << log_order != m.order:
-            raise ValidationError(f"walsh matrix order {m.order} is not a power of two")
-        return WalshMatrix(log_order=log_order, base=m)
-    scale = Fraction(fields.get("scale_sq", "1"))
-    if kind == "frame":
-        return frame_from_integer_columns(mat, scale)
-    if kind == "fusion_frame":
-        dims = [int(x) for x in fields.get("subspace_dims", "").split(",") if x]
-        if sum(dims) != mat.shape[1]:
-            raise ValidationError("subspace_dims do not add up to the column count")
-        subs, at = [], 0
-        for m_dim in dims:
-            subs.append(subspace_from_columns(mat[:, at : at + m_dim], scale))
-            at += m_dim
-        return make_fusion_frame(subs)
-    raise ValidationError(f"unknown CSV kind {kind!r}")
+    fields = {key: value for key, _, value in tokens}
+    kind = _kind_named(fields.get("kind"))
+    lines = [ln for ln in body.splitlines() if ln.strip()]
+    rows, cols = kind.csv_sizes
+    _size(rows, len(lines))
+    if cols is not None:
+        _size(cols, lines[0].count(",") + 1)
+    return kind.from_csv(fields, _csv_body(lines))
 
 
 # ---------------------------------------------------------------------------
 # text rendering
-
-
-def _fr_text(fr: Fraction | None) -> str:
-    return "-" if fr is None else f"{fr.numerator}/{fr.denominator}"
-
-
-def frame_certificate_to_text(c: FrameCertificate) -> str:
-    lines = [
-        f"tight                {'yes' if c.tight else 'NO'}   A = {_fr_text(c.bound_A)}",
-        f"equiangular          {'yes' if c.equiangular else 'NO'}   alpha^2 = {_fr_text(c.alpha_sq)}",
-        f"welch_equality       {'yes' if c.welch_equality else 'NO'}",
-        f"grassmannian_by_etf  {'yes' if c.grassmannian_by_etf else 'NO'}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def fusion_certificate_to_text(c: FusionCertificate) -> str:
-    lines = [
-        f"tight                         {'yes' if c.tight else 'NO'}   A = {_fr_text(c.bound_A)}",
-        f"equal_dim                     {'yes' if c.equal_dim else 'NO'}",
-        f"equi_distance                 {'yes' if c.equi_distance else 'NO'}   dist^2 = {_fr_text(c.dist_sq)}",
-        f"grassmannian_by_construction  {'yes' if c.grassmannian_by_construction else 'NO'}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def report_to_text(r: SimReport) -> str:

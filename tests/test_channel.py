@@ -23,6 +23,7 @@ from hadframes import (
     simulate_fusion,
     subspace_from_columns,
 )
+from hadframes.channel import simulate
 from hadframes.serialize import canonical_dumps, report_to_dict
 
 
@@ -282,3 +283,26 @@ def test_report_aggregates_are_internally_consistent(etf4):
     assert 0 <= rep.non_recoverable_count <= rep.trials_run
     assert rep.mean_mse <= rep.max_mse
     assert rep.config == cfg
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"noise_std": float("nan")}, "noise_std"),
+        ({"noise_std": float("inf")}, "noise_std"),
+        ({"exact_threshold": float("nan")}, "exact_threshold"),
+        ({"exact_threshold": float("-inf")}, "exact_threshold"),
+    ],
+)
+def test_config_rejects_non_finite_parameters(kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        ChannelConfig(**kwargs)
+
+
+def test_simulate_dispatches_on_the_object_type(etf4):
+    cfg = ChannelConfig(noise_std=0.1, trials=5, seed=2)
+    assert simulate(etf4, cfg) == simulate_frame(etf4, cfg)
+    ff = build_gff(2, 0)
+    assert simulate(ff, cfg) == simulate_fusion(ff, cfg)
+    with pytest.raises(ValidationError, match="frame or fusion frame"):
+        simulate(etf4.raw, cfg)

@@ -257,3 +257,144 @@ def test_invalid_json_input(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 2
     assert "not valid JSON" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed input -> exit 2 with a one-line diagnostic, never a traceback
+
+
+def run_malformed(capsys, *argv):
+    """Exit code and stderr of one CLI run; argparse errors exit via SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+def assert_diagnosed(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1]
+
+
+_FRAME_1 = '{"kind":"frame","ambient_dim":1,"count":1,"scale_sq":{"num":1,"den":1},"raw":[1]}'
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("missing-key.json", '{"kind":"sign_matrix"}'),
+        ("not-an-object.json", "[1,2]"),
+        ("zero-den.json", _FRAME_1.replace('"den":1', '"den":0')),
+        ("zero-den.csv", "# kind=frame scale_sq=1/0\n1\n"),
+        ("float-entry.json", '{"kind":"sign_matrix","order":2,"entries":[1.5,1,1,-1]}'),
+        ("bool-entry.json", '{"kind":"sign_matrix","order":2,"entries":[true,true,true,-1]}'),
+        ("bool-order.json", '{"kind":"sign_matrix","order":true,"entries":[1]}'),
+        ("string-order.json", '{"kind":"sign_matrix","order":"1","entries":[1]}'),
+        ("zero-ambient.json",
+         '{"kind":"fusion_frame","ambient_dim":0,"scale_sq":{"num":1,"den":1},"subspaces":[[1]]}'),
+        ("huge-entry.json", _FRAME_1.replace('"raw":[1]', '"raw":[100000000000000000000000]')),
+        ("wrapping-norm.json", '{"kind":"frame","ambient_dim":1,"count":2,'
+                               '"scale_sq":{"num":1,"den":1},"raw":[9223372036854775807,1]}'),
+        ("float-entry.csv", "# kind=sign_matrix scale_sq=1/1\n1.5,1\n1,-1\n"),
+        ("exponent-entry.csv", "# kind=sign_matrix scale_sq=1/1\n1e0,1\n1,-1\n"),
+        ("bad-scale.csv", "# kind=frame scale_sq=abc\n1\n"),
+        ("decimal-scale.csv", "# kind=frame scale_sq=1.0\n1,-1\n"),
+        ("bad-dims.csv", "# kind=fusion_frame scale_sq=1/1 subspace_dims=x\n1\n"),
+        ("ragged.csv", "# kind=frame scale_sq=1/1\n1,0\n0\n"),
+        ("empty-body.csv", "# kind=sign_matrix scale_sq=1/1\n"),
+        ("deep.json", "[" * 100000 + "]" * 100000),
+    ],
+)
+def test_malformed_object_file_exits_2(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert_diagnosed(code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert_diagnosed(code, err)
+    assert "UTF-8" in err
+
+
+def test_missing_key_names_the_field(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"kind":"sign_matrix"}')
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert code == 2 and "'order'" in err
+
+
+@pytest.fixture
+def etf4(tmp_path, capsys):
+    path = tmp_path / "etf.json"
+    assert main(["gen-etf", "--order", "4", "--output", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize(
+    "config", ['{"noise_std":"abc"}', "[1]", '{"trials":1.0}', '{"exact_threshold":1e400}',
+               '{"erasure":{"mode":"fixed","indices":["0"]}}', "{not json"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    code, err = run_malformed(capsys, "simulate", "--input", str(etf4), "--config", str(cfg))
+    assert_diagnosed(code, err)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--noise-std", "nan"), ("--noise-std", "inf"), ("--erase-fixed", "a")],
+)
+def test_bad_channel_flags_exit_2(capsys, etf4, flags):
+    assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))
+
+
+def test_simulate_rejects_a_matrix_input(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    assert main(["gen-walsh", "--k", "2", "--output", str(path)]) == 0
+    assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(path)))
+    assert_diagnosed(*run_malformed(capsys, "compare", "--inputs", str(path), str(path)))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_bad_max_order_environment_exits_2(capsys, monkeypatch, etf4, value):
+    monkeypatch.setenv(MAX_ORDER_ENV, value)
+    for argv in (("gen-walsh", "--k", "1"), ("verify", "--input", str(etf4))):
+        code, err = run_malformed(capsys, *argv)
+        assert_diagnosed(code, err)
+        assert MAX_ORDER_ENV in err
+
+
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("order.json", '{"kind":"sign_matrix","order":16,"entries":[]}'),
+        ("count.json", '{"kind":"frame","ambient_dim":1,"count":9,"scale_sq":{"num":1,"den":1},'
+                       '"raw":[1,1,1,1,1,1,1,1,1]}'),
+        ("ambient.json",
+         '{"kind":"fusion_frame","ambient_dim":9,"scale_sq":{"num":1,"den":1},"subspaces":[]}'),
+        ("rows.csv", "# kind=frame scale_sq=1/1\n" + "1\n" * 9),
+        ("cols.csv", "# kind=frame scale_sq=1/1\n" + ",".join(["1"] * 9) + "\n"),
+    ],
+)
+def test_import_over_the_order_cap_exits_2(tmp_path, capsys, monkeypatch, name, content):
+    monkeypatch.setenv(MAX_ORDER_ENV, "8")
+    path = tmp_path / name
+    path.write_text(content)
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert_diagnosed(code, err)
+    assert "exceeds" in err
+
+
+def test_import_at_the_order_cap_is_accepted(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "w.csv"
+    assert main(["gen-walsh", "--k", "3", "--format", "csv", "--output", str(path)]) == 0
+    monkeypatch.setenv(MAX_ORDER_ENV, "8")
+    assert run(capsys, "verify", "--input", str(path))[0] == 0

@@ -380,3 +380,10 @@ def test_frame_that_does_not_span_is_rejected(rank_calls, columns):
         match=r"^vectors do not span: rank < ambient dimension 2 \(count \d\)$",
     ):
         frame_from_integer_columns(columns, 1)
+
+
+@pytest.mark.parametrize("big", [2**63 - 1, -(2**63)])
+def test_huge_entries_do_not_wrap_into_a_unit_norm(big):
+    # (2**63 - 1)**2 + 1 is 0 modulo 2**64, so int64 squares would call it 0 + 1.
+    with pytest.raises(ValidationError, match="column 0"):
+        frame_from_integer_columns([[big, 1]], 1)

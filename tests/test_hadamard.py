@@ -8,6 +8,8 @@ against a plain matrix-vector product.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,3 +294,25 @@ def test_order_cap_env_override(monkeypatch):
 def test_negative_k_rejected():
     with pytest.raises(ValidationError, match="non-negative"):
         build_sylvester(-1)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "8.0", " "])
+def test_order_cap_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv(MAX_ORDER_ENV, value)
+    with pytest.raises(ValidationError, match=MAX_ORDER_ENV):
+        max_order()
+
+
+def test_sign_check_does_not_sort_the_entries():
+    # The +-1 test builds boolean masks only; a sort-based membership test
+    # (np.isin) would hold several int64 copies of the matrix at once.
+    a = np.ones((256, 256), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        sign_matrix(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes
+    with pytest.raises(ValidationError, match=r"\+1 or -1"):
+        sign_matrix(np.full((2, 2), 2))

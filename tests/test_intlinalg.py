@@ -14,6 +14,7 @@ from hadframes.intlinalg import (
     as_fraction,
     as_int_matrix,
     checked_matmul,
+    column_norms_sq,
     identity_multiple,
     int_rank,
     pm1_gram,
@@ -184,3 +185,18 @@ def test_as_fraction_forms():
     assert as_fraction(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(ValidationError):
         as_fraction(object())
+
+
+def test_column_norms_sq_is_exact_for_any_magnitude():
+    a = np.array([[2**63 - 1, -(2**63), 3], [0, 1, 4]], dtype=np.int64)
+    assert column_norms_sq(a).tolist() == [(2**63 - 1) ** 2, 2**126 + 1, 25]
+    assert column_norms_sq(np.array([[1, -1], [1, 1]])).tolist() == [2, 2]
+
+
+def test_int64_minimum_entry_takes_the_exact_path():
+    # np.abs(-2**63) wraps to -2**63; the bound must still see 2**63.
+    a = np.array([[-(2**63), 1], [1, 1]], dtype=np.int64)
+    rows = a.tolist()
+    want = [[sum(x * y for x, y in zip(r, c)) for c in rows] for r in rows]
+    assert _exact_dtype(a, a.T) is object
+    assert checked_matmul(a, a.T).tolist() == want
