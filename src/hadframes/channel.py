@@ -1,12 +1,26 @@
 """Monte-Carlo noise and erasure simulation for frames and fusion frames.
 
 Channel model: every transmitted scalar coordinate picks up i.i.d.
-zero-mean Gaussian noise; erasures drop whole coefficients (frame case)
-or whole subspace pieces (fusion case). Reconstruction is least squares
-on the surviving analysis map by default, or the naive tight-frame sum
-for comparison against the analytic noise floor. Each trial draws from an
-independent stream derived from (seed, trial index), so runs are
-reproducible and order-independent; aggregation is in fixed trial order.
+zero-mean Gaussian noise of standard deviation sigma; erasures drop whole
+coefficients (frame case) or whole subspace pieces (fusion case).
+Reconstruction is least squares on the surviving analysis map by default,
+or the naive tight-frame sum for comparison against the analytic noise
+floor. Each trial draws from an independent stream derived from (seed,
+trial index), so runs are reproducible and order-independent; aggregation
+is in fixed trial order.
+
+Fusion noise model. Piece i is sent as the ambient M-vector P_i x, and
+noise hits all M of its coordinates, including the M - m_i outside W_i.
+The naive receiver sums the pieces it gets and divides by the tight bound
+A without projecting them first, so with no erasures its error is
+(1/A) sum_i n_i and its mean squared error is L*M*sigma^2/A^2 for L
+pieces. Kutyniok, Pezeshki, Calderbank & Liu ("Robust dimension
+reduction, fusion frames, and Grassmannian packings", ACHA 2009) send each
+piece as its m_i coordinates in W_i, so noise stays inside the subspace; a
+receiver that applied P_i to each piece before summing would see that
+model, with mean squared error sigma^2 * sum_i m_i / A^2. The least-squares
+receiver fits all received coordinates, so it does remove the noise
+outside the subspaces.
 """
 
 from __future__ import annotations
@@ -83,7 +97,12 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Aggregated per-trial squared reconstruction errors."""
+    """Aggregated per-trial squared reconstruction errors.
+
+    ``mean_mse_stderr`` is the standard error of ``mean_mse`` (sample
+    standard deviation over sqrt(trials); 0 for a single trial), and
+    ``survivor_sets`` the number of distinct survivor sets the trials drew.
+    """
 
     mean_mse: float
     max_mse: float
@@ -91,6 +110,8 @@ class SimReport:
     exact_recovery_count: int
     non_recoverable_count: int
     config: ChannelConfig
+    mean_mse_stderr: float
+    survivor_sets: int
 
 
 def default_signal_source(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -133,6 +154,9 @@ class _Accumulator:
     peak: float = 0.0
     exact: int = 0
     nonrec: int = 0
+    count: int = 0
+    mean: float = 0.0  # Welford running mean and sum of squared deviations
+    m2: float = 0.0
 
     def add(self, mse: float, recoverable: bool, threshold: float) -> None:
         self.total += mse
@@ -141,8 +165,13 @@ class _Accumulator:
             self.exact += 1
         if not recoverable:
             self.nonrec += 1
+        self.count += 1
+        delta = mse - self.mean
+        self.mean += delta / self.count
+        self.m2 += delta * (mse - self.mean)
 
-    def report(self, cfg: ChannelConfig) -> SimReport:
+    def report(self, cfg: ChannelConfig, survivor_sets: int) -> SimReport:
+        n = self.count
         return SimReport(
             mean_mse=self.total / cfg.trials,
             max_mse=self.peak,
@@ -150,7 +179,51 @@ class _Accumulator:
             exact_recovery_count=self.exact,
             non_recoverable_count=self.nonrec,
             config=cfg,
+            mean_mse_stderr=math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0,
+            survivor_sets=survivor_sets,
         )
+
+
+def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
+    """Least-squares decoder for the stacked analysis map ``phi``.
+
+    ``phi`` has ``rows_per_unit`` rows per transmitted unit. The returned
+    ``decode(y, surv)`` gives the minimum-norm least-squares solution of
+    ``phi_S x = y_S``, where S keeps the rows of the surviving units: the
+    result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)``. The first time a
+    survivor set is seen, its M x M map ``D_S = V diag(1/s^2) V^T`` is built
+    from the SVD of ``R = qr(phi_S)``, keeping the singular values above
+    lstsq's own cutoff ``eps * max(phi_S.shape) * s[0]``. Each trial then
+    solves the seminormal equations ``x = D_S phi^T (y * mask_S)``, where
+    ``mask_S`` zeroes the erased units' rows, and takes one correction step
+    ``x += D_S phi^T ((y - phi x) * mask_S)``. The correction keeps the result
+    within about ``eps * cond(phi_S)`` of lstsq's; without it the error
+    grows with ``cond(phi_S)**2``. At most ``phi.size // M**2`` maps are
+    kept, so the cache never outgrows ``phi``; once it is full, each new
+    set goes to ``np.linalg.lstsq``.
+    """
+    units, m = phi.shape[0] // rows_per_unit, phi.shape[1]
+    cap = phi.size // (m * m)
+    maps: dict[tuple[int, ...], np.ndarray] = {}
+
+    def decode(y: np.ndarray, surv: tuple[int, ...]) -> np.ndarray:
+        d = maps.get(surv)
+        if d is None:
+            idx = (np.array(surv)[:, None] * rows_per_unit + np.arange(rows_per_unit)).ravel()
+            if len(maps) >= cap:
+                return np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
+            r = np.linalg.qr(phi[idx], mode="r")
+            _, s, vt = np.linalg.svd(r, full_matrices=False)
+            kept = s > np.finfo(float).eps * max(len(idx), m) * s[0]
+            v = vt[kept].T
+            d = maps[surv] = (v / s[kept] ** 2) @ v.T
+        unit_mask = np.zeros(units)
+        unit_mask[list(surv)] = 1.0
+        mask = np.repeat(unit_mask, rows_per_unit)
+        x = d @ (phi.T @ (y * mask))
+        return x + d @ (phi.T @ ((y - phi @ x) * mask))
+
+    return decode
 
 
 def simulate_frame(
@@ -164,6 +237,11 @@ def simulate_frame(
     from the survivors. Rank of the surviving synthesis map is decided in
     exact integer arithmetic; rank-deficient trials are counted as
     non-recoverable (the minimum-norm solution is still recorded).
+
+    Least squares runs through the decoder shared with simulate_fusion,
+    with one row of ``T^T`` per coefficient: one M x M map per survivor set,
+    built on the set's first trial, at most ``count // M`` maps; sets beyond
+    that are solved by ``np.linalg.lstsq`` trial by trial.
     """
     n = f.count
     _check_erasure(cfg.erasure, n, "coefficients")
@@ -184,6 +262,7 @@ def simulate_frame(
             rank_cache[surv] = got
         return got
 
+    decode = _lstsq_decoder(t_syn.T, 1)
     acc = _Accumulator()
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
@@ -197,10 +276,10 @@ def simulate_frame(
         elif cfg.mode == "naive":
             xhat = (t_syn[:, list(surv)] @ coeff[list(surv)]) / bound_f
         else:
-            xhat = np.linalg.lstsq(t_syn.T[list(surv)], coeff[list(surv)], rcond=None)[0]
+            xhat = decode(coeff, surv)
         mse = float(((xhat - x) ** 2).sum())
         acc.add(mse, spans(surv), cfg.exact_threshold)
-    return acc.report(cfg)
+    return acc.report(cfg, len(rank_cache))
 
 
 def simulate_fusion(
@@ -209,11 +288,18 @@ def simulate_fusion(
     signal_source: SignalSource = default_signal_source,
 ) -> SimReport:
     """Transmit subspace projections of random signals; erasures drop whole
-    subspaces; decode by least squares on the stacked surviving projections."""
+    subspaces; decode by least squares on the stacked surviving projections.
+
+    The stacked map holds the L projections, M rows each, and goes through
+    the decoder shared with simulate_frame: one M x M map per survivor set,
+    built on the set's first trial, at most L maps; sets beyond that are
+    solved by ``np.linalg.lstsq`` trial by trial. The noise model is in the
+    module docstring.
+    """
     units = len(ff.subspaces)
     _check_erasure(cfg.erasure, units, "subspace pieces")
     big_m = ff.ambient_dim
-    projections = [_float_projection(s) for s in ff.subspaces]
+    phi = np.vstack([_float_projection(s) for s in ff.subspaces])
     bound_f = 0.0
     if cfg.mode == "naive":
         tight, bound = fusion_tight(ff)
@@ -231,25 +317,24 @@ def simulate_fusion(
             rank_cache[surv] = got
         return got
 
+    decode = _lstsq_decoder(phi, big_m)
     acc = _Accumulator()
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         x = signal_source(rng, big_m)
-        pieces = np.stack([p @ x for p in projections])
+        pieces = phi @ x
         if cfg.noise_std > 0:
             pieces = pieces + rng.normal(0.0, cfg.noise_std, size=pieces.shape)
         surv = _survivors(cfg.erasure, units, rng)
         if not surv:
             xhat = np.zeros(big_m)
         elif cfg.mode == "naive":
-            xhat = pieces[list(surv)].sum(axis=0) / bound_f
+            xhat = pieces.reshape(units, big_m)[list(surv)].sum(axis=0) / bound_f
         else:
-            stacked_p = np.vstack([projections[i] for i in surv])
-            stacked_y = np.concatenate([pieces[i] for i in surv])
-            xhat = np.linalg.lstsq(stacked_p, stacked_y, rcond=None)[0]
+            xhat = decode(pieces, surv)
         mse = float(((xhat - x) ** 2).sum())
         acc.add(mse, spans(surv), cfg.exact_threshold)
-    return acc.report(cfg)
+    return acc.report(cfg, len(rank_cache))
 
 
 # Entries call through the module names, so a simulator rebound on this module

@@ -425,9 +425,11 @@ def report_to_text(r: SimReport) -> str:
     return (
         f"trials            {r.trials_run}\n"
         f"mean_mse          {r.mean_mse:.6e}\n"
+        f"mean_mse_stderr   {r.mean_mse_stderr:.6e}\n"
         f"max_mse           {r.max_mse:.6e}\n"
         f"exact_recoveries  {r.exact_recovery_count}\n"
         f"non_recoverable   {r.non_recoverable_count}\n"
+        f"survivor_sets     {r.survivor_sets}\n"
     )
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadframes import (
     ChannelConfig,
@@ -23,8 +28,11 @@ from hadframes import (
     simulate_fusion,
     subspace_from_columns,
 )
-from hadframes.channel import simulate
-from hadframes.serialize import canonical_dumps, report_to_dict
+from hadframes import channel
+from hadframes.channel import _lstsq_decoder, simulate
+from hadframes.frames import synthesis_matrix
+from hadframes.fusion import _float_projection
+from hadframes.serialize import canonical_dumps, report_to_dict, report_to_text
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +314,158 @@ def test_simulate_dispatches_on_the_object_type(etf4):
     assert simulate(ff, cfg) == simulate_fusion(ff, cfg)
     with pytest.raises(ValidationError, match="frame or fusion frame"):
         simulate(etf4.raw, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the shared least-squares decoder
+
+
+def assert_decodes_like_lstsq(phi, rows_per_unit, sets, seed):
+    """Decode every set twice; each xhat must match x = np.linalg.lstsq's
+    solution within 1e-12 * (1 + |x|).
+
+    ``sets`` are distinct and outnumber the decoder's cap, so the first
+    ``cap`` of them decode through cached maps (both passes) and the rest
+    through the decoder's own lstsq call: both paths are checked.
+    """
+    reference = np.linalg.lstsq
+    cap = phi.size // phi.shape[1] ** 2
+    assert len(set(sets)) == len(sets) > cap
+    rng = np.random.default_rng(seed)
+    decode = _lstsq_decoder(phi, rows_per_unit)
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", lambda *a, **k: fallbacks.append(1) or reference(*a, **k))
+        for surv in list(sets) * 2:
+            idx = [u * rows_per_unit + r for u in surv for r in range(rows_per_unit)]
+            y = phi @ rng.standard_normal(phi.shape[1]) + rng.normal(0.0, 0.1, phi.shape[0])
+            want = reference(phi[idx], y[idx], rcond=None)[0]
+            got = decode(y, surv)
+            assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(want))
+    assert len(fallbacks) == 2 * (len(sets) - cap)
+
+
+def survivor_sets(units, cap):
+    subset = st.sets(st.integers(0, units - 1), min_size=1).map(lambda s: tuple(sorted(s)))
+    return st.lists(subset, min_size=cap + 1, max_size=cap + 3, unique=True)
+
+
+@st.composite
+def integer_frames(draw):
+    """A small integer synthesis map (columns need not be unit-norm or span)
+    and survivor sets of its columns, rank-deficient ones included."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 7))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))
+    t_syn = np.array(entries, dtype=float).reshape(m, n)
+    return t_syn.T, draw(survivor_sets(n, n // m))
+
+
+WALSH4 = np.array(build_walsh(2).base.entries)
+
+
+@st.composite
+def mixed_fusion_maps(draw):
+    """Stacked projections of subspaces of F^4 with unequal dimensions and
+    two scales: coordinate planes (scale 1) and Walsh-column spans (1/4)."""
+    pieces = []
+    for _ in range(draw(st.integers(2, 5))):
+        cols = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+        basis, scale = draw(st.sampled_from([(np.eye(4, dtype=int), 1), (WALSH4, Fraction(1, 4))]))
+        pieces.append(_float_projection(subspace_from_columns(basis[:, cols], scale)))
+    return np.vstack(pieces), draw(survivor_sets(len(pieces), len(pieces)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_frames(), st.integers(0, 2**32 - 1))
+def test_decoder_matches_lstsq_on_integer_frames(case, seed):
+    phi, sets = case
+    assert_decodes_like_lstsq(phi, 1, sets, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_fusion_maps(), st.integers(0, 2**32 - 1))
+def test_decoder_matches_lstsq_on_mixed_fusion_frames(case, seed):
+    phi, sets = case
+    assert_decodes_like_lstsq(phi, 4, sets, seed)
+
+
+def test_decoder_matches_lstsq_on_rank_deficient_and_ill_conditioned_survivors(basis3):
+    # basis3 minus a vector, and 61 of the 64 vectors of the order-64 ETF in F^63
+    assert_decodes_like_lstsq(synthesis_matrix(basis3).T, 1, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0)
+    # cond 1600 on the cached set (0, 1): the uncorrected seminormal
+    # equations miss lstsq by about 2e-10 here
+    nearly_parallel = np.array([[21.0, 20.0], [20.0, 19.0], [1.0, -1.0]])
+    assert_decodes_like_lstsq(nearly_parallel, 1, [(0, 1), (0, 1, 2)], 2)
+    etf64 = etf_from_hadamard(build_walsh(6).base)
+    drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
+    sets = [tuple(i for i in range(64) if i not in d) for d in drops]
+    assert_decodes_like_lstsq(synthesis_matrix(etf64).T, 1, sets, 1)
+
+
+def test_decoder_builds_are_bounded_and_memory_does_not_grow_with_trials(monkeypatch):
+    ff = build_gff(4, 1)  # 8 pieces in F^14: a cap of 8 maps, 28 survivor sets
+    cap = len(ff.subspaces)
+    svd, builds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: builds.append(1) or svd(*a, **k))
+
+    def run(trials):
+        cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(2), trials=trials, seed=5)
+        return simulate_fusion(ff, cfg)
+
+    # The first run also fills the interpreter's free lists, which would
+    # otherwise count towards a traced run; a full collection empties them,
+    # so the collector stays off until the traced runs are done.
+    gc.disable()
+    try:
+        rep, built = run(2000), len(builds)
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            run(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert built <= min(cap, rep.survivor_sets)
+    assert rep.survivor_sets > cap  # the cache filled and the lstsq path ran
+    assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
+
+
+def test_fusion_noise_model_mse_matches_analytic_values():
+    # Noise hits all M ambient coordinates of each of the L pieces. The naive
+    # sum keeps all of it: L*M*sigma^2/A^2. Least squares projects each piece
+    # onto its subspace first: sigma^2 * sum_i m_i / A^2.
+    ff = build_gff(5, 2)
+    tight, bound = fusion_tight(ff)
+    assert tight
+    sigma, a = 0.05, float(bound)
+    n_pieces, big_m = len(ff.subspaces), ff.ambient_dim
+    dims = sum(s.dim for s in ff.subspaces)
+    for mode, target in (("naive", n_pieces * big_m), ("lstsq", dims)):
+        target *= sigma**2 / a**2
+        rep = simulate_fusion(ff, ChannelConfig(noise_std=sigma, trials=2000, seed=21, mode=mode))
+        assert abs(rep.mean_mse - target) <= 0.05 * target, (mode, rep.mean_mse, target)
+        assert rep.survivor_sets == 1
+
+
+def test_report_stderr_is_the_standard_error_of_the_per_trial_errors(etf4, monkeypatch):
+    seen = []
+    add = channel._Accumulator.add
+    monkeypatch.setattr(channel._Accumulator, "add", lambda self, mse, *rest: seen.append(mse) or add(self, mse, *rest))
+    cfg = ChannelConfig(noise_std=0.3, erasure=ErasureSpec.random_k(1), trials=300, seed=12)
+    rep = simulate_frame(etf4, cfg)
+    assert rep.mean_mse_stderr == pytest.approx(np.std(seen, ddof=1) / math.sqrt(len(seen)), rel=1e-9)
+    assert rep.survivor_sets == 4
+    assert simulate_frame(etf4, ChannelConfig(trials=1)).mean_mse_stderr == 0.0
+
+
+def test_report_shows_stderr_and_survivor_sets_in_json_and_text():
+    cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(1), trials=60, seed=4)
+    rep = simulate_fusion(build_gff(3, 1), cfg)
+    d = report_to_dict(rep)
+    assert d["survivor_sets"] == rep.survivor_sets == 4
+    assert d["mean_mse_stderr"] == rep.mean_mse_stderr > 0
+    text = report_to_text(rep)
+    assert f"survivor_sets     {rep.survivor_sets}\n" in text
+    assert f"mean_mse_stderr   {rep.mean_mse_stderr:.6e}\n" in text
