@@ -1,26 +1,28 @@
-"""Monte-Carlo noise and erasure simulation for frames and fusion frames.
+"""Monte-Carlo noise and erasure channel for frames and fusion frames.
 
-Channel model: every transmitted scalar coordinate picks up i.i.d.
-zero-mean Gaussian noise of standard deviation sigma; erasures drop whole
-coefficients (frame case) or whole subspace pieces (fusion case).
-Reconstruction is least squares on the surviving analysis map by default,
-or the naive tight-frame sum for comparison against the analytic noise
-floor. Each trial draws from an independent stream derived from (seed,
-trial index), so runs are reproducible and order-independent; aggregation
-is in fixed trial order.
+A fusion frame generalizes a frame, and one trial loop (``_simulate``)
+sends both: a frame of N vectors as N units of one coefficient each, a
+fusion frame of L subspaces as L pieces of M rows each. The analysis map,
+each unit's integer columns and the naive receiver are all that differ.
+Every transmitted scalar picks up i.i.d. zero-mean Gaussian noise of
+standard deviation sigma, and an erasure drops whole units (Kutyniok,
+Pezeshki, Calderbank & Liu, "Robust dimension reduction, fusion frames,
+and Grassmannian packings", ACHA 2009). Reconstruction is least squares on
+the surviving rows by default, or the naive tight-frame sum for comparison
+against the analytic noise floor. Each trial draws from an independent
+stream derived from (seed, trial index), so runs are reproducible and
+order-independent; aggregation is in fixed trial order.
 
-Fusion noise model. Piece i is sent as the ambient M-vector P_i x, and
-noise hits all M of its coordinates, including the M - m_i outside W_i.
-The naive receiver sums the pieces it gets and divides by the tight bound
-A without projecting them first, so with no erasures its error is
-(1/A) sum_i n_i and its mean squared error is L*M*sigma^2/A^2 for L
-pieces. Kutyniok, Pezeshki, Calderbank & Liu ("Robust dimension
-reduction, fusion frames, and Grassmannian packings", ACHA 2009) send each
+Fusion noise model. Piece i is the ambient M-vector P_i x, and noise hits
+all M of its coordinates, including the M - m_i outside W_i. The naive
+receiver sums the pieces it gets and divides by the tight bound A without
+projecting them first, so with no erasures its error is (1/A) sum_i n_i
+and its mean squared error is L*M*sigma^2/A^2. The paper above sends each
 piece as its m_i coordinates in W_i, so noise stays inside the subspace; a
 receiver that applied P_i to each piece before summing would see that
-model, with mean squared error sigma^2 * sum_i m_i / A^2. The least-squares
-receiver fits all received coordinates, so it does remove the noise
-outside the subspaces.
+model, with mean squared error sigma^2 * sum_i m_i / A^2. The
+least-squares receiver fits all received coordinates, so it does remove
+the noise outside the subspaces.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .fusion import FusionFrame, fusion_tight, _float_projection
 from .intlinalg import int_rank
 
 SignalSource = Callable[[np.random.Generator, int], np.ndarray]
+Receiver = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]  # (y, survivors) -> xhat
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,14 @@ class ErasureSpec:
     def __post_init__(self):
         if self.mode not in ("none", "fixed", "random"):
             raise ValidationError(f"unknown erasure mode {self.mode!r}")
+        if self.mode != "fixed" and len(self.indices):
+            raise ValidationError(f"erasure mode {self.mode!r} takes no indices")
+        if self.mode != "random" and self.k != 0:
+            raise ValidationError(f"erasure mode {self.mode!r} takes no count k")
         if self.mode == "fixed":
             ids = tuple(int(i) for i in self.indices)
-            if len(set(ids)) != len(ids) or any(i < 0 for i in ids):
-                raise ValidationError("fixed erasure indices must be distinct and >= 0")
+            if not ids or len(set(ids)) != len(ids) or min(ids) < 0:
+                raise ValidationError("fixed erasure indices must be nonempty, distinct and >= 0")
             object.__setattr__(self, "indices", tuple(sorted(ids)))
         if self.mode == "random" and self.k < 1:
             raise ValidationError("random erasure count k must be >= 1")
@@ -128,7 +135,7 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
-    if spec.mode == "fixed" and spec.indices and spec.indices[-1] >= units:
+    if spec.indices and spec.indices[-1] >= units:
         raise ValidationError(
             f"fixed erasure index {spec.indices[-1]} out of range for {units} {what}"
         )
@@ -139,11 +146,8 @@ def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
 
 
 def _survivors(spec: ErasureSpec, units: int, rng: np.random.Generator) -> tuple[int, ...]:
-    if spec.mode == "none":
-        return tuple(range(units))
-    if spec.mode == "fixed":
-        dropped = set(spec.indices)
-    else:
+    dropped = set(spec.indices)  # empty unless the mode is fixed
+    if spec.mode == "random":
         dropped = set(int(i) for i in rng.choice(units, size=spec.k, replace=False))
     return tuple(i for i in range(units) if i not in dropped)
 
@@ -226,6 +230,39 @@ def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
     return decode
 
 
+def _simulate(phi: np.ndarray, rows_per_unit: int, unit_columns: Sequence[np.ndarray],
+              naive: Callable[[], Receiver], what: str, cfg: ChannelConfig,
+              signal_source: SignalSource) -> SimReport:
+    """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
+
+    ``phi`` is the stacked analysis map, ``rows_per_unit`` rows per unit.
+    A survivor set spans F^M when its units' integer columns number at
+    least M and have rank M, decided exactly once per set. In naive mode,
+    ``naive()`` is called after the erasure check and returns the receiver
+    ``(y, survivors) -> xhat``; otherwise ``_lstsq_decoder`` decodes.
+    ``what`` names the units in error messages.
+    """
+    units, m = len(unit_columns), phi.shape[1]
+    _check_erasure(cfg.erasure, units, what)
+    decode = naive() if cfg.mode == "naive" else _lstsq_decoder(phi, rows_per_unit)
+    widths = [c.shape[1] for c in unit_columns]
+    spans: dict[tuple[int, ...], bool] = {}
+    acc = _Accumulator()
+    for trial in range(cfg.trials):
+        rng = _trial_rng(cfg.seed, trial)
+        x = signal_source(rng, m)
+        y = phi @ x
+        if cfg.noise_std > 0:
+            y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
+        surv = _survivors(cfg.erasure, units, rng)
+        xhat = decode(y, surv) if surv else np.zeros(m)
+        if surv not in spans:
+            spans[surv] = sum(widths[i] for i in surv) >= m and int_rank(
+                np.hstack([unit_columns[i] for i in surv])) == m
+        acc.add(float(((xhat - x) ** 2).sum()), spans[surv], cfg.exact_threshold)
+    return acc.report(cfg, len(spans))
+
+
 def simulate_frame(
     f: ScaledFrame,
     cfg: ChannelConfig,
@@ -233,53 +270,22 @@ def simulate_frame(
 ) -> SimReport:
     """Transmit frame coefficients of random signals; reconstruct; aggregate.
 
-    Per trial: draw x, compute coefficients, add noise, erase, then decode
-    from the survivors. Rank of the surviving synthesis map is decided in
-    exact integer arithmetic; rank-deficient trials are counted as
-    non-recoverable (the minimum-norm solution is still recorded).
-
-    Least squares runs through the decoder shared with simulate_fusion,
-    with one row of ``T^T`` per coefficient: one M x M map per survivor set,
-    built on the set's first trial, at most ``count // M`` maps; sets beyond
-    that are solved by ``np.linalg.lstsq`` trial by trial.
+    Each of the ``count`` units is one coefficient, a row of ``T^T``. A
+    survivor set that does not span F^M counts as non-recoverable; its
+    minimum-norm solution is still recorded. Least squares runs through
+    ``_lstsq_decoder``.
     """
-    n = f.count
-    _check_erasure(cfg.erasure, n, "coefficients")
     t_syn = synthesis_matrix(f)
-    bound_f = 0.0
-    if cfg.mode == "naive":
+
+    def naive():
         tight, bound = is_tight(f)
         if not tight:
             raise ValidationError("naive reconstruction requires a tight frame")
-        bound_f = float(bound)
+        a = float(bound)
+        return lambda y, surv: (t_syn[:, list(surv)] @ y[list(surv)]) / a
 
-    rank_cache: dict[tuple[int, ...], bool] = {}
-
-    def spans(surv: tuple[int, ...]) -> bool:
-        got = rank_cache.get(surv)
-        if got is None:
-            got = len(surv) >= f.ambient_dim and int_rank(f.raw[:, list(surv)]) == f.ambient_dim
-            rank_cache[surv] = got
-        return got
-
-    decode = _lstsq_decoder(t_syn.T, 1)
-    acc = _Accumulator()
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        x = signal_source(rng, f.ambient_dim)
-        coeff = t_syn.T @ x
-        if cfg.noise_std > 0:
-            coeff = coeff + rng.normal(0.0, cfg.noise_std, size=n)
-        surv = _survivors(cfg.erasure, n, rng)
-        if not surv:
-            xhat = np.zeros(f.ambient_dim)
-        elif cfg.mode == "naive":
-            xhat = (t_syn[:, list(surv)] @ coeff[list(surv)]) / bound_f
-        else:
-            xhat = decode(coeff, surv)
-        mse = float(((xhat - x) ** 2).sum())
-        acc.add(mse, spans(surv), cfg.exact_threshold)
-    return acc.report(cfg, len(rank_cache))
+    columns = [f.raw[:, j:j + 1] for j in range(f.count)]
+    return _simulate(t_syn.T, 1, columns, naive, "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(
@@ -288,53 +294,24 @@ def simulate_fusion(
     signal_source: SignalSource = default_signal_source,
 ) -> SimReport:
     """Transmit subspace projections of random signals; erasures drop whole
-    subspaces; decode by least squares on the stacked surviving projections.
+    subspaces; reconstruct; aggregate.
 
-    The stacked map holds the L projections, M rows each, and goes through
-    the decoder shared with simulate_frame: one M x M map per survivor set,
-    built on the set's first trial, at most L maps; sets beyond that are
-    solved by ``np.linalg.lstsq`` trial by trial. The noise model is in the
-    module docstring.
+    Each of the L units is the ambient M-vector ``P_i x``. Least squares
+    runs through ``_lstsq_decoder`` on the L projections stacked. The noise
+    model is in the module docstring.
     """
-    units = len(ff.subspaces)
-    _check_erasure(cfg.erasure, units, "subspace pieces")
     big_m = ff.ambient_dim
-    phi = np.vstack([_float_projection(s) for s in ff.subspaces])
-    bound_f = 0.0
-    if cfg.mode == "naive":
+
+    def naive():
         tight, bound = fusion_tight(ff)
         if not tight:
             raise ValidationError("naive reconstruction requires a tight fusion frame")
-        bound_f = float(bound)
+        a = float(bound)
+        return lambda y, surv: y.reshape(-1, big_m)[list(surv)].sum(axis=0) / a
 
-    rank_cache: dict[tuple[int, ...], bool] = {}
-
-    def spans(surv: tuple[int, ...]) -> bool:
-        got = rank_cache.get(surv)
-        if got is None:
-            stacked = np.hstack([ff.subspaces[i].basis_raw for i in surv]) if surv else np.zeros((big_m, 0), dtype=np.int64)
-            got = surv != () and int_rank(stacked) == big_m
-            rank_cache[surv] = got
-        return got
-
-    decode = _lstsq_decoder(phi, big_m)
-    acc = _Accumulator()
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        x = signal_source(rng, big_m)
-        pieces = phi @ x
-        if cfg.noise_std > 0:
-            pieces = pieces + rng.normal(0.0, cfg.noise_std, size=pieces.shape)
-        surv = _survivors(cfg.erasure, units, rng)
-        if not surv:
-            xhat = np.zeros(big_m)
-        elif cfg.mode == "naive":
-            xhat = pieces.reshape(units, big_m)[list(surv)].sum(axis=0) / bound_f
-        else:
-            xhat = decode(pieces, surv)
-        mse = float(((xhat - x) ** 2).sum())
-        acc.add(mse, spans(surv), cfg.exact_threshold)
-    return acc.report(cfg, len(rank_cache))
+    phi = np.vstack([_float_projection(s) for s in ff.subspaces])
+    columns = [s.basis_raw for s in ff.subspaces]
+    return _simulate(phi, big_m, columns, naive, "subspace pieces", cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

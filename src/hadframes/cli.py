@@ -188,11 +188,12 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=["lstsq", "naive"], default=None)
-    p.add_argument(
+    erase = p.add_mutually_exclusive_group()
+    erase.add_argument(
         "--erase-fixed", type=_index_list, default=None, dest="erase_fixed",
         help="comma-separated indices to erase every trial",
     )
-    p.add_argument(
+    erase.add_argument(
         "--erase-random", type=int, default=None, dest="erase_random",
         help="erase this many uniformly random units per trial",
     )

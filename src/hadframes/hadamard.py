@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .intlinalg import identity_multiple, pm1_gram
+from .intlinalg import checked_matmul, identity_multiple
 
 DEFAULT_MAX_ORDER = 1 << 16
 MAX_ORDER_ENV = "HADFRAMES_MAX_ORDER"
@@ -157,7 +157,7 @@ def build_walsh(k: int, *, limit: int | None = None) -> WalshMatrix:
 
 def validate_hadamard(m: SignMatrix) -> MatrixCertificate:
     """Check H @ H.T == n * I in exact integer arithmetic."""
-    g = pm1_gram(m.entries)
+    g = checked_matmul(m.entries, m.entries.T)
     c = identity_multiple(g)
     if c == m.order:
         return MatrixCertificate(ok=True, order=m.order, check="hadamard")

@@ -2,7 +2,9 @@
 
 Every routine here is exact: machine-integer paths stay inside proven
 overflow bounds and fall back to arbitrary-precision Python integers when
-they would not.
+they would not. checked_matmul is the one exact product kernel: the Gram
+of a +-1 matrix, a frame's Gram and frame operator, and a fusion frame's
+block Gram all go through it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from .errors import ValidationError
 
 # Largest prime below 2**31; residues and their products fit in int64.
 _RANK_PRIME = 2_147_483_647
-
-# float64 holds integers exactly up to 2**53; keep a wide safety margin.
-_PM1_GRAM_MAX_ORDER = 1 << 26
 
 # checked_matmul takes the float64 BLAS path below this product bound: a
 # factor 8 of headroom under 2**53, the limit of the exactness argument.
@@ -100,19 +99,6 @@ def column_norms_sq(a: np.ndarray) -> np.ndarray:
     """
     c = a.astype(_exact_dtype(a.T, a), copy=False)
     return (c * c).sum(axis=0)
-
-
-def pm1_gram(h: np.ndarray) -> np.ndarray:
-    """Exact H @ H.T for a +-1 matrix, as int64.
-
-    Safe via float64 BLAS: every partial sum is an integer bounded by the
-    matrix order, far below 2**53, so no rounding can occur.
-    """
-    n = h.shape[1]
-    if n > _PM1_GRAM_MAX_ORDER:
-        raise ValidationError(f"order {n} exceeds the exact gram bound")
-    f = h.astype(np.float64)
-    return np.rint(f @ f.T).astype(np.int64)
 
 
 def identity_multiple(s: np.ndarray) -> int | None:

@@ -32,7 +32,13 @@ from hadframes import channel
 from hadframes.channel import _lstsq_decoder, simulate
 from hadframes.frames import synthesis_matrix
 from hadframes.fusion import _float_projection
-from hadframes.serialize import canonical_dumps, report_to_dict, report_to_text
+from hadframes.serialize import (
+    canonical_dumps,
+    config_from_dict,
+    config_to_dict,
+    report_to_dict,
+    report_to_text,
+)
 
 
 @pytest.fixture(scope="module")
@@ -469,3 +475,47 @@ def test_report_shows_stderr_and_survivor_sets_in_json_and_text():
     text = report_to_text(rep)
     assert f"survivor_sets     {rep.survivor_sets}\n" in text
     assert f"mean_mse_stderr   {rep.mean_mse_stderr:.6e}\n" in text
+
+
+# ---------------------------------------------------------------------------
+# one channel for frames and fusion frames
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mode": "none", "k": 3},
+        {"mode": "none", "indices": (1,)},
+        {"mode": "random", "k": 1, "indices": (1,)},
+        {"mode": "fixed", "indices": (0,), "k": 2},
+    ],
+)
+def test_erasure_spec_refuses_fields_its_mode_ignores(kwargs):
+    with pytest.raises(ValidationError, match="takes no"):
+        ErasureSpec(**kwargs)
+
+
+def test_erasure_spec_fixed_needs_an_index_and_defaults_round_trip():
+    with pytest.raises(ValidationError, match="nonempty"):
+        ErasureSpec.fixed([])
+    for spec in (ErasureSpec.none(), ErasureSpec.fixed([2, 0]), ErasureSpec.random_k(2)):
+        cfg = ChannelConfig(erasure=spec)
+        d = config_to_dict(cfg)
+        assert (d["erasure"]["indices"] == []) == (spec.mode != "fixed")
+        assert (d["erasure"]["k"] == 0) == (spec.mode != "random")
+        assert config_from_dict(d) == cfg
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
+    frame, lines = etf_from_hadamard(build_walsh(n).base), build_gff(n, 0)
+    t_syn = synthesis_matrix(frame)
+    for j, s in enumerate(lines.subspaces):  # the same lines in the same order
+        assert np.allclose(_float_projection(s), np.outer(t_syn[:, j], t_syn[:, j]))
+    cfg = ChannelConfig(erasure=ErasureSpec.random_k(k), trials=60, seed=11)
+    a, b = simulate_frame(frame, cfg), simulate_fusion(lines, cfg)
+    for key in ("trials_run", "non_recoverable_count", "exact_recovery_count", "survivor_sets"):
+        assert getattr(a, key) == getattr(b, key), key
+    if not max(a.mean_mse, b.mean_mse) < cfg.exact_threshold:
+        assert a.mean_mse == pytest.approx(b.mean_mse, rel=1e-12, abs=0)

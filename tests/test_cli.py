@@ -340,7 +340,11 @@ def etf4(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config", ['{"noise_std":"abc"}', "[1]", '{"trials":1.0}', '{"exact_threshold":1e400}',
-               '{"erasure":{"mode":"fixed","indices":["0"]}}', "{not json"],
+               '{"erasure":{"mode":"fixed","indices":["0"]}}', "{not json",
+               '{"erasure":{"mode":"none","k":3,"indices":[1]}}', '{"erasure":{"mode":"none","k":3}}',
+               '{"erasure":{"mode":"random","k":1,"indices":[1]}}',
+               '{"erasure":{"mode":"fixed","indices":[0],"k":2}}',
+               '{"erasure":{"mode":"fixed","indices":[]}}'],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
     cfg = tmp_path / "cfg.json"
@@ -350,7 +354,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--noise-std", "nan"), ("--noise-std", "inf"), ("--erase-fixed", "a")],
+    "flags", [("--noise-std", "nan"), ("--noise-std", "inf"), ("--erase-fixed", "a"),
+              ("--erase-fixed", "0", "--erase-random", "2"), ("--erase-fixed", "")],
 )
 def test_bad_channel_flags_exit_2(capsys, etf4, flags):
     assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))

@@ -17,7 +17,6 @@ from hadframes.intlinalg import (
     column_norms_sq,
     identity_multiple,
     int_rank,
-    pm1_gram,
     _exact_dtype,
     _is_transpose,
     _rank_fraction_free,
@@ -157,10 +156,10 @@ def test_gram_product_converts_its_input_once():
     assert peak < 1.5 * a.nbytes
 
 
-def test_pm1_gram_equals_integer_product():
+def test_sign_matrix_gram_equals_integer_product():
     rng = np.random.default_rng(3)
     h = rng.choice([-1, 1], size=(17, 17)).astype(np.int8)
-    assert np.array_equal(pm1_gram(h), h.astype(np.int64) @ h.astype(np.int64).T)
+    assert np.array_equal(checked_matmul(h, h.T), h.astype(np.int64) @ h.astype(np.int64).T)
 
 
 def test_identity_multiple():
