@@ -13,6 +13,33 @@ against the analytic noise floor. Each trial draws from an independent
 stream derived from (seed, trial index), so runs are reproducible and
 order-independent; aggregation is in fixed trial order.
 
+Decoding a tight input. Every object the package builds is tight: the
+scaled columns T of its units (a frame's vectors, or each subspace's
+orthonormal basis) satisfy T T^T = A I. Least squares on the survivors then
+solves N x = b, with b = phi^T (y * mask) and N = A I - T_E T_E^T, where
+T_E holds only the k' erased columns (k for a frame, the sum of the erased
+m_i for a fusion frame). Write T_E^T T_E = W diag(lam) W^T, every lam_j in
+[0, A]. The minimum-norm solution that np.linalg.lstsq would return is
+
+    x = b / A + T_E W diag(h) W^T T_E^T b,
+
+with h_j = 1 / (A (A - lam_j)) (the Woodbury identity), except
+h_j = -1 / A^2 where lam_j = A: those directions span the null space of N,
+and -1/A^2 gives the pseudo-inverse's 0 there. Beyond forming b, each trial
+costs one k' x k' eigenproblem and O(M k') work, and no factorization of
+the survivors' rows. Which lam_j equal A is never decided by a float
+cutoff: they come out within about eps * A of A, and 1 / (A - lam_j) would
+then blow rounding error up by 1/eps. Their number is k' - rank(C) for the
+integer k' x k' matrix C = diag(q) (A D^-1 - raw_E^T raw_E), where D holds
+the erased columns' scales and q clears the denominators; for a frame,
+C = c I - raw_E^T raw_E with c = A / scale_sq. C is tiny and mostly
+singular, so its rank comes from fraction-free elimination, exactly. The
+same count is the dimension the survivors fail to span, so it also decides
+recoverability, once per survivor set and in both modes. Inputs that are
+not tight can only come from an import; they decode through
+``_lstsq_decoder``, and the rank of the survivors' integer columns decides
+their spanning.
+
 Fusion noise model. Piece i is the ambient M-vector P_i x, and noise hits
 all M of its coordinates, including the M - m_i outside W_i. The naive
 receiver sums the pieces it gets and divides by the tight bound A without
@@ -29,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +64,7 @@ import numpy as np
 from .errors import ValidationError
 from .frames import ScaledFrame, is_tight, synthesis_matrix
 from .fusion import FusionFrame, fusion_tight, _float_projection
-from .intlinalg import int_rank
+from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 
 SignalSource = Callable[[np.random.Generator, int], np.ndarray]
 Receiver = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]  # (y, survivors) -> xhat
@@ -92,8 +120,9 @@ class ChannelConfig:
     def __post_init__(self):
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
-        if not math.isfinite(self.exact_threshold):
-            raise ValidationError(f"exact_threshold must be finite, got {self.exact_threshold}")
+        if not (math.isfinite(self.exact_threshold) and self.exact_threshold >= 0):
+            raise ValidationError(
+                f"exact_threshold must be finite and nonnegative, got {self.exact_threshold}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -152,6 +181,12 @@ def _survivors(spec: ErasureSpec, units: int, rng: np.random.Generator) -> tuple
     return tuple(i for i in range(units) if i not in dropped)
 
 
+def _non_finite(cfg: ChannelConfig) -> ValidationError:
+    return ValidationError(
+        f"noise_std {cfg.noise_std} is too large: the squared errors overflow float64"
+    )
+
+
 @dataclass
 class _Accumulator:
     total: float = 0.0
@@ -176,20 +211,25 @@ class _Accumulator:
 
     def report(self, cfg: ChannelConfig, survivor_sets: int) -> SimReport:
         n = self.count
+        mean = self.total / cfg.trials
+        stderr = math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise _non_finite(cfg)
         return SimReport(
-            mean_mse=self.total / cfg.trials,
+            mean_mse=mean,
             max_mse=self.peak,
             trials_run=cfg.trials,
             exact_recovery_count=self.exact,
             non_recoverable_count=self.nonrec,
             config=cfg,
-            mean_mse_stderr=math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0,
+            mean_mse_stderr=stderr,
             survivor_sets=survivor_sets,
         )
 
 
 def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
-    """Least-squares decoder for the stacked analysis map ``phi``.
+    """Least-squares decoder for the stacked analysis map ``phi`` of an
+    input that is not tight, which only an import can give.
 
     ``phi`` has ``rows_per_unit`` rows per transmitted unit. The returned
     ``decode(y, surv)`` gives the minimum-norm least-squares solution of
@@ -204,7 +244,10 @@ def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
     within about ``eps * cond(phi_S)`` of lstsq's; without it the error
     grows with ``cond(phi_S)**2``. At most ``phi.size // M**2`` maps are
     kept, so the cache never outgrows ``phi``; once it is full, each new
-    set goes to ``np.linalg.lstsq``.
+    set goes to ``np.linalg.lstsq``. Tight inputs use ``_downdate_decoder``
+    instead. Whitening by ``S^(-1/2)`` would put a non-tight input on that
+    path, but it does not keep lstsq's minimum-norm solution on survivor
+    sets that do not span, so this decoder stays for them.
     """
     units, m = phi.shape[0] // rows_per_unit, phi.shape[1]
     cap = phi.size // (m * m)
@@ -230,36 +273,122 @@ def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
     return decode
 
 
-def _simulate(phi: np.ndarray, rows_per_unit: int, unit_columns: Sequence[np.ndarray],
-              naive: Callable[[], Receiver], what: str, cfg: ChannelConfig,
+def _downdate_decoder(phi: np.ndarray, rows_per_unit: int,
+                      units: Sequence[tuple[np.ndarray, Fraction]], bound: Fraction,
+                      deficit: Callable[[tuple[int, ...]], int]):
+    """Least-squares decoder for a tight input: the rank-k' downdate of the
+    module docstring.
+
+    ``units[i]`` is unit i's integer columns and their scale; the scaled
+    columns of all units satisfy T T^T = ``bound`` * I. ``deficit(surv)`` is
+    the exact dimension of the null space of the survivors' normal matrix. The
+    returned ``decode(y, surv)`` gives the result of
+    ``np.linalg.lstsq(phi_S, y_S, rcond=None)`` without factoring phi_S.
+    """
+    t_units = [raw * math.sqrt(float(scale)) for raw, scale in units]
+    a = float(bound)
+
+    def decode(y: np.ndarray, surv: tuple[int, ...]) -> np.ndarray:
+        keep = np.zeros(len(t_units), dtype=bool)
+        keep[list(surv)] = True
+        b = phi.T @ (y * np.repeat(keep, rows_per_unit))
+        erased = np.flatnonzero(~keep)
+        if not erased.size:
+            return b / a
+        t_e = np.hstack([t_units[i] for i in erased])
+        lam, w = np.linalg.eigh(t_e.T @ t_e)
+        kept = len(lam) - deficit(surv)  # lam <= A, so the null ones come last
+        h = np.full(len(lam), -1.0 / a**2)
+        h[:kept] = 1.0 / (a * (a - lam[:kept]))
+        return b / a + t_e @ (w @ (h * (w.T @ (t_e.T @ b))))
+
+    return decode
+
+
+def _erasure_deficit(units: Sequence[tuple[np.ndarray, Fraction]], bound: Fraction):
+    """``deficit(surv)``: the dimension the survivors of a tight input fail
+    to span, k' - rank(C) for the integer matrix C of the module docstring.
+
+    ``units[i]`` is unit i's integer columns and their common scale; the
+    input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j), where
+    G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator of
+    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
+    """
+    ratios = [bound / scale for _, scale in units]
+
+    def deficit(surv: tuple[int, ...]) -> int:
+        erased = sorted(set(range(len(units))).difference(surv))
+        if not erased:
+            return 0
+        raw = np.hstack([units[i][0] for i in erased])
+        col_ratios = [ratios[i] for i in erased for _ in range(units[i][0].shape[1])]
+        c = checked_matmul(raw.T, raw).tolist()
+        for j, ratio in enumerate(col_ratios):
+            c[j] = [-ratio.denominator * v for v in c[j]]
+            c[j][j] += ratio.numerator
+        return len(c) - _rank_fraction_free(c)
+
+    return deficit
+
+
+def _spanning_deficit(units: Sequence[tuple[np.ndarray, Fraction]], m: int):
+    """``deficit(surv)`` for any input: M minus the exact rank of the
+    survivors' integer columns."""
+
+    def deficit(surv: tuple[int, ...]) -> int:
+        return m - int_rank(np.hstack([units[i][0] for i in surv])) if surv else m
+
+    return deficit
+
+
+def _simulate(phi: np.ndarray, rows_per_unit: int, units: Sequence[tuple[np.ndarray, Fraction]],
+              tightness: Callable[[], tuple[bool, Fraction | None]],
+              naive: Callable[[Fraction | None], Receiver], what: str, cfg: ChannelConfig,
               signal_source: SignalSource) -> SimReport:
     """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
 
-    ``phi`` is the stacked analysis map, ``rows_per_unit`` rows per unit.
-    A survivor set spans F^M when its units' integer columns number at
-    least M and have rank M, decided exactly once per set. In naive mode,
-    ``naive()`` is called after the erasure check and returns the receiver
-    ``(y, survivors) -> xhat``; otherwise ``_lstsq_decoder`` decodes.
-    ``what`` names the units in error messages.
+    ``phi`` is the stacked analysis map, ``rows_per_unit`` rows per unit;
+    ``units[i]`` is unit i's integer columns and their scale. After the
+    erasure check, ``tightness()`` gives (tight, A). In naive mode
+    ``naive(A)`` returns the receiver ``(y, survivors) -> xhat``, and
+    raises when A is None; otherwise a tight input decodes through
+    ``_downdate_decoder`` and any other through ``_lstsq_decoder``. How far
+    each survivor set falls short of spanning F^M is decided exactly once per
+    set: from the k' x k' matrix C for a tight input, from the rank of the
+    survivors' columns otherwise. ``what`` names the units in error messages.
     """
-    units, m = len(unit_columns), phi.shape[1]
-    _check_erasure(cfg.erasure, units, what)
-    decode = naive() if cfg.mode == "naive" else _lstsq_decoder(phi, rows_per_unit)
-    widths = [c.shape[1] for c in unit_columns]
-    spans: dict[tuple[int, ...], bool] = {}
+    n_units, m = len(units), phi.shape[1]
+    _check_erasure(cfg.erasure, n_units, what)
+    tight, bound = tightness()
+    rank_deficit = _erasure_deficit(units, bound) if tight else _spanning_deficit(units, m)
+    spans: dict[tuple[int, ...], int] = {}
+
+    def deficit(surv: tuple[int, ...]) -> int:
+        d = spans.get(surv)
+        if d is None:
+            d = spans[surv] = rank_deficit(surv)
+        return d
+
+    if cfg.mode == "naive":
+        decode = naive(bound)
+    elif tight:
+        decode = _downdate_decoder(phi, rows_per_unit, units, bound, deficit)
+    else:
+        decode = _lstsq_decoder(phi, rows_per_unit)
     acc = _Accumulator()
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        x = signal_source(rng, m)
-        y = phi @ x
-        if cfg.noise_std > 0:
-            y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
-        surv = _survivors(cfg.erasure, units, rng)
-        xhat = decode(y, surv) if surv else np.zeros(m)
-        if surv not in spans:
-            spans[surv] = sum(widths[i] for i in surv) >= m and int_rank(
-                np.hstack([unit_columns[i] for i in surv])) == m
-        acc.add(float(((xhat - x) ** 2).sum()), spans[surv], cfg.exact_threshold)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
+        for trial in range(cfg.trials):
+            rng = _trial_rng(cfg.seed, trial)
+            x = signal_source(rng, m)
+            y = phi @ x
+            if cfg.noise_std > 0:
+                y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
+            surv = _survivors(cfg.erasure, n_units, rng)
+            xhat = decode(y, surv) if surv else np.zeros(m)
+            mse = float(((xhat - x) ** 2).sum())
+            if not math.isfinite(mse):
+                raise _non_finite(cfg)
+            acc.add(mse, deficit(surv) == 0, cfg.exact_threshold)
     return acc.report(cfg, len(spans))
 
 
@@ -272,20 +401,20 @@ def simulate_frame(
 
     Each of the ``count`` units is one coefficient, a row of ``T^T``. A
     survivor set that does not span F^M counts as non-recoverable; its
-    minimum-norm solution is still recorded. Least squares runs through
-    ``_lstsq_decoder``.
+    minimum-norm solution is still recorded. ``_simulate`` picks the
+    least-squares decoder.
     """
     t_syn = synthesis_matrix(f)
 
-    def naive():
-        tight, bound = is_tight(f)
-        if not tight:
+    def naive(bound):
+        if bound is None:
             raise ValidationError("naive reconstruction requires a tight frame")
         a = float(bound)
         return lambda y, surv: (t_syn[:, list(surv)] @ y[list(surv)]) / a
 
-    columns = [f.raw[:, j:j + 1] for j in range(f.count)]
-    return _simulate(t_syn.T, 1, columns, naive, "coefficients", cfg, signal_source)
+    units = [(f.raw[:, j:j + 1], f.scale_sq) for j in range(f.count)]
+    return _simulate(t_syn.T, 1, units, lambda: is_tight(f), naive, "coefficients", cfg,
+                     signal_source)
 
 
 def simulate_fusion(
@@ -296,22 +425,22 @@ def simulate_fusion(
     """Transmit subspace projections of random signals; erasures drop whole
     subspaces; reconstruct; aggregate.
 
-    Each of the L units is the ambient M-vector ``P_i x``. Least squares
-    runs through ``_lstsq_decoder`` on the L projections stacked. The noise
-    model is in the module docstring.
+    Each of the L units is the ambient M-vector ``P_i x``; least squares
+    fits the L projections stacked, and ``_simulate`` picks its decoder.
+    The noise model is in the module docstring.
     """
     big_m = ff.ambient_dim
 
-    def naive():
-        tight, bound = fusion_tight(ff)
-        if not tight:
+    def naive(bound):
+        if bound is None:
             raise ValidationError("naive reconstruction requires a tight fusion frame")
         a = float(bound)
         return lambda y, surv: y.reshape(-1, big_m)[list(surv)].sum(axis=0) / a
 
     phi = np.vstack([_float_projection(s) for s in ff.subspaces])
-    columns = [s.basis_raw for s in ff.subspaces]
-    return _simulate(phi, big_m, columns, naive, "subspace pieces", cfg, signal_source)
+    units = [(s.basis_raw, s.scale_sq) for s in ff.subspaces]
+    return _simulate(phi, big_m, units, lambda: fusion_tight(ff), naive, "subspace pieces",
+                     cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

@@ -142,8 +142,9 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     return rank
 
 
-def _rank_fraction_free(a: np.ndarray) -> int:
-    # Bareiss elimination over Python integers; divisions are exact.
+def _rank_fraction_free(a) -> int:
+    # Bareiss elimination over Python integers; divisions are exact. Takes an
+    # integer array or a list of rows of ints.
     m = [[int(x) for x in row] for row in a]
     rows, cols = len(m), len(m[0])
     rank = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hadframes import (
     ErasureSpec,
     ValidationError,
     build_gff,
+    build_sylvester,
     build_walsh,
     compare,
     equidistance_certificate,
@@ -24,12 +26,21 @@ from hadframes import (
     frame_from_integer_columns,
     fusion_tight,
     make_fusion_frame,
+    normalize_first_row,
+    sign_matrix,
     simulate_frame,
     simulate_fusion,
     subspace_from_columns,
 )
 from hadframes import channel
-from hadframes.channel import _lstsq_decoder, simulate
+from hadframes.channel import (
+    _downdate_decoder,
+    _erasure_deficit,
+    _lstsq_decoder,
+    _spanning_deficit,
+    simulate,
+)
+from hadframes.cli import main
 from hadframes.frames import synthesis_matrix
 from hadframes.fusion import _float_projection
 from hadframes.serialize import (
@@ -306,6 +317,7 @@ def test_report_aggregates_are_internally_consistent(etf4):
         ({"noise_std": float("inf")}, "noise_std"),
         ({"exact_threshold": float("nan")}, "exact_threshold"),
         ({"exact_threshold": float("-inf")}, "exact_threshold"),
+        ({"exact_threshold": -1.0}, "exact_threshold"),
     ],
 )
 def test_config_rejects_non_finite_parameters(kwargs, match):
@@ -519,3 +531,159 @@ def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
         assert getattr(a, key) == getattr(b, key), key
     if not max(a.mean_mse, b.mean_mse) < cfg.exact_threshold:
         assert a.mean_mse == pytest.approx(b.mean_mse, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# the downdate decoder for tight inputs
+
+
+def channel_inputs(obj):
+    """The analysis map, rows per unit, units and tight bound that
+    ``simulate`` hands the trial loop for ``obj``."""
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
+        simulate(obj, ChannelConfig())
+    phi, rows_per_unit, units, tightness = captured[0][:4]
+    tight, bound = tightness()
+    assert tight
+    return phi, rows_per_unit, units, bound
+
+
+def assert_downdate_matches_lstsq(obj, erased_sets, seed):
+    """For every erased set, the tight decoder matches x = np.linalg.lstsq's
+    solution within 1e-12 * (1 + |x|), and the exact count k' - rank(C) is
+    the dimension the survivors' integer columns fail to span."""
+    phi, rows_per_unit, units, bound = channel_inputs(obj)
+    m = phi.shape[1]
+    exact = _erasure_deficit(units, bound)
+    by_rank = _spanning_deficit(units, m)
+    decode = _downdate_decoder(phi, rows_per_unit, units, bound, exact)
+    rng = np.random.default_rng(seed)
+    for erased in erased_sets:
+        surv = tuple(i for i in range(len(units)) if i not in erased)
+        assert exact(surv) == by_rank(surv), erased
+        idx = [u * rows_per_unit + r for u in surv for r in range(rows_per_unit)]
+        y = phi @ rng.standard_normal(m) + rng.normal(0.0, 0.1, phi.shape[0])
+        want = np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
+        assert np.abs(decode(y, surv) - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
+
+
+def erased_sets(units, sizes):
+    """Distinct erased sets of the given sizes, each leaving a survivor
+    (size 0 decodes with nothing erased)."""
+    size = st.sampled_from(sizes).filter(lambda k: k < units)
+    erased = size.flatmap(lambda k: st.sets(st.integers(0, units - 1), min_size=k, max_size=k))
+    return st.lists(erased.map(frozenset), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def equivalent_etfs(draw):
+    """The ETF of a Hadamard matrix of order 4 to 64 whose rows and columns
+    were permuted and sign-flipped, with erased sets of 1 to 3 vectors."""
+    k = draw(st.integers(2, 6))
+    n = 1 << k
+    h = draw(st.sampled_from([build_sylvester(k), build_walsh(k).base])).entries.astype(np.int64)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(np.array)
+    h = h[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
+    h = h * draw(signs)[:, None] * draw(signs)[None, :]
+    frame = etf_from_hadamard(normalize_first_row(sign_matrix(h)))
+    return frame, draw(erased_sets(n, [1, 2, 3]))
+
+
+@st.composite
+def gffs(draw):
+    n = draw(st.integers(1, 5))
+    ff = build_gff(n, draw(st.integers(0, n - 1)))
+    units = len(ff.subspaces)
+    return ff, draw(erased_sets(units, list(range(units))))
+
+
+@st.composite
+def two_scale_fusion_frames(draw):
+    """A tight fusion frame of F^4: each layer splits the coordinate axes
+    (scale 1) or the Walsh columns (scale 1/4) into the spans of a set
+    partition, so each layer's projections sum to I and A is the layer count."""
+    subspaces = []
+    for _ in range(draw(st.integers(1, 4))):
+        basis, scale = draw(st.sampled_from([(np.eye(4, dtype=int), 1), (WALSH4, Fraction(1, 4))]))
+        labels = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        for label in sorted(set(labels)):
+            cols = [j for j in range(4) if labels[j] == label]
+            subspaces.append(subspace_from_columns(basis[:, cols], scale))
+    ff = make_fusion_frame(subspaces)
+    return ff, draw(erased_sets(len(subspaces), list(range(len(subspaces)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(equivalent_etfs(), st.integers(0, 2**32 - 1))
+def test_downdate_matches_lstsq_on_equivalent_etfs(case, seed):
+    assert_downdate_matches_lstsq(*case, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gffs(), st.integers(0, 2**32 - 1))
+def test_downdate_matches_lstsq_on_gffs(case, seed):
+    assert_downdate_matches_lstsq(*case, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_scale_fusion_frames(), st.integers(0, 2**32 - 1))
+def test_downdate_matches_lstsq_on_two_scale_fusion_frames(case, seed):
+    assert_downdate_matches_lstsq(*case, seed)
+
+
+def test_downdate_matches_lstsq_on_rank_deficient_etf64_sets():
+    # 61 of the 64 vectors in F^63: C has rank 1, so two null directions
+    etf64 = etf_from_hadamard(build_walsh(6).base)
+    drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
+    _, _, units, bound = channel_inputs(etf64)
+    deficit = _erasure_deficit(units, bound)
+    assert [deficit(tuple(i for i in range(64) if i not in d)) for d in drops] == [2] * 3
+    assert_downdate_matches_lstsq(etf64, drops, 1)
+
+
+def test_downdate_clears_fractional_ratios_of_bound_to_scale():
+    # The order-4 ETF's lines (scale 1/3, A = 4/3) plus a coordinate plane and
+    # a coordinate line (scale 1): A = 7/3, so A/s is 7 on the lines and 7/3
+    # on the axes, and C needs its row factor q = 3 there.
+    etf4 = etf_from_hadamard(build_walsh(2).base)
+    e = np.eye(3, dtype=int)
+    lines = [subspace_from_columns(etf4.raw[:, j:j + 1], Fraction(1, 3)) for j in range(4)]
+    axes = [subspace_from_columns(e[:, :2], 1), subspace_from_columns(e[:, 2:], 1)]
+    ff = make_fusion_frame(lines + axes)
+    assert fusion_tight(ff) == (True, Fraction(7, 3))
+    erased = [set(c) for r in range(6) for c in itertools.combinations(range(6), r)]
+    assert_downdate_matches_lstsq(ff, erased, 4)
+
+
+def test_bench_simulate_commands_call_no_lstsq_qr_or_svd(tmp_path, capsys, monkeypatch):
+    # The benchmark's two simulate commands with fewer trials: GFF(6,2) with
+    # one erased piece, the order-64 ETF with three erased vectors.
+    calls = []
+    for name in ("lstsq", "qr", "svd"):
+        real = getattr(np.linalg, name)
+        counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(np.linalg, name, counted)
+    for gen, erased, trials in ((["gen-gff", "--n", "6", "--m", "2"], "1", "100"),
+                                (["gen-etf", "--order", "64"], "3", "200")):
+        obj = tmp_path / "obj.json"
+        assert main([*gen, "--output", str(obj)]) == 0
+        argv = ["simulate", "--input", str(obj), "--mode", "lstsq", "--noise-std", "0.01",
+                "--erase-random", erased, "--trials", trials, "--seed", "3", "--format", "json"]
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_non_tight_import_decodes_through_the_lstsq_decoder(monkeypatch):
+    lop = frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1)  # frame operator diag(2, 1)
+    built = []
+    monkeypatch.setattr(channel, "_lstsq_decoder", lambda *a: built.append(1) or _lstsq_decoder(*a))
+    rep = simulate_frame(lop, ChannelConfig(erasure=ErasureSpec.random_k(1), trials=40, seed=6))
+    assert built == [1]
+    # erasing the only vector along e_1 loses that axis; any other erasure recovers
+    assert 0 < rep.non_recoverable_count < 40
+    assert rep.exact_recovery_count == 40 - rep.non_recoverable_count
+    assert rep.survivor_sets == 3
+

@@ -344,7 +344,7 @@ def etf4(tmp_path, capsys):
                '{"erasure":{"mode":"none","k":3,"indices":[1]}}', '{"erasure":{"mode":"none","k":3}}',
                '{"erasure":{"mode":"random","k":1,"indices":[1]}}',
                '{"erasure":{"mode":"fixed","indices":[0],"k":2}}',
-               '{"erasure":{"mode":"fixed","indices":[]}}'],
+               '{"erasure":{"mode":"fixed","indices":[]}}', '{"exact_threshold":-1}'],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
     cfg = tmp_path / "cfg.json"
@@ -359,6 +359,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
 )
 def test_bad_channel_flags_exit_2(capsys, etf4, flags):
     assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))
+
+
+# 1e308 overflows every trial's squared error; 1e150 leaves each one finite
+# but overflows the running variance behind mean_mse_stderr.
+@pytest.mark.parametrize("noise,mode", [("1e308", "lstsq"), ("1e308", "naive"), ("1e150", "lstsq")])
+def test_overflowing_noise_exits_2_and_writes_no_nan(capsys, etf4, noise, mode):
+    code, out, err = run(capsys, "simulate", "--input", str(etf4), "--noise-std", noise,
+                         "--mode", mode, "--trials", "3", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "noise_std" in err
 
 
 def test_simulate_rejects_a_matrix_input(tmp_path, capsys):

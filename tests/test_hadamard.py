@@ -20,7 +20,9 @@ from hadframes import (
     ValidationError,
     build_sylvester,
     build_walsh,
+    etf_from_hadamard,
     fwht,
+    grassmannian_certificate,
     normalize_first_row,
     sign_changes,
     sign_matrix,
@@ -316,3 +318,50 @@ def test_sign_check_does_not_sort_the_entries():
     assert peak < a.nbytes
     with pytest.raises(ValidationError, match=r"\+1 or -1"):
         sign_matrix(np.full((2, 2), 2))
+
+
+# ---------------------------------------------------------------------------
+# Hadamard equivalence
+
+
+@st.composite
+def hadamard_and_equivalent(draw, had12):
+    """A Hadamard matrix of an order the tests use (2 to 32 from the Sylvester
+    and Walsh builders, or the order-12 fixture) and an equivalent one: rows
+    and columns permuted, then rows and columns negated."""
+    h = draw(st.sampled_from(
+        [build_sylvester(k) for k in range(1, 6)] + [build_walsh(k).base for k in range(1, 6)] + [had12]
+    )).entries.astype(np.int64)
+    n = len(h)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(np.array)
+    g = h[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
+    return h, g * draw(signs)[:, None] * draw(signs)[None, :]
+
+
+def etf_certificate(h):
+    return grassmannian_certificate(etf_from_hadamard(normalize_first_row(sign_matrix(h))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equivalent_hadamard_matrices_keep_their_certificates(had12, data):
+    h, g = data.draw(hadamard_and_equivalent(had12))
+    assert validate_hadamard(sign_matrix(g)) == validate_hadamard(sign_matrix(h))
+    assert validate_hadamard(sign_matrix(g)).ok
+    assert etf_certificate(g) == etf_certificate(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flipping_one_entry_breaks_the_hadamard_certificate(had12, data):
+    _, g = data.draw(hadamard_and_equivalent(had12))
+    n = len(g)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    g[i, j] = -g[i, j]
+    cert = validate_hadamard(sign_matrix(g))
+    assert not cert.ok
+    # row i now meets every other row at inner product +-2: the witness names it
+    rows = [int(w) for w in cert.detail.split()[1:4:2]]
+    assert i in rows and cert.detail.endswith(("product 2", "product -2"))
+    with pytest.raises(ValidationError):
+        etf_from_hadamard(sign_matrix(g))
