@@ -69,6 +69,10 @@ from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 SignalSource = Callable[[np.random.Generator, int], np.ndarray]
 Receiver = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]  # (y, survivors) -> xhat
 
+# A million trials take minutes and put the standard error of mean_mse at
+# a thousandth of the per-trial standard deviation; more is refused.
+MAX_TRIALS = 10**6
+
 
 @dataclass(frozen=True)
 class ErasureSpec:
@@ -123,8 +127,8 @@ class ChannelConfig:
         if not (math.isfinite(self.exact_threshold) and self.exact_threshold >= 0):
             raise ValidationError(
                 f"exact_threshold must be finite and nonnegative, got {self.exact_threshold}")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if self.mode not in ("lstsq", "naive"):
@@ -194,7 +198,14 @@ class _Accumulator:
     exact: int = 0
     nonrec: int = 0
     count: int = 0
-    mean: float = 0.0  # Welford running mean and sum of squared deviations
+    # Welford running mean and sum of squared deviations, both counted in
+    # units of ``unit``: a power of two, 1 until a squared error exceeds it,
+    # then at least half the peak. Squared deviations then stay below 4 and
+    # cannot overflow while the errors are finite. Scaling by a power of two
+    # rounds nothing short of underflow, so wherever the unscaled sums stay
+    # finite, the result is theirs bit for bit.
+    unit: float = 1.0
+    mean: float = 0.0
     m2: float = 0.0
 
     def add(self, mse: float, recoverable: bool, threshold: float) -> None:
@@ -205,14 +216,20 @@ class _Accumulator:
         if not recoverable:
             self.nonrec += 1
         self.count += 1
-        delta = mse - self.mean
+        if mse > self.unit:
+            unit = math.ldexp(1.0, math.frexp(mse)[1] - 1)
+            self.mean *= self.unit / unit
+            self.m2 *= (self.unit / unit) ** 2
+            self.unit = unit
+        x = mse / self.unit
+        delta = x - self.mean
         self.mean += delta / self.count
-        self.m2 += delta * (mse - self.mean)
+        self.m2 += delta * (x - self.mean)
 
     def report(self, cfg: ChannelConfig, survivor_sets: int) -> SimReport:
         n = self.count
         mean = self.total / cfg.trials
-        stderr = math.sqrt(self.m2 / (n - 1) / n) if n > 1 else 0.0
+        stderr = math.sqrt(self.m2 / (n - 1) / n) * self.unit if n > 1 else 0.0
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise _non_finite(cfg)
         return SimReport(

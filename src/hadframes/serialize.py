@@ -6,6 +6,12 @@ lowest terms with positive denominator. CSV carries only the raw integer
 matrix plus one header line with the scale (and subspace dimensions for
 fusion frames); flags that cannot ride along in CSV are JSON-only.
 
+Integer arrays leave the program through one writer, ``_int_text``: a JSON
+array and a CSV body are both its decimal text, computed digit by digit
+over the whole array. No entry ever becomes a Python int or str on the way
+out, so the ``*_to_dict`` functions hand over flat numpy arrays and
+``canonical_dumps`` writes them.
+
 ``KINDS`` is the one place where a kind's format is stated: JSON name and
 fields, CSV header and matrix, certificate, and the verdict per --require
 level. Decoding coerces nothing: a JSON integer is not a bool, float or
@@ -126,7 +132,8 @@ def pair_to_fraction(d) -> Fraction:
 
 
 def _jsonable(value):
-    """A dataclass as a dict of its JSON-ready fields, in declaration order."""
+    """A dataclass as a dict of its JSON-ready fields, in declaration order;
+    an array stays a flat numpy array, for ``canonical_dumps`` to write."""
     if dataclasses.is_dataclass(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Fraction):
@@ -134,13 +141,63 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return list(value)
     if isinstance(value, np.ndarray):
-        return value.reshape(-1).tolist()
+        return value.reshape(-1)
     return value
 
 
+# (signed, unsigned) integer types of each width, narrowest first
+_WIDTHS = ((np.int8, np.uint8), (np.int16, np.uint16), (np.int32, np.uint32), (np.int64, np.uint64))
+
+
+def _int_text(a: np.ndarray, sep: str, end: str) -> str:
+    """The 2-D integer array ``a`` (int64 or narrower) as decimal text:
+    ``sep`` between the entries of a row and ``end`` after each row.
+
+    Every entry gets a fixed-width field of sign, digits and separator in
+    one byte buffer, with NUL bytes as padding that is stripped at the end.
+    The digits come from repeated division by 10 over the whole array, in
+    the narrowest signed type that holds its range; ``abs`` wraps that
+    type's minimum onto itself, whose unsigned view is the exact magnitude.
+    """
+    rows, cols = a.shape
+    if not a.size:
+        return end * rows
+    lo, hi = int(a.min()), int(a.max())
+    signed, unsigned = next(
+        (s, u) for s, u in _WIDTHS if np.iinfo(s).min <= lo <= hi <= np.iinfo(s).max)
+    q = np.abs(a.astype(signed, copy=False)).view(unsigned)
+    width, slot = len(str(max(-lo, hi))), max(len(sep), len(end))
+    buf = np.zeros((rows, cols, 1 + width + slot), dtype=np.uint8)
+    buf[..., 0] = (a < 0) * np.uint8(ord("-"))
+    q, r = np.divmod(q, 10)
+    buf[..., width] = r + ord("0")  # the units digit, written even for 0
+    for j in range(width - 1, 0, -1):  # higher digits; padding once q runs out
+        shown = q > 0
+        q, r = np.divmod(q, 10)
+        buf[..., j] = np.where(shown, r + ord("0"), 0)
+    buf[:, :-1, 1 + width:] = np.frombuffer(sep.encode().ljust(slot, b"\0"), np.uint8)
+    buf[:, -1, 1 + width:] = np.frombuffer(end.encode().ljust(slot, b"\0"), np.uint8)
+    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def _json_text(value) -> str:
+    """``value`` as compact JSON with sorted keys, an integer array as a flat
+    JSON array through ``_int_text``."""
+    if isinstance(value, np.ndarray):
+        return f"[{_int_text(value.reshape(1, -1), ',', '')}]"
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}:{_json_text(v)}" for k, v in sorted(value.items()))
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_json_text, value)) + "]"
+    return json.dumps(value)
+
+
 def canonical_dumps(payload: dict) -> str:
-    """Deterministic, byte-stable JSON encoding."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic, byte-stable JSON encoding: what ``json.dumps`` with
+    sorted keys and compact separators gives for the payload with each
+    array written as its list of entries."""
+    return _json_text(payload) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +205,8 @@ def canonical_dumps(payload: dict) -> str:
 
 
 def sign_matrix_to_dict(m: hadamard.SignMatrix) -> dict:
-    return {"kind": "sign_matrix", "order": m.order, "entries": m.entries.reshape(-1).tolist()}
+    entries = m.entries.reshape(-1).astype(np.int64)
+    return {"kind": "sign_matrix", "order": m.order, "entries": entries}
 
 
 def walsh_matrix_to_dict(w: hadamard.WalshMatrix) -> dict:
@@ -171,7 +229,7 @@ def fusion_frame_to_dict(ff: fusion.FusionFrame) -> dict:
         "kind": "fusion_frame",
         "ambient_dim": ff.ambient_dim,
         "scale_sq": fraction_to_pair(_shared_scale(ff)),
-        "subspaces": [s.basis_raw.reshape(-1).tolist() for s in ff.subspaces],
+        "subspaces": [s.basis_raw.reshape(-1) for s in ff.subspaces],
         "constructed_grassmannian": ff.constructed_grassmannian,
         "degenerate": ff.degenerate,
     }
@@ -384,8 +442,7 @@ def object_to_csv(obj) -> str:
     kind = kind_of(obj)
     fields, mat = kind.to_csv(obj)
     header = " ".join(f"{k}={v}" for k, v in {"kind": kind.name, **fields}.items())
-    rows = "\n".join(",".join(map(str, row)) for row in mat.tolist())
-    return f"# {header}\n{rows}\n"
+    return f"# {header}\n" + _int_text(mat, ",", "\n")
 
 
 def _csv_body(lines: list[str]) -> np.ndarray:

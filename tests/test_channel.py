@@ -34,6 +34,7 @@ from hadframes import (
 )
 from hadframes import channel
 from hadframes.channel import (
+    MAX_TRIALS,
     _downdate_decoder,
     _erasure_deficit,
     _lstsq_decoder,
@@ -318,6 +319,7 @@ def test_report_aggregates_are_internally_consistent(etf4):
         ({"exact_threshold": float("nan")}, "exact_threshold"),
         ({"exact_threshold": float("-inf")}, "exact_threshold"),
         ({"exact_threshold": -1.0}, "exact_threshold"),
+        ({"trials": MAX_TRIALS + 1}, "trials"),
     ],
 )
 def test_config_rejects_non_finite_parameters(kwargs, match):

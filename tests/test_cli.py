@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from hadframes import build_gff, build_walsh, etf_from_hadamard
 from hadframes.cli import main
 from hadframes.hadamard import MAX_ORDER_ENV
 
@@ -67,6 +70,27 @@ def test_gen_outputs_are_byte_stable(tmp_path, capsys):
     run(capsys, "gen-gff", "--n", "4", "--m", "2", "--output", str(a))
     run(capsys, "gen-gff", "--n", "4", "--m", "2", "--output", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,matrix",
+    [
+        (("gen-walsh", "--k", "5"), lambda: build_walsh(5).base.entries),
+        (("gen-etf", "--order", "16"), lambda: etf_from_hadamard(build_walsh(4).base).raw),
+        (("gen-gff", "--n", "4", "--m", "1"),
+         lambda: np.hstack([s.basis_raw for s in build_gff(4, 1).subspaces])),
+    ],
+)
+def test_json_and_csv_output_match_the_reference_encoders(tmp_path, capsys, argv, matrix):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    path = tmp_path / "obj.json"
+    path.write_text(out)
+    code, csv, _ = run(capsys, "export", "--input", str(path), "--format", "csv")
+    assert code == 0
+    rows = "\n".join(",".join(map(str, r)) for r in matrix().tolist())
+    assert csv.partition("\n")[2] == rows + "\n"
 
 
 def test_verify_detects_single_flipped_sign(tmp_path, capsys):
@@ -344,7 +368,8 @@ def etf4(tmp_path, capsys):
                '{"erasure":{"mode":"none","k":3,"indices":[1]}}', '{"erasure":{"mode":"none","k":3}}',
                '{"erasure":{"mode":"random","k":1,"indices":[1]}}',
                '{"erasure":{"mode":"fixed","indices":[0],"k":2}}',
-               '{"erasure":{"mode":"fixed","indices":[]}}', '{"exact_threshold":-1}'],
+               '{"erasure":{"mode":"fixed","indices":[]}}', '{"exact_threshold":-1}',
+               '{"trials":10000000000000000000000}'],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
     cfg = tmp_path / "cfg.json"
@@ -355,20 +380,36 @@ def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
 
 @pytest.mark.parametrize(
     "flags", [("--noise-std", "nan"), ("--noise-std", "inf"), ("--erase-fixed", "a"),
-              ("--erase-fixed", "0", "--erase-random", "2"), ("--erase-fixed", "")],
+              ("--erase-fixed", "0", "--erase-random", "2"), ("--erase-fixed", ""),
+              ("--trials", "10000000000000000000000")],
 )
 def test_bad_channel_flags_exit_2(capsys, etf4, flags):
     assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))
 
 
-# 1e308 overflows every trial's squared error; 1e150 leaves each one finite
-# but overflows the running variance behind mean_mse_stderr.
-@pytest.mark.parametrize("noise,mode", [("1e308", "lstsq"), ("1e308", "naive"), ("1e150", "lstsq")])
+# 1e308 overflows every trial's squared error.
+@pytest.mark.parametrize("noise,mode", [("1e308", "lstsq"), ("1e308", "naive")])
 def test_overflowing_noise_exits_2_and_writes_no_nan(capsys, etf4, noise, mode):
     code, out, err = run(capsys, "simulate", "--input", str(etf4), "--noise-std", noise,
                          "--mode", mode, "--trials", "3", "--format", "json")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "noise_std" in err
+
+
+def test_huge_noise_reports_the_scaled_statistics(capsys, etf4):
+    """At noise 1e150 every squared error is finite (about 1e300) but their
+    squared deviations are not. The decoder is linear and the draws scale
+    with the noise, so each statistic is 1e300 times the noise-1 run's."""
+    reports = []
+    for noise in ("1", "1e150"):
+        code, out, _ = run(capsys, "simulate", "--input", str(etf4), "--noise-std", noise,
+                           "--trials", "3", "--format", "json")
+        assert code == 0
+        reports.append(json.loads(out))
+    unit, huge = reports
+    for key in ("mean_mse", "max_mse", "mean_mse_stderr"):
+        assert math.isfinite(huge[key]) and huge[key] > 0
+        assert huge[key] == pytest.approx(1e300 * unit[key], rel=1e-12)
 
 
 def test_simulate_rejects_a_matrix_input(tmp_path, capsys):

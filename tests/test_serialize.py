@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 from unittest import mock
@@ -34,6 +35,11 @@ from hadframes import serialize as ser
 from hadframes.hadamard import MAX_ORDER_ENV
 
 
+def via_json(d: dict):
+    """``d`` as the decoder meets it: parsed back from its canonical JSON text."""
+    return json.loads(ser.canonical_dumps(d))
+
+
 def test_fraction_pairs_are_lowest_terms_positive_denominator():
     assert ser.fraction_to_pair(Fraction(2, -6)) == {"num": -1, "den": 3}
     assert ser.pair_to_fraction({"num": 4, "den": 6}) == Fraction(2, 3)
@@ -43,20 +49,20 @@ def test_fraction_pairs_are_lowest_terms_positive_denominator():
 
 def test_sign_matrix_json_round_trip():
     m = build_sylvester(3)
-    back = ser.object_from_dict(ser.sign_matrix_to_dict(m))
+    back = ser.object_from_dict(via_json(ser.sign_matrix_to_dict(m)))
     assert np.array_equal(back.entries, m.entries)
 
 
 def test_walsh_matrix_json_round_trip():
     w = build_walsh(3)
-    back = ser.object_from_dict(ser.walsh_matrix_to_dict(w))
+    back = ser.object_from_dict(via_json(ser.walsh_matrix_to_dict(w)))
     assert back.log_order == 3
     assert np.array_equal(back.base.entries, w.base.entries)
 
 
 def test_frame_json_round_trip():
     f = etf_from_hadamard(build_walsh(3).base)
-    back = ser.object_from_dict(ser.frame_to_dict(f))
+    back = ser.object_from_dict(via_json(ser.frame_to_dict(f)))
     assert np.array_equal(back.raw, f.raw)
     assert back.scale_sq == f.scale_sq
     assert back.degenerate == f.degenerate
@@ -64,7 +70,7 @@ def test_frame_json_round_trip():
 
 def test_fusion_json_round_trip_keeps_provenance():
     ff = build_gff(3, 1)
-    back = ser.object_from_dict(ser.fusion_frame_to_dict(ff))
+    back = ser.object_from_dict(via_json(ser.fusion_frame_to_dict(ff)))
     assert back.constructed_grassmannian
     assert len(back.subspaces) == 4
     for a, b in zip(back.subspaces, ff.subspaces):
@@ -139,7 +145,7 @@ def test_corrupted_csv_rejected():
 
 
 def test_corrupted_json_payload_rejected():
-    d = ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base))
+    d = via_json(ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base)))
     d["raw"] = d["raw"][:-1]
     with pytest.raises(ValidationError, match="expected"):
         ser.object_from_dict(d)
@@ -190,7 +196,7 @@ json_values = st.recursive(
 def _valid_dicts() -> list[dict]:
     objs = [build_sylvester(1), build_walsh(2), etf_from_hadamard(build_walsh(2).base),
             build_gff(2, 0), build_gff(3, 1)]
-    return [ser.kind_of(o).to_dict(o) for o in objs]
+    return [via_json(ser.kind_of(o).to_dict(o)) for o in objs]
 
 
 @st.composite
@@ -272,7 +278,7 @@ def test_object_from_csv_never_raises_anything_else(text):
 
 
 def test_bool_and_float_entries_are_not_coerced():
-    d = ser.sign_matrix_to_dict(build_sylvester(1))
+    d = via_json(ser.sign_matrix_to_dict(build_sylvester(1)))
     for bad in ([True, True, True, -1], [1.0, 1, 1, -1], ["1", 1, 1, -1]):
         with pytest.raises(ValidationError, match="entries"):
             ser.object_from_dict({**d, "entries": bad})
@@ -281,7 +287,7 @@ def test_bool_and_float_entries_are_not_coerced():
 
 
 def test_decode_errors_name_the_field():
-    d = ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base))
+    d = via_json(ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base)))
     with pytest.raises(ValidationError, match="'scale_sq'"):
         ser.object_from_dict({**d, "scale_sq": {"num": 1, "den": 0}})
     with pytest.raises(ValidationError, match="'degenerate'"):
@@ -324,7 +330,7 @@ def test_constructor_errors_keep_their_type(monkeypatch, module, name, decode, v
         raise TypeError("fault inside the constructor")
 
     inputs = {
-        "gff": ser.fusion_frame_to_dict(build_gff(3, 1)),
+        "gff": via_json(ser.fusion_frame_to_dict(build_gff(3, 1))),
         "etf-csv": ser.object_to_csv(etf_from_hadamard(build_walsh(2).base)),
         "config": {"trials": 3},
     }
@@ -342,9 +348,60 @@ def test_every_kind_round_trips_through_its_table_row():
     for obj in (build_sylvester(2), build_walsh(2), etf_from_hadamard(build_walsh(2).base),
                 build_gff(3, 1)):
         kind = ser.kind_of(obj)
-        assert type(kind.from_dict(kind.to_dict(obj))) is kind.type
+        assert type(kind.from_dict(via_json(kind.to_dict(obj)))) is kind.type
         assert type(ser.object_from_csv(ser.object_to_csv(obj))) is kind.type
         checks = kind.checks(obj)
         assert all(kind.passes(checks, level) for level in ("valid", "tight", "grassmannian"))
     with pytest.raises(ValidationError, match="not a matrix, frame or fusion frame"):
         ser.kind_of(ChannelConfig())
+
+
+# ---------------------------------------------------------------------------
+# the integer writer against the reference encoders
+
+INT64_EDGES = [0, 1, -1, 9, 10, -10, 2**63 - 1, -(2**63 - 1), -(2**63)]
+# mixed digit widths within one matrix: each entry draws its own magnitude
+int64_entries = st.sampled_from(INT64_EDGES) | st.integers(0, 18).flatmap(
+    lambda digits: st.integers(-(10**digits), 10**digits)
+)
+
+
+@st.composite
+def int64_matrices(draw) -> np.ndarray:
+    """1 x 1, one row, one column, or any small shape."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]))
+    rows = rows or draw(st.integers(1, 6))
+    cols = cols or draw(st.integers(1, 6))
+    values = draw(st.lists(int64_entries, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+def reference_csv_rows(a: np.ndarray) -> str:
+    return "\n".join(",".join(map(str, r)) for r in a.tolist())
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_matrices())
+def test_int_writer_matches_the_reference_encoders(a):
+    assert ser._int_text(a, ",", "\n") == reference_csv_rows(a) + "\n"
+    assert f"[{ser._int_text(a.reshape(1, -1), ',', '')}]" == reference_json(a.reshape(-1).tolist())
+
+
+def test_int_writer_edge_rows():
+    extremes = np.array([INT64_EDGES], dtype=np.int64)
+    assert ser._int_text(extremes, ",", "") == ",".join(map(str, INT64_EDGES))
+    assert ser._int_text(extremes.T, ";", "\r\n") == "".join(f"{v}\r\n" for v in INT64_EDGES)
+    assert ser._int_text(np.array([[1, -2], [30, 4]]), "", "") == "1-2304"
+    assert ser._int_text(np.zeros((2, 0), dtype=np.int64), ",", "\n") == "\n\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(int64_matrices(), json_values)
+def test_canonical_dumps_writes_arrays_as_json_dumps_writes_lists(a, other):
+    payload = {"flat": a.reshape(-1), "rows": list(a), "empty": a[:0, 0], "other": [other]}
+    plain = {"flat": a.reshape(-1).tolist(), "rows": a.tolist(), "empty": [], "other": [other]}
+    assert ser.canonical_dumps(payload) == reference_json(plain) + "\n"
