@@ -1,17 +1,18 @@
 """Monte-Carlo noise and erasure channel for frames and fusion frames.
 
-A fusion frame generalizes a frame, and one trial loop (``_simulate``)
-sends both: a frame of N vectors as N units of one coefficient each, a
-fusion frame of L subspaces as L pieces of M rows each. The analysis map,
-each unit's integer columns and the naive receiver are all that differ.
-Every transmitted scalar picks up i.i.d. zero-mean Gaussian noise of
-standard deviation sigma, and an erasure drops whole units (Kutyniok,
-Pezeshki, Calderbank & Liu, "Robust dimension reduction, fusion frames,
-and Grassmannian packings", ACHA 2009). Reconstruction is least squares on
-the surviving rows by default, or the naive tight-frame sum for comparison
-against the analytic noise floor. Each trial draws from an independent
-stream derived from (seed, trial index), so runs are reproducible and
-order-independent; aggregation is in fixed trial order.
+A fusion frame of L subspaces is a frame of sum_i m_i scaled basis
+vectors, sent in L units of m_i coefficients each; a frame of N vectors is
+the case m_i = 1. One trial loop (``_simulate``) sends both through one
+analysis map phi = T^T, where the columns of T are every unit's scaled
+integer columns side by side. Every transmitted scalar picks up i.i.d.
+zero-mean Gaussian noise of standard deviation sigma, and an erasure drops
+whole units (Kutyniok, Pezeshki, Calderbank & Liu, "Robust dimension
+reduction, fusion frames, and Grassmannian packings", ACHA 2009).
+Reconstruction is least squares on the surviving rows by default, or the
+naive tight-frame sum for comparison against the analytic noise floor.
+Each trial draws from an independent stream derived from (seed, trial
+index), so runs are reproducible and order-independent; aggregation is in
+fixed trial order.
 
 Decoding a tight input. Every object the package builds is tight: the
 scaled columns T of its units (a frame's vectors, or each subspace's
@@ -40,16 +41,13 @@ not tight can only come from an import; they decode through
 ``_lstsq_decoder``, and the rank of the survivors' integer columns decides
 their spanning.
 
-Fusion noise model. Piece i is the ambient M-vector P_i x, and noise hits
-all M of its coordinates, including the M - m_i outside W_i. The naive
-receiver sums the pieces it gets and divides by the tight bound A without
-projecting them first, so with no erasures its error is (1/A) sum_i n_i
-and its mean squared error is L*M*sigma^2/A^2. The paper above sends each
-piece as its m_i coordinates in W_i, so noise stays inside the subspace; a
-receiver that applied P_i to each piece before summing would see that
-model, with mean squared error sigma^2 * sum_i m_i / A^2. The
-least-squares receiver fits all received coordinates, so it does remove
-the noise outside the subspaces.
+Fusion noise model. Piece i is sent as its m_i coordinates B_i^T x in
+the scaled orthonormal basis B_i of W_i, as in the paper above, so noise
+stays inside the subspace and an erasure drops m_i numbers. The naive
+receiver phi^T (y * mask) / A is the tight-frame sum (1/A) sum_i B_i y_i
+over the pieces received; with no erasures its mean squared error is
+sigma^2 * sum_i m_i / A^2, which for a frame of N unit vectors reads
+N sigma^2 / A^2.
 """
 
 from __future__ import annotations
@@ -62,12 +60,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .frames import ScaledFrame, is_tight, synthesis_matrix
-from .fusion import FusionFrame, fusion_tight, _float_projection
+from .frames import ScaledFrame, is_tight
+from .fusion import FusionFrame, fusion_tight
 from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 
 SignalSource = Callable[[np.random.Generator, int], np.ndarray]
-Receiver = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]  # (y, survivors) -> xhat
+Units = Sequence[tuple[np.ndarray, Fraction]]  # each unit's integer columns and their scale
 
 # A million trials take minutes and put the standard error of mean_mse at
 # a thousandth of the per-trial standard deviation; more is refused.
@@ -178,11 +176,13 @@ def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
         )
 
 
-def _survivors(spec: ErasureSpec, units: int, rng: np.random.Generator) -> tuple[int, ...]:
-    dropped = set(spec.indices)  # empty unless the mode is fixed
+def _survivors(spec: ErasureSpec, units: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask of the units that get through one trial."""
+    keep = np.ones(units, dtype=bool)
+    keep[list(spec.indices)] = False  # empty unless the mode is fixed
     if spec.mode == "random":
-        dropped = set(int(i) for i in rng.choice(units, size=spec.k, replace=False))
-    return tuple(i for i in range(units) if i not in dropped)
+        keep[rng.choice(units, size=spec.k, replace=False)] = False
+    return keep
 
 
 def _non_finite(cfg: ChannelConfig) -> ValidationError:
@@ -244,77 +244,72 @@ class _Accumulator:
         )
 
 
-def _lstsq_decoder(phi: np.ndarray, rows_per_unit: int):
-    """Least-squares decoder for the stacked analysis map ``phi`` of an
-    input that is not tight, which only an import can give.
+def _lstsq_decoder(phi: np.ndarray, rows: np.ndarray):
+    """Least-squares decoder for the analysis map ``phi`` of an input that
+    is not tight, which only an import can give.
 
-    ``phi`` has ``rows_per_unit`` rows per transmitted unit. The returned
-    ``decode(y, surv)`` gives the minimum-norm least-squares solution of
-    ``phi_S x = y_S``, where S keeps the rows of the surviving units: the
-    result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)``. The first time a
-    survivor set is seen, its M x M map ``D_S = V diag(1/s^2) V^T`` is built
-    from the SVD of ``R = qr(phi_S)``, keeping the singular values above
-    lstsq's own cutoff ``eps * max(phi_S.shape) * s[0]``. Each trial then
-    solves the seminormal equations ``x = D_S phi^T (y * mask_S)``, where
-    ``mask_S`` zeroes the erased units' rows, and takes one correction step
-    ``x += D_S phi^T ((y - phi x) * mask_S)``. The correction keeps the result
-    within about ``eps * cond(phi_S)`` of lstsq's; without it the error
-    grows with ``cond(phi_S)**2``. At most ``phi.size // M**2`` maps are
-    kept, so the cache never outgrows ``phi``; once it is full, each new
+    Unit i owns the next ``rows[i]`` rows of ``phi``. The returned
+    ``decode(y, keep)`` gives the minimum-norm least-squares solution of
+    ``phi_S x = y_S``, where S keeps the rows of the units that ``keep``
+    marks: the result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)``. The
+    first time a survivor set is seen, its M x M map ``D_S = V diag(1/s^2)
+    V^T`` is built from the SVD of ``R = qr(phi_S)``, keeping the singular
+    values above lstsq's own cutoff ``eps * max(phi_S.shape) * s[0]``. Each
+    trial then solves the seminormal equations ``x = D_S phi^T (y * mask_S)``,
+    where ``mask_S`` zeroes the erased units' rows, and takes one correction
+    step ``x += D_S phi^T ((y - phi x) * mask_S)``. The correction keeps the
+    result within about ``eps * cond(phi_S)`` of lstsq's; without it the
+    error grows with ``cond(phi_S)**2``. At most ``phi.size // M**2`` maps
+    are kept, so the cache never outgrows ``phi``; once it is full, each new
     set goes to ``np.linalg.lstsq``. Tight inputs use ``_downdate_decoder``
     instead. Whitening by ``S^(-1/2)`` would put a non-tight input on that
     path, but it does not keep lstsq's minimum-norm solution on survivor
     sets that do not span, so this decoder stays for them.
     """
-    units, m = phi.shape[0] // rows_per_unit, phi.shape[1]
+    m = phi.shape[1]
     cap = phi.size // (m * m)
-    maps: dict[tuple[int, ...], np.ndarray] = {}
+    maps: dict[bytes, np.ndarray] = {}
 
-    def decode(y: np.ndarray, surv: tuple[int, ...]) -> np.ndarray:
-        d = maps.get(surv)
+    def decode(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        mask, key = np.repeat(keep, rows), keep.tobytes()
+        d = maps.get(key)
         if d is None:
-            idx = (np.array(surv)[:, None] * rows_per_unit + np.arange(rows_per_unit)).ravel()
+            phi_s = phi[mask]
             if len(maps) >= cap:
-                return np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
-            r = np.linalg.qr(phi[idx], mode="r")
+                return np.linalg.lstsq(phi_s, y[mask], rcond=None)[0]
+            r = np.linalg.qr(phi_s, mode="r")
             _, s, vt = np.linalg.svd(r, full_matrices=False)
-            kept = s > np.finfo(float).eps * max(len(idx), m) * s[0]
+            kept = s > np.finfo(float).eps * max(phi_s.shape) * s[0]
             v = vt[kept].T
-            d = maps[surv] = (v / s[kept] ** 2) @ v.T
-        unit_mask = np.zeros(units)
-        unit_mask[list(surv)] = 1.0
-        mask = np.repeat(unit_mask, rows_per_unit)
+            d = maps[key] = (v / s[kept] ** 2) @ v.T
         x = d @ (phi.T @ (y * mask))
         return x + d @ (phi.T @ ((y - phi @ x) * mask))
 
     return decode
 
 
-def _downdate_decoder(phi: np.ndarray, rows_per_unit: int,
-                      units: Sequence[tuple[np.ndarray, Fraction]], bound: Fraction,
-                      deficit: Callable[[tuple[int, ...]], int]):
+def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction,
+                      deficit: Callable[[np.ndarray], int]):
     """Least-squares decoder for a tight input: the rank-k' downdate of the
     module docstring.
 
-    ``units[i]`` is unit i's integer columns and their scale; the scaled
-    columns of all units satisfy T T^T = ``bound`` * I. ``deficit(surv)`` is
-    the exact dimension of the null space of the survivors' normal matrix. The
-    returned ``decode(y, surv)`` gives the result of
-    ``np.linalg.lstsq(phi_S, y_S, rcond=None)`` without factoring phi_S.
+    Unit i owns the next ``rows[i]`` rows of ``phi``, and ``phi^T phi`` =
+    ``bound`` * I. ``deficit(keep)`` is the exact dimension of the null space
+    of the survivors' normal matrix. The returned ``decode(y, keep)`` gives
+    the result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)`` without
+    factoring phi_S.
     """
-    t_units = [raw * math.sqrt(float(scale)) for raw, scale in units]
+    t_units = np.split(phi.T, np.cumsum(rows)[:-1], axis=1)
     a = float(bound)
 
-    def decode(y: np.ndarray, surv: tuple[int, ...]) -> np.ndarray:
-        keep = np.zeros(len(t_units), dtype=bool)
-        keep[list(surv)] = True
-        b = phi.T @ (y * np.repeat(keep, rows_per_unit))
+    def decode(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        b = phi.T @ (y * np.repeat(keep, rows))
         erased = np.flatnonzero(~keep)
         if not erased.size:
             return b / a
         t_e = np.hstack([t_units[i] for i in erased])
         lam, w = np.linalg.eigh(t_e.T @ t_e)
-        kept = len(lam) - deficit(surv)  # lam <= A, so the null ones come last
+        kept = len(lam) - deficit(keep)  # lam <= A, so the null ones come last
         h = np.full(len(lam), -1.0 / a**2)
         h[:kept] = 1.0 / (a * (a - lam[:kept]))
         return b / a + t_e @ (w @ (h * (w.T @ (t_e.T @ b))))
@@ -322,20 +317,19 @@ def _downdate_decoder(phi: np.ndarray, rows_per_unit: int,
     return decode
 
 
-def _erasure_deficit(units: Sequence[tuple[np.ndarray, Fraction]], bound: Fraction):
-    """``deficit(surv)``: the dimension the survivors of a tight input fail
+def _erasure_deficit(units: Units, bound: Fraction):
+    """``deficit(keep)``: the dimension the survivors of a tight input fail
     to span, k' - rank(C) for the integer matrix C of the module docstring.
 
-    ``units[i]`` is unit i's integer columns and their common scale; the
-    input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j), where
-    G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator of
-    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
+    The input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j),
+    where G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator
+    of A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
     """
     ratios = [bound / scale for _, scale in units]
 
-    def deficit(surv: tuple[int, ...]) -> int:
-        erased = sorted(set(range(len(units))).difference(surv))
-        if not erased:
+    def deficit(keep: np.ndarray) -> int:
+        erased = np.flatnonzero(~keep)
+        if not erased.size:
             return 0
         raw = np.hstack([units[i][0] for i in erased])
         col_ratios = [ratios[i] for i in erased for _ in range(units[i][0].shape[1])]
@@ -348,50 +342,58 @@ def _erasure_deficit(units: Sequence[tuple[np.ndarray, Fraction]], bound: Fracti
     return deficit
 
 
-def _spanning_deficit(units: Sequence[tuple[np.ndarray, Fraction]], m: int):
-    """``deficit(surv)`` for any input: M minus the exact rank of the
+def _spanning_deficit(units: Units, m: int):
+    """``deficit(keep)`` for any input: M minus the exact rank of the
     survivors' integer columns."""
 
-    def deficit(surv: tuple[int, ...]) -> int:
-        return m - int_rank(np.hstack([units[i][0] for i in surv])) if surv else m
+    def deficit(keep: np.ndarray) -> int:
+        surv = np.flatnonzero(keep)
+        return m - int_rank(np.hstack([units[i][0] for i in surv])) if surv.size else m
 
     return deficit
 
 
-def _simulate(phi: np.ndarray, rows_per_unit: int, units: Sequence[tuple[np.ndarray, Fraction]],
-              tightness: Callable[[], tuple[bool, Fraction | None]],
-              naive: Callable[[Fraction | None], Receiver], what: str, cfg: ChannelConfig,
-              signal_source: SignalSource) -> SimReport:
+def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]], what: str,
+              cfg: ChannelConfig, signal_source: SignalSource) -> SimReport:
     """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
 
-    ``phi`` is the stacked analysis map, ``rows_per_unit`` rows per unit;
-    ``units[i]`` is unit i's integer columns and their scale. After the
-    erasure check, ``tightness()`` gives (tight, A). In naive mode
-    ``naive(A)`` returns the receiver ``(y, survivors) -> xhat``, and
-    raises when A is None; otherwise a tight input decodes through
+    ``units[i]`` is unit i's integer columns and their scale. Their scaled
+    columns side by side are T, and ``phi = T^T`` is the one analysis map:
+    unit i sends its columns' coefficients, so it owns as many rows of
+    ``phi`` as it has columns. After the erasure check, ``tightness()`` gives
+    (tight, A). Naive mode needs a tight input and returns
+    ``phi^T (y * mask) / A``; otherwise a tight input decodes through
     ``_downdate_decoder`` and any other through ``_lstsq_decoder``. How far
-    each survivor set falls short of spanning F^M is decided exactly once per
-    set: from the k' x k' matrix C for a tight input, from the rank of the
-    survivors' columns otherwise. ``what`` names the units in error messages.
+    each survivor set falls short of spanning F^M is decided exactly once
+    per set: from the k' x k' matrix C for a tight input, from the rank of
+    the survivors' columns otherwise. ``what`` names the units in error
+    messages.
     """
-    n_units, m = len(units), phi.shape[1]
+    n_units = len(units)
     _check_erasure(cfg.erasure, n_units, what)
+    phi = np.hstack([raw.astype(np.float64) * math.sqrt(float(scale)) for raw, scale in units]).T
+    rows = np.array([raw.shape[1] for raw, _ in units])
+    m = phi.shape[1]
     tight, bound = tightness()
     rank_deficit = _erasure_deficit(units, bound) if tight else _spanning_deficit(units, m)
-    spans: dict[tuple[int, ...], int] = {}
+    spans: dict[bytes, int] = {}
 
-    def deficit(surv: tuple[int, ...]) -> int:
-        d = spans.get(surv)
+    def deficit(keep: np.ndarray) -> int:
+        key = keep.tobytes()
+        d = spans.get(key)
         if d is None:
-            d = spans[surv] = rank_deficit(surv)
+            d = spans[key] = rank_deficit(keep)
         return d
 
     if cfg.mode == "naive":
-        decode = naive(bound)
+        if not tight:
+            raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
+        a = float(bound)
+        decode = lambda y, keep: phi.T @ (y * np.repeat(keep, rows)) / a  # noqa: E731
     elif tight:
-        decode = _downdate_decoder(phi, rows_per_unit, units, bound, deficit)
+        decode = _downdate_decoder(phi, rows, bound, deficit)
     else:
-        decode = _lstsq_decoder(phi, rows_per_unit)
+        decode = _lstsq_decoder(phi, rows)
     acc = _Accumulator()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
         for trial in range(cfg.trials):
@@ -400,12 +402,12 @@ def _simulate(phi: np.ndarray, rows_per_unit: int, units: Sequence[tuple[np.ndar
             y = phi @ x
             if cfg.noise_std > 0:
                 y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
-            surv = _survivors(cfg.erasure, n_units, rng)
-            xhat = decode(y, surv) if surv else np.zeros(m)
+            keep = _survivors(cfg.erasure, n_units, rng)
+            xhat = decode(y, keep) if keep.any() else np.zeros(m)
             mse = float(((xhat - x) ** 2).sum())
             if not math.isfinite(mse):
                 raise _non_finite(cfg)
-            acc.add(mse, deficit(surv) == 0, cfg.exact_threshold)
+            acc.add(mse, deficit(keep) == 0, cfg.exact_threshold)
     return acc.report(cfg, len(spans))
 
 
@@ -418,20 +420,10 @@ def simulate_frame(
 
     Each of the ``count`` units is one coefficient, a row of ``T^T``. A
     survivor set that does not span F^M counts as non-recoverable; its
-    minimum-norm solution is still recorded. ``_simulate`` picks the
-    least-squares decoder.
+    minimum-norm solution is still recorded.
     """
-    t_syn = synthesis_matrix(f)
-
-    def naive(bound):
-        if bound is None:
-            raise ValidationError("naive reconstruction requires a tight frame")
-        a = float(bound)
-        return lambda y, surv: (t_syn[:, list(surv)] @ y[list(surv)]) / a
-
     units = [(f.raw[:, j:j + 1], f.scale_sq) for j in range(f.count)]
-    return _simulate(t_syn.T, 1, units, lambda: is_tight(f), naive, "coefficients", cfg,
-                     signal_source)
+    return _simulate(units, lambda: is_tight(f), "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(
@@ -439,25 +431,16 @@ def simulate_fusion(
     cfg: ChannelConfig,
     signal_source: SignalSource = default_signal_source,
 ) -> SimReport:
-    """Transmit subspace projections of random signals; erasures drop whole
+    """Transmit subspace coordinates of random signals; erasures drop whole
     subspaces; reconstruct; aggregate.
 
-    Each of the L units is the ambient M-vector ``P_i x``; least squares
-    fits the L projections stacked, and ``_simulate`` picks its decoder.
-    The noise model is in the module docstring.
+    Each of the L units is the m_i coordinates ``B_i^T x`` of the signal in
+    subspace i's scaled orthonormal basis, so the fusion frame goes through
+    the channel as the frame of all its basis vectors. The noise model is in
+    the module docstring.
     """
-    big_m = ff.ambient_dim
-
-    def naive(bound):
-        if bound is None:
-            raise ValidationError("naive reconstruction requires a tight fusion frame")
-        a = float(bound)
-        return lambda y, surv: y.reshape(-1, big_m)[list(surv)].sum(axis=0) / a
-
-    phi = np.vstack([_float_projection(s) for s in ff.subspaces])
     units = [(s.basis_raw, s.scale_sq) for s in ff.subspaces]
-    return _simulate(phi, big_m, units, lambda: fusion_tight(ff), naive, "subspace pieces",
-                     cfg, signal_source)
+    return _simulate(units, lambda: fusion_tight(ff), "subspace pieces", cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

@@ -30,17 +30,12 @@ from .intlinalg import (
 
 @dataclass(frozen=True, eq=False)
 class ScaledFrame:
-    """N unit-norm vectors in F^M: integer columns sharing one rational scale.
-
-    ``degenerate`` marks edge cases (two antipodal vectors on a line) that
-    satisfy all certificate identities but are geometrically trivial.
-    """
+    """N unit-norm vectors in F^M: integer columns sharing one rational scale."""
 
     ambient_dim: int
     count: int
     raw: np.ndarray
     scale_sq: Fraction
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,7 @@ class FrameCertificate:
     grassmannian_by_etf: bool
 
 
-def frame_from_integer_columns(raw, scale_sq, *, degenerate: bool = False) -> ScaledFrame:
+def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
     """Validate and wrap integer columns as a unit-norm spanning frame."""
     a = as_int_matrix(raw, name="frame matrix")
     scale = as_fraction(scale_sq)
@@ -84,9 +79,7 @@ def frame_from_integer_columns(raw, scale_sq, *, degenerate: bool = False) -> Sc
         )
     a = a.copy()
     a.setflags(write=False)
-    return ScaledFrame(
-        ambient_dim=m, count=n, raw=a, scale_sq=scale, degenerate=degenerate
-    )
+    return ScaledFrame(ambient_dim=m, count=n, raw=a, scale_sq=scale)
 
 
 def _raw_gram(f: ScaledFrame) -> np.ndarray:
@@ -171,9 +164,7 @@ def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
             "first row is not all ones; apply normalize_first_row first"
         )
     raw = h.entries[1:, :].astype(np.int64)
-    return frame_from_integer_columns(
-        raw, Fraction(1, n - 1), degenerate=(n == 2)
-    )
+    return frame_from_integer_columns(raw, Fraction(1, n - 1))
 
 
 def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:

@@ -44,14 +44,12 @@ class Subspace:
 class FusionFrame:
     """Ordered collection of subspaces spanning F^M.
 
-    ``constructed_grassmannian`` is a provenance flag set by build_gff;
-    ``degenerate`` marks constructions whose subspaces coincide.
+    ``constructed_grassmannian`` is a provenance flag set by build_gff.
     """
 
     ambient_dim: int
     subspaces: tuple[Subspace, ...]
     constructed_grassmannian: bool = False
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,6 @@ def make_fusion_frame(
     subspaces: Sequence[Subspace],
     *,
     constructed_grassmannian: bool = False,
-    degenerate: bool = False,
 ) -> FusionFrame:
     """Validate a nonempty spanning collection of subspaces of one space."""
     subs = tuple(subspaces)
@@ -148,7 +145,6 @@ def make_fusion_frame(
         ambient_dim=big_m,
         subspaces=subs,
         constructed_grassmannian=constructed_grassmannian,
-        degenerate=degenerate,
     )
 
 
@@ -228,9 +224,7 @@ def build_gff(n: int, m: int) -> FusionFrame:
         )
         for i in range(n_sub)
     ]
-    return make_fusion_frame(
-        subs, constructed_grassmannian=True, degenerate=(n_sub == 2)
-    )
+    return make_fusion_frame(subs, constructed_grassmannian=True)
 
 
 def _pairwise_traces(subs: Sequence[Subspace]) -> tuple[np.ndarray, int]:

@@ -231,7 +231,6 @@ def fusion_frame_to_dict(ff: fusion.FusionFrame) -> dict:
         "scale_sq": fraction_to_pair(_shared_scale(ff)),
         "subspaces": [s.basis_raw.reshape(-1) for s in ff.subspaces],
         "constructed_grassmannian": ff.constructed_grassmannian,
-        "degenerate": ff.degenerate,
     }
 
 
@@ -290,7 +289,6 @@ def _frame_from_dict(d: dict) -> frames.ScaledFrame:
     return frames.frame_from_integer_columns(
         _field(d, "raw", lambda flat: _int_matrix(flat, m, n)),
         _field(d, "scale_sq", pair_to_fraction),
-        degenerate=_field(d, "degenerate", _BOOL, False),
     )
 
 
@@ -304,7 +302,6 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
     return fusion.make_fusion_frame(
         [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)],
         constructed_grassmannian=_field(d, "constructed_grassmannian", _BOOL, False),
-        degenerate=_field(d, "degenerate", _BOOL, False),
     )
 
 

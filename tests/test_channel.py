@@ -43,7 +43,6 @@ from hadframes.channel import (
 )
 from hadframes.cli import main
 from hadframes.frames import synthesis_matrix
-from hadframes.fusion import _float_projection
 from hadframes.serialize import (
     canonical_dumps,
     config_from_dict,
@@ -340,8 +339,22 @@ def test_simulate_dispatches_on_the_object_type(etf4):
 # the shared least-squares decoder
 
 
-def assert_decodes_like_lstsq(phi, rows_per_unit, sets, seed):
-    """Decode every set twice; each xhat must match x = np.linalg.lstsq's
+def coordinate_map(units):
+    """The analysis map of ``units`` (integer columns, scale) and each unit's
+    row count: every unit's scaled columns side by side, transposed."""
+    phi = np.hstack([raw * math.sqrt(float(scale)) for raw, scale in units]).T
+    return phi, np.array([raw.shape[1] for raw, _ in units])
+
+
+def survivor_mask(units, surv):
+    keep = np.zeros(units, dtype=bool)
+    keep[list(surv)] = True
+    return keep
+
+
+def assert_decodes_like_lstsq(phi, rows, sets, seed):
+    """Decode every set of surviving units twice; unit i owns the next
+    ``rows[i]`` rows of ``phi``. Each xhat must match x = np.linalg.lstsq's
     solution within 1e-12 * (1 + |x|).
 
     ``sets`` are distinct and outnumber the decoder's cap, so the first
@@ -352,15 +365,16 @@ def assert_decodes_like_lstsq(phi, rows_per_unit, sets, seed):
     cap = phi.size // phi.shape[1] ** 2
     assert len(set(sets)) == len(sets) > cap
     rng = np.random.default_rng(seed)
-    decode = _lstsq_decoder(phi, rows_per_unit)
+    decode = _lstsq_decoder(phi, rows)
     fallbacks = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "lstsq", lambda *a, **k: fallbacks.append(1) or reference(*a, **k))
         for surv in list(sets) * 2:
-            idx = [u * rows_per_unit + r for u in surv for r in range(rows_per_unit)]
+            keep = survivor_mask(len(rows), surv)
+            idx = np.repeat(keep, rows)
             y = phi @ rng.standard_normal(phi.shape[1]) + rng.normal(0.0, 0.1, phi.shape[0])
             want = reference(phi[idx], y[idx], rcond=None)[0]
-            got = decode(y, surv)
+            got = decode(y, keep)
             assert np.abs(got - want).max() <= 1e-12 * (1 + np.linalg.norm(want))
     assert len(fallbacks) == 2 * (len(sets) - cap)
 
@@ -386,41 +400,45 @@ WALSH4 = np.array(build_walsh(2).base.entries)
 
 @st.composite
 def mixed_fusion_maps(draw):
-    """Stacked projections of subspaces of F^4 with unequal dimensions and
+    """The coordinate map of subspaces of F^4 with unequal dimensions and
     two scales: coordinate planes (scale 1) and Walsh-column spans (1/4)."""
-    pieces = []
+    units = []
     for _ in range(draw(st.integers(2, 5))):
         cols = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
         basis, scale = draw(st.sampled_from([(np.eye(4, dtype=int), 1), (WALSH4, Fraction(1, 4))]))
-        pieces.append(_float_projection(subspace_from_columns(basis[:, cols], scale)))
-    return np.vstack(pieces), draw(survivor_sets(len(pieces), len(pieces)))
+        s = subspace_from_columns(basis[:, cols], scale)
+        units.append((s.basis_raw, s.scale_sq))
+    phi, rows = coordinate_map(units)
+    return phi, rows, draw(survivor_sets(len(units), phi.size // 16))
 
 
 @settings(max_examples=80, deadline=None)
 @given(integer_frames(), st.integers(0, 2**32 - 1))
 def test_decoder_matches_lstsq_on_integer_frames(case, seed):
     phi, sets = case
-    assert_decodes_like_lstsq(phi, 1, sets, seed)
+    assert_decodes_like_lstsq(phi, np.ones(len(phi), dtype=int), sets, seed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_fusion_maps(), st.integers(0, 2**32 - 1))
 def test_decoder_matches_lstsq_on_mixed_fusion_frames(case, seed):
-    phi, sets = case
-    assert_decodes_like_lstsq(phi, 4, sets, seed)
+    assert_decodes_like_lstsq(*case, seed)
 
 
 def test_decoder_matches_lstsq_on_rank_deficient_and_ill_conditioned_survivors(basis3):
     # basis3 minus a vector, and 61 of the 64 vectors of the order-64 ETF in F^63
-    assert_decodes_like_lstsq(synthesis_matrix(basis3).T, 1, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0)
     # cond 1600 on the cached set (0, 1): the uncorrected seminormal
     # equations miss lstsq by about 2e-10 here
     nearly_parallel = np.array([[21.0, 20.0], [20.0, 19.0], [1.0, -1.0]])
-    assert_decodes_like_lstsq(nearly_parallel, 1, [(0, 1), (0, 1, 2)], 2)
     etf64 = etf_from_hadamard(build_walsh(6).base)
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
-    sets = [tuple(i for i in range(64) if i not in d) for d in drops]
-    assert_decodes_like_lstsq(synthesis_matrix(etf64).T, 1, sets, 1)
+    cases = [
+        (synthesis_matrix(basis3).T, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0),
+        (nearly_parallel, [(0, 1), (0, 1, 2)], 2),
+        (synthesis_matrix(etf64).T, [tuple(i for i in range(64) if i not in d) for d in drops], 1),
+    ]
+    for phi, sets, seed in cases:
+        assert_decodes_like_lstsq(phi, np.ones(len(phi), dtype=int), sets, seed)
 
 
 def test_decoder_builds_are_bounded_and_memory_does_not_grow_with_trials(monkeypatch):
@@ -453,20 +471,26 @@ def test_decoder_builds_are_bounded_and_memory_does_not_grow_with_trials(monkeyp
 
 
 def test_fusion_noise_model_mse_matches_analytic_values():
-    # Noise hits all M ambient coordinates of each of the L pieces. The naive
-    # sum keeps all of it: L*M*sigma^2/A^2. Least squares projects each piece
-    # onto its subspace first: sigma^2 * sum_i m_i / A^2.
-    ff = build_gff(5, 2)
-    tight, bound = fusion_tight(ff)
+    # Piece i is sent as its m_i coordinates, so noise stays inside the
+    # subspaces, and with no erasures both receivers reach the floor
+    # sigma^2 * sum_i m_i / A^2. The second frame has unequal dimensions
+    # 2, 1, 1, 2 in F^3 and A = 2, so its floor is 1.5 sigma^2.
+    e = np.eye(3, dtype=int)
+    unequal = make_fusion_frame([subspace_from_columns(e[:, cols], 1)
+                                 for cols in ([0, 1], [2], [0], [1, 2])])
+    assert fusion_tight(unequal) == (True, 2)
+    gff = build_gff(5, 2)
+    tight, bound = fusion_tight(gff)
     assert tight
-    sigma, a = 0.05, float(bound)
-    n_pieces, big_m = len(ff.subspaces), ff.ambient_dim
-    dims = sum(s.dim for s in ff.subspaces)
-    for mode, target in (("naive", n_pieces * big_m), ("lstsq", dims)):
-        target *= sigma**2 / a**2
-        rep = simulate_fusion(ff, ChannelConfig(noise_std=sigma, trials=2000, seed=21, mode=mode))
-        assert abs(rep.mean_mse - target) <= 0.05 * target, (mode, rep.mean_mse, target)
-        assert rep.survivor_sets == 1
+    sigma = 0.05
+    floors = ((gff, sigma**2 * sum(s.dim for s in gff.subspaces) / float(bound) ** 2),
+              (unequal, 1.5 * sigma**2))
+    for ff, target in floors:
+        for mode in ("naive", "lstsq"):
+            cfg = ChannelConfig(noise_std=sigma, trials=2000, seed=21, mode=mode)
+            rep = simulate_fusion(ff, cfg)
+            assert abs(rep.mean_mse - target) <= 0.05 * target, (mode, rep.mean_mse, target)
+            assert rep.survivor_sets == 1
 
 
 def test_report_stderr_is_the_standard_error_of_the_per_trial_errors(etf4, monkeypatch):
@@ -523,16 +547,15 @@ def test_erasure_spec_fixed_needs_an_index_and_defaults_round_trip():
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
+    # Each line is sent as its one coordinate, the frame coefficient, so the
+    # two reports agree in every field, with noise and in both modes.
     frame, lines = etf_from_hadamard(build_walsh(n).base), build_gff(n, 0)
-    t_syn = synthesis_matrix(frame)
-    for j, s in enumerate(lines.subspaces):  # the same lines in the same order
-        assert np.allclose(_float_projection(s), np.outer(t_syn[:, j], t_syn[:, j]))
-    cfg = ChannelConfig(erasure=ErasureSpec.random_k(k), trials=60, seed=11)
-    a, b = simulate_frame(frame, cfg), simulate_fusion(lines, cfg)
-    for key in ("trials_run", "non_recoverable_count", "exact_recovery_count", "survivor_sets"):
-        assert getattr(a, key) == getattr(b, key), key
-    if not max(a.mean_mse, b.mean_mse) < cfg.exact_threshold:
-        assert a.mean_mse == pytest.approx(b.mean_mse, rel=1e-12, abs=0)
+    for j, s in enumerate(lines.subspaces):  # the same vectors in the same order
+        assert np.array_equal(s.basis_raw, frame.raw[:, j:j + 1]) and s.scale_sq == frame.scale_sq
+    for noise_std, mode in itertools.product((0.0, 0.1), ("lstsq", "naive")):
+        cfg = ChannelConfig(noise_std=noise_std, erasure=ErasureSpec.random_k(k), trials=60,
+                            seed=11, mode=mode)
+        assert simulate_frame(frame, cfg) == simulate_fusion(lines, cfg), (noise_std, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -540,35 +563,35 @@ def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
 
 
 def channel_inputs(obj):
-    """The analysis map, rows per unit, units and tight bound that
-    ``simulate`` hands the trial loop for ``obj``."""
+    """The coordinate map and row table of the units that ``simulate`` hands
+    the trial loop for ``obj``, the units, and the tight bound."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
         simulate(obj, ChannelConfig())
-    phi, rows_per_unit, units, tightness = captured[0][:4]
+    units, tightness = captured[0][:2]
     tight, bound = tightness()
     assert tight
-    return phi, rows_per_unit, units, bound
+    return *coordinate_map(units), units, bound
 
 
 def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     """For every erased set, the tight decoder matches x = np.linalg.lstsq's
     solution within 1e-12 * (1 + |x|), and the exact count k' - rank(C) is
     the dimension the survivors' integer columns fail to span."""
-    phi, rows_per_unit, units, bound = channel_inputs(obj)
+    phi, rows, units, bound = channel_inputs(obj)
     m = phi.shape[1]
     exact = _erasure_deficit(units, bound)
     by_rank = _spanning_deficit(units, m)
-    decode = _downdate_decoder(phi, rows_per_unit, units, bound, exact)
+    decode = _downdate_decoder(phi, rows, bound, exact)
     rng = np.random.default_rng(seed)
     for erased in erased_sets:
-        surv = tuple(i for i in range(len(units)) if i not in erased)
-        assert exact(surv) == by_rank(surv), erased
-        idx = [u * rows_per_unit + r for u in surv for r in range(rows_per_unit)]
+        keep = ~survivor_mask(len(units), erased)
+        assert exact(keep) == by_rank(keep), erased
+        idx = np.repeat(keep, rows)
         y = phi @ rng.standard_normal(m) + rng.normal(0.0, 0.1, phi.shape[0])
         want = np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
-        assert np.abs(decode(y, surv) - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
+        assert np.abs(decode(y, keep) - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
 
 
 def erased_sets(units, sizes):
@@ -641,7 +664,7 @@ def test_downdate_matches_lstsq_on_rank_deficient_etf64_sets():
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
     _, _, units, bound = channel_inputs(etf64)
     deficit = _erasure_deficit(units, bound)
-    assert [deficit(tuple(i for i in range(64) if i not in d)) for d in drops] == [2] * 3
+    assert [deficit(~survivor_mask(64, d)) for d in drops] == [2] * 3
     assert_downdate_matches_lstsq(etf64, drops, 1)
 
 

@@ -206,7 +206,6 @@ def test_mixed_correlations_are_not_equiangular():
 
 def test_etf_order2_is_degenerate_antipodal_pair():
     f = etf_from_hadamard(build_walsh(1).base)
-    assert f.degenerate
     assert f.ambient_dim == 1 and f.count == 2
     assert is_tight(f) == (True, 2)
     assert is_equiangular(f) == (True, 1)
@@ -216,7 +215,6 @@ def test_etf_order2_is_degenerate_antipodal_pair():
 def test_etf_order4_shape_and_values(etf4):
     assert (etf4.ambient_dim, etf4.count) == (3, 4)
     assert etf4.scale_sq == Fraction(1, 3)
-    assert not etf4.degenerate
 
 
 def test_etf_order8_meets_welch_bound(etf8):

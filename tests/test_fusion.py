@@ -233,12 +233,11 @@ def test_gff31_shape():
     assert len(ff.subspaces) == 4
     assert all(s.dim == 2 for s in ff.subspaces)
     assert all(s.scale_sq == Fraction(1, 6) for s in ff.subspaces)
-    assert ff.constructed_grassmannian and not ff.degenerate
+    assert ff.constructed_grassmannian
 
 
 def test_gff21_degenerate_whole_space_pair():
     ff = build_gff(2, 1)
-    assert ff.degenerate
     assert ff.ambient_dim == 2 and len(ff.subspaces) == 2
     assert fusion_tight(ff) == (True, 2)
     assert chordal_dist_sq(ff.subspaces[0], ff.subspaces[1]) == 0

@@ -65,7 +65,6 @@ def test_frame_json_round_trip():
     back = ser.object_from_dict(via_json(ser.frame_to_dict(f)))
     assert np.array_equal(back.raw, f.raw)
     assert back.scale_sq == f.scale_sq
-    assert back.degenerate == f.degenerate
 
 
 def test_fusion_json_round_trip_keeps_provenance():
@@ -76,6 +75,17 @@ def test_fusion_json_round_trip_keeps_provenance():
     for a, b in zip(back.subspaces, ff.subspaces):
         assert np.array_equal(a.basis_raw, b.basis_raw)
         assert a.scale_sq == b.scale_sq
+
+
+def test_older_json_with_a_degenerate_key_still_loads():
+    # The flag is gone: objects no longer write it, and a key an older
+    # version wrote, of any value, is ignored like every unknown key.
+    for obj in (etf_from_hadamard(build_walsh(1).base), build_gff(2, 1)):
+        d = via_json(ser.kind_of(obj).to_dict(obj))
+        assert "degenerate" not in d
+        for old in (True, False, "no"):
+            back = ser.object_from_dict({**d, "degenerate": old})
+            assert via_json(ser.kind_of(back).to_dict(back)) == d
 
 
 def test_json_bytes_are_stable():
@@ -290,8 +300,6 @@ def test_decode_errors_name_the_field():
     d = via_json(ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base)))
     with pytest.raises(ValidationError, match="'scale_sq'"):
         ser.object_from_dict({**d, "scale_sq": {"num": 1, "den": 0}})
-    with pytest.raises(ValidationError, match="'degenerate'"):
-        ser.object_from_dict({**d, "degenerate": "no"})
     with pytest.raises(ValidationError, match="'noise_std'"):
         ser.config_from_dict({"noise_std": "abc"})
     with pytest.raises(ValidationError, match="'k'"):
