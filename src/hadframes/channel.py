@@ -10,9 +10,15 @@ whole units (Kutyniok, Pezeshki, Calderbank & Liu, "Robust dimension
 reduction, fusion frames, and Grassmannian packings", ACHA 2009).
 Reconstruction is least squares on the surviving rows by default, or the
 naive tight-frame sum for comparison against the analytic noise floor.
-Each trial draws from an independent stream derived from (seed, trial
-index), so runs are reproducible and order-independent; aggregation is in
-fixed trial order.
+
+Trials are drawn one at a time and decoded a block at a time. Trial t
+draws from its own stream, derived from (seed, t), in a fixed order: the
+signal x, then the noise, then the survivors. Up to ``BLOCK_TRIALS``
+trials fill one block, one row per trial: the received coefficients
+y = x phi^T + noise and the survivor masks. Each block decodes with a few
+matrix products over all its rows, b = (y * mask) phi first. The errors are
+then aggregated in trial order. How the trials are blocked moves a
+report's floats in their last bits at most, and its counts not at all.
 
 Decoding a tight input. Every object the package builds is tight: the
 scaled columns T of its units (a frame's vectors, or each subspace's
@@ -26,20 +32,23 @@ m_i for a fusion frame). Write T_E^T T_E = W diag(lam) W^T, every lam_j in
 
 with h_j = 1 / (A (A - lam_j)) (the Woodbury identity), except
 h_j = -1 / A^2 where lam_j = A: those directions span the null space of N,
-and -1/A^2 gives the pseudo-inverse's 0 there. Beyond forming b, each trial
-costs one k' x k' eigenproblem and O(M k') work, and no factorization of
-the survivors' rows. Which lam_j equal A is never decided by a float
-cutoff: they come out within about eps * A of A, and 1 / (A - lam_j) would
-then blow rounding error up by 1/eps. Their number is k' - rank(C) for the
-integer k' x k' matrix C = diag(q) (A D^-1 - raw_E^T raw_E), where D holds
-the erased columns' scales and q clears the denominators; for a frame,
-C = c I - raw_E^T raw_E with c = A / scale_sq. C is tiny and mostly
-singular, so its rank comes from fraction-free elimination, exactly. The
-same count is the dimension the survivors fail to span, so it also decides
-recoverability, once per survivor set and in both modes. Inputs that are
-not tight can only come from an import; they decode through
-``_lstsq_decoder``, and the rank of the survivors' integer columns decides
-their spanning.
+and -1/A^2 gives the pseudo-inverse's 0 there. A block's trials are grouped
+by k'. Each trial's T_E^T T_E is read from the float Gram phi phi^T, built
+once per run, and each group runs one batched k' x k' eigenproblem; no
+survivor set's rows are factored. Which lam_j equal A is never decided by
+a float cutoff: they come out within about eps * A of A, and 1 / (A - lam_j)
+would then blow rounding error up by 1/eps. Their number is k' - rank(C)
+for the integer k' x k' matrix C = diag(q) (A D^-1 - raw_E^T raw_E), where
+D holds the erased columns' scales and q clears the denominators; for a
+frame, C = c I - raw_E^T raw_E with c = A / scale_sq. C's entries are read
+from the exact integer Gram raw^T raw of all columns, which checked_matmul
+computes once per run and which is held as Python ints. C is tiny and
+mostly singular, so its rank comes from fraction-free elimination,
+exactly. The same count is the dimension the survivors fail to span, so it
+also decides recoverability, once per survivor set and in both modes.
+Inputs that are not tight can only come from an import; they decode trial
+by trial through ``_lstsq_decoder``, and the rank of the survivors' integer
+columns decides their spanning.
 
 Fusion noise model. Piece i is sent as its m_i coordinates B_i^T x in
 the scaled orthonormal basis B_i of W_i, as in the paper above, so noise
@@ -70,6 +79,12 @@ Units = Sequence[tuple[np.ndarray, Fraction]]  # each unit's integer columns and
 # A million trials take minutes and put the standard error of mean_mse at
 # a thousandth of the per-trial standard deviation; more is refused.
 MAX_TRIALS = 10**6
+
+# Trials decoded together. On an order-64 input a block's arrays of 128
+# float64 rows take 64 KiB each, below glibc's 128 KiB mmap threshold, so
+# they come from the reused heap; blocks of 1024 ran no faster and raised
+# peak RSS by about 5 MiB.
+BLOCK_TRIALS = 128
 
 
 @dataclass(frozen=True)
@@ -291,28 +306,38 @@ def _lstsq_decoder(phi: np.ndarray, rows: np.ndarray):
 def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction,
                       deficit: Callable[[np.ndarray], int]):
     """Least-squares decoder for a tight input: the rank-k' downdate of the
-    module docstring.
+    module docstring, run on a block of trials.
 
     Unit i owns the next ``rows[i]`` rows of ``phi``, and ``phi^T phi`` =
     ``bound`` * I. ``deficit(keep)`` is the exact dimension of the null space
-    of the survivors' normal matrix. The returned ``decode(y, keep)`` gives
-    the result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)`` without
-    factoring phi_S.
+    of the survivors' normal matrix. The returned ``decode(y, keeps)`` takes
+    one trial per row: its received coefficients in ``y`` and its survivor
+    mask in ``keeps``. Row t of the result is
+    ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's survivors
+    S, computed without factoring phi_S.
     """
-    t_units = np.split(phi.T, np.cumsum(rows)[:-1], axis=1)
     a = float(bound)
+    gram = phi @ phi.T
 
-    def decode(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        b = phi.T @ (y * np.repeat(keep, rows))
-        erased = np.flatnonzero(~keep)
-        if not erased.size:
-            return b / a
-        t_e = np.hstack([t_units[i] for i in erased])
-        lam, w = np.linalg.eigh(t_e.T @ t_e)
-        kept = len(lam) - deficit(keep)  # lam <= A, so the null ones come last
-        h = np.full(len(lam), -1.0 / a**2)
-        h[:kept] = 1.0 / (a * (a - lam[:kept]))
-        return b / a + t_e @ (w @ (h * (w.T @ (t_e.T @ b))))
+    def decode(y: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+        erased = ~np.repeat(keeps, rows, axis=1)
+        b = (y * ~erased) @ phi
+        x = b / a
+        counts = erased.sum(axis=1)
+        for k in set(counts.tolist()) - {0}:
+            group = np.flatnonzero(counts == k)
+            e = erased[group].nonzero()[1].reshape(-1, k)  # each trial's erased rows
+            lam, w = np.linalg.eigh(gram[e[:, :, None], e[:, None, :]])
+            # lam <= A in ascending order, so each trial's null directions come last
+            live = np.arange(k) < k - np.array([deficit(keeps[t]) for t in group])[:, None]
+            h = np.full(lam.shape, -1.0 / a**2)
+            h[live] = 1.0 / (a * (a - lam[live]))
+            z = np.take_along_axis(b[group] @ phi.T, e, axis=1)  # T_E^T b
+            v = (w @ (h * (z[:, None, :] @ w)[:, 0])[:, :, None])[:, :, 0]
+            s = np.zeros((len(group), len(phi)))
+            np.put_along_axis(s, e, v, axis=1)
+            x[group] += s @ phi  # T_E v
+        return x
 
     return decode
 
@@ -324,19 +349,21 @@ def _erasure_deficit(units: Units, bound: Fraction):
     The input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j),
     where G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator
     of A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
+    G is read from the exact Gram of all columns, computed once.
     """
-    ratios = [bound / scale for _, scale in units]
+    raw = np.hstack([r for r, _ in units])
+    gram = checked_matmul(raw.T, raw).tolist()
+    ratios = [bound / scale for r, scale in units for _ in range(r.shape[1])]
+    num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
+    rows = np.array([r.shape[1] for r, _ in units])
 
     def deficit(keep: np.ndarray) -> int:
-        erased = np.flatnonzero(~keep)
-        if not erased.size:
+        erased = np.flatnonzero(~np.repeat(keep, rows)).tolist()
+        if not erased:
             return 0
-        raw = np.hstack([units[i][0] for i in erased])
-        col_ratios = [ratios[i] for i in erased for _ in range(units[i][0].shape[1])]
-        c = checked_matmul(raw.T, raw).tolist()
-        for j, ratio in enumerate(col_ratios):
-            c[j] = [-ratio.denominator * v for v in c[j]]
-            c[j][j] += ratio.numerator
+        c = [[-den[i] * gram[i][j] for j in erased] for i in erased]
+        for j, i in enumerate(erased):
+            c[j][j] += num[i]
         return len(c) - _rank_fraction_free(c)
 
     return deficit
@@ -361,13 +388,13 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
     columns side by side are T, and ``phi = T^T`` is the one analysis map:
     unit i sends its columns' coefficients, so it owns as many rows of
     ``phi`` as it has columns. After the erasure check, ``tightness()`` gives
-    (tight, A). Naive mode needs a tight input and returns
-    ``phi^T (y * mask) / A``; otherwise a tight input decodes through
-    ``_downdate_decoder`` and any other through ``_lstsq_decoder``. How far
-    each survivor set falls short of spanning F^M is decided exactly once
-    per set: from the k' x k' matrix C for a tight input, from the rank of
-    the survivors' columns otherwise. ``what`` names the units in error
-    messages.
+    (tight, A). Trials are drawn one by one and decoded ``BLOCK_TRIALS`` at a
+    time. Naive mode needs a tight input and returns ``(y * mask) phi / A``;
+    otherwise a tight input decodes through ``_downdate_decoder`` and any
+    other trial by trial through ``_lstsq_decoder``. How far each survivor
+    set falls short of spanning F^M is decided exactly once per set: from
+    the k' x k' matrix C for a tight input, from the rank of the survivors'
+    columns otherwise. ``what`` names the units in error messages.
     """
     n_units = len(units)
     _check_erasure(cfg.erasure, n_units, what)
@@ -389,25 +416,31 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
         if not tight:
             raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
         a = float(bound)
-        decode = lambda y, keep: phi.T @ (y * np.repeat(keep, rows)) / a  # noqa: E731
+        decode = lambda y, keeps: (y * np.repeat(keeps, rows, axis=1)) @ phi / a  # noqa: E731
     elif tight:
         decode = _downdate_decoder(phi, rows, bound, deficit)
     else:
-        decode = _lstsq_decoder(phi, rows)
+        lstsq = _lstsq_decoder(phi, rows)
+        decode = lambda y, keeps: np.array([  # noqa: E731
+            lstsq(row, keep) if keep.any() else np.zeros(m) for row, keep in zip(y, keeps)])
     acc = _Accumulator()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, trial)
-            x = signal_source(rng, m)
-            y = phi @ x
-            if cfg.noise_std > 0:
-                y = y + rng.normal(0.0, cfg.noise_std, size=y.shape)
-            keep = _survivors(cfg.erasure, n_units, rng)
-            xhat = decode(y, keep) if keep.any() else np.zeros(m)
-            mse = float(((xhat - x) ** 2).sum())
-            if not math.isfinite(mse):
+        for start in range(0, cfg.trials, BLOCK_TRIALS):
+            n = min(BLOCK_TRIALS, cfg.trials - start)
+            x = np.empty((n, m))
+            noise = np.zeros((n, len(phi)))
+            keeps = np.empty((n, n_units), dtype=bool)
+            for t in range(n):
+                rng = _trial_rng(cfg.seed, start + t)
+                x[t] = signal_source(rng, m)
+                if cfg.noise_std > 0:
+                    noise[t] = rng.normal(0.0, cfg.noise_std, size=len(phi))
+                keeps[t] = _survivors(cfg.erasure, n_units, rng)
+            mse = ((decode(x @ phi.T + noise, keeps) - x) ** 2).sum(axis=1)
+            if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
-            acc.add(mse, deficit(keep) == 0, cfg.exact_threshold)
+            for err, keep in zip(mse.tolist(), keeps):
+                acc.add(err, deficit(keep) == 0, cfg.exact_threshold)
     return acc.report(cfg, len(spans))
 
 

@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from hadframes import (
     etf_from_hadamard,
     frame_from_integer_columns,
     fusion_tight,
+    is_tight,
     make_fusion_frame,
     normalize_first_row,
     sign_matrix,
@@ -35,14 +37,18 @@ from hadframes import (
 from hadframes import channel
 from hadframes.channel import (
     MAX_TRIALS,
+    SimReport,
     _downdate_decoder,
     _erasure_deficit,
     _lstsq_decoder,
     _spanning_deficit,
+    _trial_rng,
+    default_signal_source,
     simulate,
 )
 from hadframes.cli import main
 from hadframes.frames import synthesis_matrix
+from hadframes.intlinalg import int_rank
 from hadframes.serialize import (
     canonical_dumps,
     config_from_dict,
@@ -129,11 +135,14 @@ def test_gff31_survives_any_single_subspace_erasure(erased):
 
 
 def test_erasing_a_basis_vector_is_not_recoverable(basis3):
-    cfg = ChannelConfig(erasure=ErasureSpec.fixed([1]), trials=10, seed=5)
-    rep = simulate_frame(basis3, cfg)
-    assert rep.non_recoverable_count == 10
-    assert rep.exact_recovery_count == 0
-    assert np.isfinite(rep.max_mse)  # minimum-norm solution, never unbounded
+    for mode in ("lstsq", "naive"):
+        cfg = ChannelConfig(erasure=ErasureSpec.fixed([1]), trials=10, seed=5, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing divides by A - lam on the null direction
+            rep = simulate_frame(basis3, cfg)
+        assert rep.non_recoverable_count == 10
+        assert rep.exact_recovery_count == 0
+        assert np.isfinite(rep.max_mse)  # minimum-norm solution, never unbounded
 
 
 # ---------------------------------------------------------------------------
@@ -442,32 +451,43 @@ def test_decoder_matches_lstsq_on_rank_deficient_and_ill_conditioned_survivors(b
 
 
 def test_decoder_builds_are_bounded_and_memory_does_not_grow_with_trials(monkeypatch):
-    ff = build_gff(4, 1)  # 8 pieces in F^14: a cap of 8 maps, 28 survivor sets
-    cap = len(ff.subspaces)
-    svd, builds = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: builds.append(1) or svd(*a, **k))
+    # Not tight: the six roots (1, +-1, 0) of D_3 in every coordinate order,
+    # plus a second (1, 1, 0) and (0, 1, 1). 8 vectors in F^3 give
+    # _lstsq_decoder a cap of 8 * 3 // 9 = 2 maps, and two erasures give
+    # up to C(8, 2) = 28 survivor sets.
+    roots = [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, -1, 0], [1, 0, -1], [0, 1, -1]]
+    lop = frame_from_integer_columns(np.array(roots + [[1, 1, 0], [0, 1, 1]]).T, Fraction(1, 2))
+    assert not is_tight(lop)[0]
+    cap = lop.count * 3 // 9
+    svd, lstsq, calls = np.linalg.svd, np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
 
-    def run(trials):
+    def run(obj, trials):
         cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(2), trials=trials, seed=5)
-        return simulate_fusion(ff, cfg)
+        return simulate(obj, cfg)
 
-    # The first run also fills the interpreter's free lists, which would
-    # otherwise count towards a traced run; a full collection empties them,
-    # so the collector stays off until the traced runs are done.
+    rep = run(lop, 2000)
+    assert calls.count("svd") <= min(cap, rep.survivor_sets)
+    assert rep.survivor_sets > cap and "lstsq" in calls  # the cache filled and lstsq ran
+    monkeypatch.undo()
+    # The first run of each input also fills the interpreter's free lists,
+    # which would otherwise count towards a traced run; a full collection
+    # empties them, so the collector stays off until the traced runs are done.
+    # GFF(4,1) is tight, so it checks the block decoder the same way.
     gc.disable()
     try:
-        rep, built = run(2000), len(builds)
-        peaks = []
-        for trials in (200, 2000):
-            tracemalloc.start()
-            run(trials)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+        for obj in (lop, build_gff(4, 1)):
+            run(obj, 2000)
+            peaks = []
+            for trials in (200, 2000):
+                tracemalloc.start()
+                run(obj, trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) <= 16 * 1024, (obj, peaks)
     finally:
         gc.enable()
-    assert built <= min(cap, rep.survivor_sets)
-    assert rep.survivor_sets > cap  # the cache filled and the lstsq path ran
-    assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
 
 
 def test_fusion_noise_model_mse_matches_analytic_values():
@@ -576,22 +596,23 @@ def channel_inputs(obj):
 
 
 def assert_downdate_matches_lstsq(obj, erased_sets, seed):
-    """For every erased set, the tight decoder matches x = np.linalg.lstsq's
-    solution within 1e-12 * (1 + |x|), and the exact count k' - rank(C) is
-    the dimension the survivors' integer columns fail to span."""
+    """Decode every erased set as one row of a single block. Each row must
+    match x = np.linalg.lstsq's solution within 1e-12 * (1 + |x|), and the
+    exact count k' - rank(C) must be the dimension the survivors' integer
+    columns fail to span."""
     phi, rows, units, bound = channel_inputs(obj)
     m = phi.shape[1]
     exact = _erasure_deficit(units, bound)
     by_rank = _spanning_deficit(units, m)
-    decode = _downdate_decoder(phi, rows, bound, exact)
+    keeps = np.array([~survivor_mask(len(units), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
-    for erased in erased_sets:
-        keep = ~survivor_mask(len(units), erased)
+    y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
+    got = _downdate_decoder(phi, rows, bound, exact)(y, keeps)
+    for erased, keep, y_t, x in zip(erased_sets, keeps, y, got):
         assert exact(keep) == by_rank(keep), erased
         idx = np.repeat(keep, rows)
-        y = phi @ rng.standard_normal(m) + rng.normal(0.0, 0.1, phi.shape[0])
-        want = np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
-        assert np.abs(decode(y, keep) - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
+        want = np.linalg.lstsq(phi[idx], y_t[idx], rcond=None)[0]
+        assert np.abs(x - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
 
 
 def erased_sets(units, sizes):
@@ -712,3 +733,125 @@ def test_non_tight_import_decodes_through_the_lstsq_decoder(monkeypatch):
     assert rep.exact_recovery_count == 40 - rep.non_recoverable_count
     assert rep.survivor_sets == 3
 
+
+
+# ---------------------------------------------------------------------------
+# trials decoded in blocks
+
+
+def unequal_f3():
+    """The tight fusion frame of F^3 with dimensions 2, 1, 1, 2 (A = 2): its
+    erased sets have k' from 1 to 4."""
+    e = np.eye(3, dtype=int)
+    return make_fusion_frame([subspace_from_columns(e[:, cols], 1)
+                              for cols in ([0, 1], [2], [0], [1, 2])])
+
+
+def reference_report(obj, cfg):
+    """The channel written out trial by trial: the same draws from each
+    trial's stream, np.linalg.lstsq on the surviving rows (or the naive sum
+    in naive mode), and int_rank of the surviving columns for recoverability."""
+    phi, rows, units, bound = channel_inputs(obj)
+    m = phi.shape[1]
+    mses, non_recoverable, sets = [], 0, set()
+    for trial in range(cfg.trials):
+        rng = _trial_rng(cfg.seed, trial)
+        x = default_signal_source(rng, m)
+        y = phi @ x
+        if cfg.noise_std > 0:
+            y = y + rng.normal(0.0, cfg.noise_std, size=len(phi))
+        keep = np.ones(len(units), dtype=bool)
+        keep[list(cfg.erasure.indices)] = False
+        if cfg.erasure.mode == "random":
+            keep[rng.choice(len(units), size=cfg.erasure.k, replace=False)] = False
+        idx = np.repeat(keep, rows)
+        if cfg.mode == "naive":
+            xhat = phi[idx].T @ y[idx] / float(bound)
+        else:
+            xhat = np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
+        mses.append(float(((xhat - x) ** 2).sum()))
+        non_recoverable += int_rank(np.hstack([units[i][0] for i in np.flatnonzero(keep)])) < m
+        sets.add(keep.tobytes())
+    mses = np.array(mses)
+    return SimReport(
+        mean_mse=float(mses.mean()),
+        max_mse=float(mses.max()),
+        trials_run=cfg.trials,
+        exact_recovery_count=int((mses < cfg.exact_threshold).sum()),
+        non_recoverable_count=non_recoverable,
+        config=cfg,
+        mean_mse_stderr=float(mses.std(ddof=1) / math.sqrt(cfg.trials)),
+        survivor_sets=len(sets),
+    )
+
+
+def assert_reports_agree(got, want):
+    """Equal counts and config; floats within 1e-12 relative, or both below
+    1e-24 where a noiseless run recovers exactly and leaves rounding alone."""
+    for name in ("trials_run", "exact_recovery_count", "non_recoverable_count",
+                 "survivor_sets", "config"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("mean_mse", "max_mse", "mean_mse_stderr"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-24), name
+
+
+ETF8 = etf_from_hadamard(build_walsh(3).base)
+ETF16 = etf_from_hadamard(build_walsh(4).base)
+REFERENCE_CASES = [
+    (ETF8, 0.1, ErasureSpec.random_k(2), "lstsq"),  # 6 vectors in F^7: null directions
+    (ETF8, 0.1, ErasureSpec.fixed([0, 5]), "lstsq"),
+    (ETF16, 0.0, ErasureSpec.random_k(1), "lstsq"),  # exact recovery
+    (ETF16, 0.1, ErasureSpec.fixed([3]), "lstsq"),
+    (ETF16, 0.1, ErasureSpec.random_k(3), "lstsq"),
+    (build_gff(4, 1), 0.1, ErasureSpec.random_k(2), "lstsq"),
+    (unequal_f3(), 0.1, ErasureSpec.random_k(2), "lstsq"),
+    (ETF8, 0.1, ErasureSpec.random_k(1), "naive"),
+    (unequal_f3(), 0.1, ErasureSpec.random_k(2), "naive"),
+]
+
+
+@pytest.mark.parametrize("obj,noise_std,erasure,mode", REFERENCE_CASES)
+def test_block_decoding_matches_a_per_trial_lstsq_reference(obj, noise_std, erasure, mode):
+    cfg = ChannelConfig(noise_std=noise_std, erasure=erasure, trials=300, seed=31, mode=mode)
+    assert_reports_agree(simulate(obj, cfg), reference_report(obj, cfg))
+
+
+@pytest.mark.parametrize("obj,mode", [
+    (ETF8, "lstsq"),
+    (unequal_f3(), "lstsq"),
+    (ETF8, "naive"),
+    (frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1), "lstsq"),  # not tight
+])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, obj, mode):
+    cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(1), trials=300, seed=8, mode=mode)
+    default = simulate(obj, cfg)
+    for block in (1, 7, channel.BLOCK_TRIALS):
+        monkeypatch.setattr(channel, "BLOCK_TRIALS", block)
+        assert_reports_agree(simulate(obj, cfg), default)
+
+
+@pytest.mark.parametrize("obj,units,mode", [
+    (frame_from_integer_columns(np.eye(3, dtype=int), 1), 3, "lstsq"),
+    (frame_from_integer_columns(np.eye(3, dtype=int), 1), 3, "naive"),
+    (unequal_f3(), 4, "lstsq"),
+    (unequal_f3(), 4, "naive"),
+    (frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1), 3, "lstsq"),  # not tight
+])
+def test_erasing_every_unit_decodes_zero_without_runtime_warning(monkeypatch, obj, units, mode):
+    signals, mses = [], []
+    add = channel._Accumulator.add
+    monkeypatch.setattr(channel._Accumulator, "add",
+                        lambda self, mse, *rest: mses.append(mse) or add(self, mse, *rest))
+
+    def source(rng, dim):
+        signals.append(default_signal_source(rng, dim))
+        return signals[-1]
+
+    cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.fixed(range(units)), trials=200,
+                        seed=5, mode=mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = simulate(obj, cfg, source)
+    assert rep.non_recoverable_count == 200 and rep.exact_recovery_count == 0
+    # xhat = 0 in every trial, so each squared error is |x|^2
+    assert mses == pytest.approx([float((x ** 2).sum()) for x in signals], rel=1e-15)
