@@ -349,13 +349,16 @@ def _erasure_deficit(units: Units, bound: Fraction):
     The input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j),
     where G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator
     of A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
-    G is read from the exact Gram of all columns, computed once.
+    G is read from the exact Gram of all columns, computed once. Distinct
+    survivor sets often share C (on an ETF, C only depends on the signs of
+    the erased vectors' inner products), so each C is eliminated once.
     """
     raw = np.hstack([r for r, _ in units])
     gram = checked_matmul(raw.T, raw).tolist()
     ratios = [bound / scale for r, scale in units for _ in range(r.shape[1])]
     num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
     rows = np.array([r.shape[1] for r, _ in units])
+    ranks: dict[tuple[tuple[int, ...], ...], int] = {}
 
     def deficit(keep: np.ndarray) -> int:
         erased = np.flatnonzero(~np.repeat(keep, rows)).tolist()
@@ -364,7 +367,11 @@ def _erasure_deficit(units: Units, bound: Fraction):
         c = [[-den[i] * gram[i][j] for j in erased] for i in erased]
         for j, i in enumerate(erased):
             c[j][j] += num[i]
-        return len(c) - _rank_fraction_free(c)
+        key = tuple(map(tuple, c))
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = _rank_fraction_free(c)
+        return len(c) - rank
 
     return deficit
 

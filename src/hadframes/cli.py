@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -39,7 +38,7 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return serialize.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 

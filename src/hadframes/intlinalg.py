@@ -5,6 +5,19 @@ overflow bounds and fall back to arbitrary-precision Python integers when
 they would not. checked_matmul is the one exact product kernel: the Gram
 of a +-1 matrix, a frame's Gram and frame operator, and a fusion frame's
 block Gram all go through it.
+
+checked_matmul computes in one of four tiers, chosen from the bound
+max|a| * max|b| * k on every partial sum of the product:
+
+- below 2**21, float32 BLAS, exact because float32 holds every integer up
+  to 2**24;
+- below 2**50, float64 BLAS, exact because float64 holds every integer up
+  to 2**53;
+- below 2**62, int64, which cannot overflow;
+- above, Python integers in an object array.
+
+Each float tier keeps a factor 8 of headroom under its limit, and both
+return int64.
 """
 
 from __future__ import annotations
@@ -18,8 +31,10 @@ from .errors import ValidationError
 # Largest prime below 2**31; residues and their products fit in int64.
 _RANK_PRIME = 2_147_483_647
 
-# checked_matmul takes the float64 BLAS path below this product bound: a
-# factor 8 of headroom under 2**53, the limit of the exactness argument.
+# checked_matmul takes the float32 and float64 BLAS paths below these
+# product bounds: a factor 8 of headroom under 2**24 and 2**53, the limits
+# of the exactness argument.
+_FLOAT32_EXACT_BOUND = 1 << 21
 _FLOAT_EXACT_BOUND = 1 << 50
 
 # Below this bound int64 cannot overflow; above it, Python integers.
@@ -45,13 +60,16 @@ def _max_abs(a: np.ndarray) -> int:
 
 
 def _exact_dtype(a: np.ndarray, b: np.ndarray):
-    """The dtype checked_matmul computes a @ b in: float64, int64 or object.
+    """The dtype checked_matmul computes a @ b in: float32, float64, int64
+    or object.
 
     Chosen from the worst-case bound max|a| * max|b| * k on every partial
     sum of the product, where k is the inner dimension. Each maximum counts
     as at least 1, so the entries themselves also lie below the bound.
     """
     bound = _max_abs(a) * _max_abs(b) * a.shape[1]
+    if bound < _FLOAT32_EXACT_BOUND:
+        return np.float32
     if bound < _FLOAT_EXACT_BOUND:
         return np.float64
     if bound < _INT64_EXACT_BOUND:
@@ -76,7 +94,8 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     every product a[i, l] * b[l, j] and every partial sum of them, in any
     order and with or without fused multiply-add, is an integer of
     magnitude at most max|a| * max|b| * k < 2**50, and float64 holds every
-    integer up to 2**53, so no operation rounds. The result is returned as
+    integer up to 2**53, so no operation rounds. The float32 path is the
+    same argument with 2**21 and 2**24. Either result is returned as
     int64. Between 2**50 and 2**62 int64 cannot overflow; beyond that the
     product runs on Python integers and returns an object array.
 
@@ -86,7 +105,7 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ca = a.astype(dtype, copy=False)
     cb = ca.T if _is_transpose(a, b) else b.astype(dtype, copy=False)
     out = ca @ cb
-    if dtype is np.float64:
+    if dtype in (np.float32, np.float64):
         return out.astype(np.int64)
     return np.asarray(out)
 

@@ -6,11 +6,14 @@ lowest terms with positive denominator. CSV carries only the raw integer
 matrix plus one header line with the scale (and subspace dimensions for
 fusion frames); flags that cannot ride along in CSV are JSON-only.
 
-Integer arrays leave the program through one writer, ``_int_text``: a JSON
-array and a CSV body are both its decimal text, computed digit by digit
-over the whole array. No entry ever becomes a Python int or str on the way
-out, so the ``*_to_dict`` functions hand over flat numpy arrays and
-``canonical_dumps`` writes them.
+Integer arrays enter the program through one reader and leave it through
+one writer. ``loads`` is ``json.loads`` except that a JSON array of plain
+integers comes back as a 1-D int64 array: its text is cut into slices at
+commas and each slice's cells are parsed over the whole slice at once, so
+no entry becomes a Python int or str on the way in. ``_int_text`` writes a
+JSON array or a CSV body as decimal text, computed digit by digit over the
+whole array, so the ``*_to_dict`` functions hand over flat numpy arrays and
+``canonical_dumps`` writes them. A CSV body is read by ``np.loadtxt``.
 
 ``KINDS`` is the one place where a kind's format is stated: JSON name and
 fields, CSV header and matrix, certificate, and the verdict per --require
@@ -25,6 +28,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import json.decoder
+import json.scanner
+import re
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
@@ -51,19 +57,30 @@ def _blame(what: str):
         raise ValidationError(f"{what}: {exc}") from None
 
 
+def _plain(value):
+    """``value`` as ``json.loads`` would give it: ``loads`` hands a JSON array
+    of integers over as an int64 array, which is the list of those ints."""
+    return value.tolist() if type(value) is np.ndarray else value
+
+
 def _json(*types: type) -> Callable[[Any], Any]:
     """Reader that accepts a value of exactly these types (a bool is no int)."""
 
     def read(value):
         if type(value) not in types:
             names = " or ".join(t.__name__ for t in types)
-            raise ValidationError(f"expected {names}, got {type(value).__name__}")
+            raise ValidationError(f"expected {names}, got {type(_plain(value)).__name__}")
         return value
 
     return read
 
 
-_INT, _BOOL, _STR, _LIST, _OBJECT = (_json(t) for t in (int, bool, str, list, dict))
+_INT, _BOOL, _STR, _OBJECT = (_json(t) for t in (int, bool, str, dict))
+
+
+def _LIST(value) -> list:
+    """A JSON array as a list."""
+    return _json(list)(_plain(value))
 
 
 def _float(value) -> float:
@@ -111,14 +128,26 @@ def _size(name: str, n: int) -> int:
     return n
 
 
+def _int_array(flat) -> np.ndarray | list:
+    """A flat JSON array of integers: the 1-D int64 array ``loads`` makes of
+    it, or a list, from a dict built in Python or an array ``loads`` left as
+    a list because it is not all plain int64 integers."""
+    if type(flat) is np.ndarray and flat.dtype == np.int64 and flat.ndim == 1:
+        return flat
+    return _json(list)(flat)
+
+
 def _int_matrix(flat, rows: int, cols: int) -> np.ndarray:
     """A flat JSON array of exactly rows * cols integers, as an int64 matrix."""
-    if len(_LIST(flat)) != rows * cols:
+    flat = _int_array(flat)
+    if len(flat) != rows * cols:
         raise ValidationError(f"expected {rows * cols} entries, got {len(flat)}")
-    # Element types, not the array's dtype: a bool/int mix reads as int64.
-    if set(map(type, flat)) - {int}:
-        raise ValidationError("entries must all be JSON integers")
-    return np.asarray(flat, dtype=np.int64).reshape(rows, cols)
+    if type(flat) is list:
+        # Element types, not the array's dtype: a bool/int mix reads as int64.
+        if set(map(type, flat)) - {int}:
+            raise ValidationError("entries must all be JSON integers")
+        flat = np.asarray(flat, dtype=np.int64)
+    return flat.reshape(rows, cols)
 
 
 def fraction_to_pair(fr: Fraction) -> dict:
@@ -127,7 +156,7 @@ def fraction_to_pair(fr: Fraction) -> dict:
 
 def pair_to_fraction(d) -> Fraction:
     if not isinstance(d, dict) or set(d) != {"num", "den"}:
-        raise ValidationError(f"expected a {{num, den}} pair, got {d!r}")
+        raise ValidationError(f"expected a {{num, den}} pair, got {_plain(d)!r}")
     return Fraction(_INT(d["num"]), _INT(d["den"]))
 
 
@@ -198,6 +227,111 @@ def canonical_dumps(payload: dict) -> str:
     sorted keys and compact separators gives for the payload with each
     array written as its list of entries."""
     return _json_text(payload) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON text -> values
+
+# Text per slice of an integer array, cut at the next comma. A slice's index
+# arrays take about 30 bytes per character: at 1 << 20 they lifted the peak
+# RSS of exporting the order-2048 Walsh matrix from JSON above the list
+# reader's, at 1 << 18 it sits 20 MiB below.
+_SLICE_CHARS = 1 << 18
+_INT_DIGITS = 18  # every integer of at most 18 digits fits int64
+_INT_ARRAY = re.compile(r"[-0-9,\t\n\r ]*\]")  # an array's rest, if it holds nothing else
+_COMMA, _MINUS, _ZERO = b",-0"
+
+
+def _int_cells(chunk: bytes) -> np.ndarray | None:
+    """The comma-separated cells of ``chunk``, text of minus signs, digits,
+    commas and JSON whitespace only, as int64; None unless every cell is a
+    JSON integer of at most ``_INT_DIGITS`` digits with whitespace, if any,
+    only around it."""
+    c = np.frombuffer(chunk, np.uint8)
+    space = c <= ord(" ")  # every other byte is ',', '-' or a digit
+    if space.any():
+        kept = np.flatnonzero(~space)
+        c = c[kept]
+        inside = np.diff(kept) > 1  # whitespace between two kept bytes
+        if (inside & (c[:-1] != _COMMA) & (c[1:] != _COMMA)).any():
+            return None
+    commas = np.flatnonzero(c == _COMMA)
+    starts = np.concatenate(([0], commas + 1))
+    ends = np.append(commas, len(c))
+    if (ends == starts).any():  # an empty cell
+        return None
+    neg = c[starts] == _MINUS
+    first = starts + neg
+    digits = ends - first
+    if (np.count_nonzero(c == _MINUS) > np.count_nonzero(neg)  # a '-' inside a cell
+            or not 1 <= digits.min() <= digits.max() <= _INT_DIGITS
+            or ((c[first] == _ZERO) & (digits > 1)).any()):
+        return None
+    value = np.zeros(len(starts), np.int64)
+    for place in range(int(digits.max()), 0, -1):  # the digit `place` from each cell's end
+        at = ends - place
+        value = value * 10 + np.where(at >= first, c[np.maximum(at, 0)] - np.int64(_ZERO), 0)
+    return np.negative(value, out=value, where=neg)
+
+
+def _int_array_text(s: str, start: int, stop: int) -> np.ndarray | None:
+    """``_int_cells`` of ``s[start:stop]``, parsed a slice of about
+    ``_SLICE_CHARS`` at a time into one preallocated array."""
+    out = np.empty(s.count(",", start, stop) + 1, np.int64)
+    done = 0
+    while True:
+        cut = s.find(",", min(start + _SLICE_CHARS, stop), stop)
+        cut = stop if cut < 0 else cut
+        cells = _int_cells(s[start:cut].encode("ascii"))
+        if cells is None:
+            return None
+        out[done:done + len(cells)] = cells
+        done += len(cells)
+        if cut == stop:
+            return out
+        start = cut + 1
+
+
+def _parse_array(s_and_end: tuple[str, int], scan_once):
+    """The JSON array starting at ``s_and_end``: an int64 array if it holds
+    only JSON integers of at most ``_INT_DIGITS`` digits, otherwise what
+    ``json.loads`` makes of it."""
+    s, start = s_and_end
+    rest = _INT_ARRAY.match(s, start)
+    if rest:
+        cells = _int_array_text(s, start, rest.end() - 1)
+        if cells is not None:
+            return cells, rest.end()
+    return json.decoder.JSONArray(s_and_end, scan_once)
+
+
+def _ascii_number(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    # The pure-Python scanner's number pattern also matches non-ASCII digits,
+    # which json.loads refuses.
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(f"not a JSON number: {text!r}")
+        return parse(text)
+
+    return read
+
+
+def loads(text: str):
+    """``json.loads(text)``, except that each array of JSON integers of at
+    most ``_INT_DIGITS`` digits is a 1-D int64 array instead of a list.
+
+    Text the reader refuses goes to ``json.loads`` itself, so a malformed
+    document raises exactly the error ``json.loads`` raises.
+    """
+    if not text.startswith("\ufeff"):
+        decoder = json.JSONDecoder(parse_int=_ascii_number(int), parse_float=_ascii_number(float))
+        decoder.parse_array = _parse_array
+        decoder.scan_once = json.scanner.py_make_scanner(decoder)
+        try:
+            return decoder.decode(text)
+        except (ValueError, RecursionError):
+            pass
+    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +431,7 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
     scale = _field(d, "scale_sq", pair_to_fraction)
 
     def bases(flats) -> list[np.ndarray]:
-        return [_int_matrix(flat, m, len(_LIST(flat)) // m) for flat in _LIST(flats)]
+        return [_int_matrix(flat, m, len(_int_array(flat)) // m) for flat in _LIST(flats)]
 
     return fusion.make_fusion_frame(
         [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)],

@@ -35,6 +35,7 @@ from hadframes import (
     subspace_from_columns,
 )
 from hadframes import channel
+from hadframes.intlinalg import _rank_fraction_free
 from hadframes.channel import (
     MAX_TRIALS,
     SimReport,
@@ -687,6 +688,22 @@ def test_downdate_matches_lstsq_on_rank_deficient_etf64_sets():
     deficit = _erasure_deficit(units, bound)
     assert [deficit(~survivor_mask(64, d)) for d in drops] == [2] * 3
     assert_downdate_matches_lstsq(etf64, drops, 1)
+
+
+def test_erasure_deficit_eliminates_each_distinct_c_once(monkeypatch):
+    # On the order-64 ETF every 3-set's C has unit diagonal and off-diagonal
+    # entries +-1, so at most 2**3 distinct C's stand behind ~1000 sets.
+    etf64 = etf_from_hadamard(build_walsh(6).base)
+    eliminated = []
+    monkeypatch.setattr(channel, "_rank_fraction_free",
+                        lambda c: eliminated.append(c) or _rank_fraction_free(c))
+    cfg = ChannelConfig(noise_std=0.01, erasure=ErasureSpec.random_k(3), trials=1000, seed=3)
+    report = simulate_frame(etf64, cfg)
+    assert report.survivor_sets > 900
+    assert 1 <= len(eliminated) <= 8
+    assert len({tuple(map(tuple, c)) for c in eliminated}) == len(eliminated)
+    # 61 vectors never span F^63
+    assert report.non_recoverable_count == cfg.trials
 
 
 def test_downdate_clears_fractional_ratios_of_bound_to_scale():

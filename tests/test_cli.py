@@ -205,6 +205,22 @@ def test_simulate_with_config_file(tmp_path, capsys):
     assert report["non_recoverable_count"] == 0
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_config_with_fixed_indices_equals_the_flag(tmp_path, capsys, command):
+    obj = tmp_path / "etf.json"
+    cfgp = tmp_path / "cfg.json"
+    run(capsys, "gen-etf", "--order", "8", "--output", str(obj))
+    cfgp.write_text('{"erasure": {"mode": "fixed", "indices": [1, 2]}}')
+    inputs = ("--input", str(obj)) if command == "simulate" else ("--inputs", str(obj), str(obj))
+    common = (command, *inputs, "--trials", "30", "--seed", "4", "--noise-std", "0.1",
+              "--format", "json")
+    code, from_config, err = run(capsys, *common, "--config", str(cfgp))
+    assert code == 0, err
+    code, from_flag, _ = run(capsys, *common, "--erase-fixed", "1,2")
+    assert code == 0
+    assert from_config == from_flag
+
+
 def test_compare_table(tmp_path, capsys):
     a, b = tmp_path / "etf.json", tmp_path / "basis.json"
     run(capsys, "gen-etf", "--order", "4", "--output", str(a))
@@ -369,7 +385,8 @@ def etf4(tmp_path, capsys):
                '{"erasure":{"mode":"random","k":1,"indices":[1]}}',
                '{"erasure":{"mode":"fixed","indices":[0],"k":2}}',
                '{"erasure":{"mode":"fixed","indices":[]}}', '{"exact_threshold":-1}',
-               '{"trials":10000000000000000000000}'],
+               '{"trials":10000000000000000000000}', "[" * 100000 + "]" * 100000,
+               '{"erasure":{"mode":"fixed","indices":[1,2]],"trials":3}'],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
     cfg = tmp_path / "cfg.json"

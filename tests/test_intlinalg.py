@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,10 @@ def extreme_pair(peak_a: int, peak_b: int, k: int, seed: int):
 @pytest.mark.parametrize(
     "peak_a,peak_b,k,dtype",
     [
+        (127, 16513, 1, np.float32),  # bound 2**21 - 1
+        ((1 << 10) - 1, (1 << 10) + 1, 2, np.float32),  # bound 2**21 - 2
+        (1 << 7, (1 << 7) - 1, 128, np.float32),  # bound 2**21 - 2**14, long partial sums
+        (1 << 10, 1 << 10, 2, np.float64),  # bound 2**21, the float32 threshold
         ((1 << 24) - 1, (1 << 24) + 1, 4, np.float64),  # bound 2**50 - 4
         (1 << 24, 1 << 24, 4, np.int64),  # bound 2**50, the float64 threshold
         ((1 << 31) - 1, (1 << 31) + 1, 1, np.int64),  # bound 2**62 - 1
@@ -94,6 +99,7 @@ def test_checked_matmul_is_exact_at_each_path_threshold(peak_a, peak_b, k, dtype
         a, b = a.astype(np.int64), b.astype(np.int64)
     assert _exact_dtype(a, b) is dtype
     out = checked_matmul(a, b)
+    assert out.dtype == (object if dtype is object else np.int64)
     assert as_ints(out) == object_product(a, b)
     assert int(out[0, 0]) == peak_a * peak_b * k
 
@@ -108,6 +114,32 @@ def test_large_entries_take_the_int64_path_where_float64_rounds():
     assert [[int(x) for x in row] for row in rounded] != exact  # float64 is wrong here
     assert _exact_dtype(a, b) is np.int64
     assert as_ints(checked_matmul(a, b)) == exact
+
+
+def test_entries_that_float32_rounds_take_the_float64_path():
+    k = 64
+    a = np.full((2, k), (1 << 12) + 1, dtype=np.int64)
+    a[1, ::2] = -(1 << 12) + 3
+    b = a.T.copy()
+    exact = object_product(a, b)
+    rounded = (a.astype(np.float32) @ b.astype(np.float32)).astype(object)
+    assert [[int(x) for x in row] for row in rounded] != exact  # float32 is wrong here
+    assert _exact_dtype(a, b) is np.float64
+    assert as_ints(checked_matmul(a, b)) == exact
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_float32_products_match_python_integers_just_under_the_bound(seed):
+    # Every entry random at magnitudes whose bound is just under 2**21, in
+    # shapes large enough for BLAS to block and reorder the partial sums.
+    rng = np.random.default_rng(seed)
+    k = 1 << (7 + seed % 3)
+    peak = math.isqrt(((1 << 21) - 1) // k)
+    a = rng.integers(-peak, peak, size=(33, k), endpoint=True)
+    b = rng.integers(-peak, peak, size=(k, 17), endpoint=True)
+    assert _exact_dtype(a, b) is np.float32 and _exact_dtype(a, a.T) is np.float32
+    assert as_ints(checked_matmul(a, b)) == object_product(a, b)
+    assert as_ints(checked_matmul(a, a.T)) == object_product(a, a.T)
 
 
 def test_all_zero_factor_does_not_hide_a_huge_entry():
@@ -143,7 +175,7 @@ def test_gram_product_detects_the_transposed_view():
 
 
 def test_gram_product_converts_its_input_once():
-    # A wide a: one float64 copy of it dominates the peak, and a second
+    # A wide a: one float copy of it dominates the peak, and a second
     # copy for a.T would double it.
     a = np.ones((4, 1 << 18), dtype=np.int64)
     tracemalloc.start()

@@ -413,3 +413,129 @@ def test_canonical_dumps_writes_arrays_as_json_dumps_writes_lists(a, other):
     payload = {"flat": a.reshape(-1), "rows": list(a), "empty": a[:0, 0], "other": [other]}
     plain = {"flat": a.reshape(-1).tolist(), "rows": a.tolist(), "empty": [], "other": [other]}
     assert ser.canonical_dumps(payload) == reference_json(plain) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the integer-array reader
+
+
+def plain(value):
+    """``value`` with every int64 array ``ser.loads`` made turned back into a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def outcome(load, text: str, size: int):
+    """What ``load`` then ``_int_matrix`` make of ``text``: the 1 x size
+    matrix's entries, or the type and text of the error."""
+    try:
+        return ser._int_matrix(load(text), 1, size).tolist()[0]
+    except (*ser._DECODE_ERRORS, ValidationError) as exc:  # JSONDecodeError is a ValueError
+        return type(exc).__name__, str(exc)
+
+
+json_space = st.text(alphabet=" \t\n\r", max_size=2)
+cell_values = (
+    st.integers(-12, 12) | st.integers(-(2**63), 2**63 - 1)
+    | st.integers(0, 19).flatmap(lambda digits: st.integers(-(10**digits), 10**digits))
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([10**18 - 1, -(10**18) + 1, 10**18, 2**63 - 1, -(2**63), 2**63,
+                       -(2**63) - 1, 10**19 - 1, -(10**19) + 1])
+)
+# Each mutation turns one cell into something json.loads refuses or reads as
+# another type: leading zeros, a lone or misplaced '-', an empty cell,
+# whitespace inside a number, bools, floats, strings, a nested array and
+# non-ASCII digits.
+MUTATIONS = [
+    lambda c: "0" + c.lstrip("-"), lambda c: "-0" + c.lstrip("-"), lambda c: "-",
+    lambda c: c + "-", lambda c: c[:1] + "-" + c[1:], lambda c: "--" + c.lstrip("-"),
+    lambda c: "", lambda c: c[:1] + " " + c[1:], lambda c: "- " + c.lstrip("-"),
+    lambda c: "true", lambda c: "null", lambda c: c + ".0", lambda c: c + "e1",
+    lambda c: f'"{c}"', lambda c: f"[{c}]", lambda c: c + "٣", lambda c: "+" + c,
+]
+
+
+@st.composite
+def int_array_texts(draw) -> tuple[str, int]:
+    """A flat JSON array of integers with random JSON whitespace, perhaps
+    with one cell mutated or a trailing comma, and its cell count."""
+    cells = [str(v) for v in draw(st.lists(cell_values, min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(cells) - 1))
+        cells[at] = draw(st.sampled_from(MUTATIONS))(cells[at])
+    if draw(st.integers(0, 9)) == 0:
+        cells.append("")  # a trailing comma
+    text = "[" + ",".join(draw(json_space) + c + draw(json_space) for c in cells) + "]"
+    return text, len(cells)
+
+
+@settings(max_examples=500, deadline=None)
+@given(int_array_texts(), st.sampled_from([1, 2, 5, ser._SLICE_CHARS]))
+def test_reader_matches_json_loads_then_the_list_path(case, slice_chars):
+    text, size = case
+    with mock.patch.object(ser, "_SLICE_CHARS", slice_chars):
+        got = outcome(ser.loads, text, size)
+    assert got == outcome(json.loads, text, size)
+    if type(got) is list and all(len(str(abs(v))) <= 18 for v in got):
+        assert type(ser.loads(text)) is np.ndarray
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(json_values | st.lists(st.integers(-3, 3)) | st.lists(cell_values), st.booleans())
+def test_reader_reads_any_json_as_json_loads_does(value, indent):
+    text = json.dumps(value, indent=1 if indent else None)
+    assert plain(ser.loads(text)) == json.loads(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000, "﻿[1]", "[1٣]", '{"order": 1٣}', "[1e٣]", "[1,2]x", "[1,2",
+])
+def test_reader_raises_what_json_loads_raises(text):
+    with pytest.raises((ValueError, RecursionError)) as want:
+        json.loads(text)
+    with pytest.raises(want.type) as got:
+        ser.loads(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_reader_hands_its_array_to_the_matrix_without_a_copy():
+    flat = ser.loads("[1, -1, -1, 1]")
+    assert type(flat) is np.ndarray and flat.dtype == np.int64
+    assert np.shares_memory(ser._int_matrix(flat, 2, 2), flat)
+    for text, value in [("[]", []), ("[ ]", []), ("[1.0, 1]", [1.0, 1]),
+                        ("[1234567890123456789]", [1234567890123456789])]:  # 19 digits
+        got = ser.loads(text)
+        assert type(got) is list and got == value
+
+
+def test_decoding_reader_output_gives_the_same_objects_and_errors_as_json_loads():
+    valid = [ser.canonical_dumps(ser.kind_of(o).to_dict(o)) for o in
+             (build_sylvester(2), build_walsh(2), etf_from_hadamard(build_walsh(2).base),
+              build_gff(3, 1))]
+    wrong = ['[1, 2]', '{"kind": [1]}', '{"kind": "frame", "ambient_dim": [3], "count": 4}',
+             '{"kind": "sign_matrix", "order": 2, "entries": [1, 1, 1]}',
+             '{"kind": "frame", "ambient_dim": 1, "count": 1, "raw": [1], "scale_sq": [1, 1]}',
+             '{"kind": "fusion_frame", "ambient_dim": 2, "scale_sq": {"num": 1, "den": 1},'
+             ' "subspaces": [1, 0]}']
+    for text in valid + wrong:
+        results = []
+        for load in (ser.loads, json.loads):
+            try:
+                obj = ser.object_from_dict(load(text))
+                results.append(ser.canonical_dumps(ser.kind_of(obj).to_dict(obj)))
+            except ValidationError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
+    for text in ('{"erasure": {"mode": "fixed", "indices": [1, 2]}}', '{"trials": [3]}'):
+        results = []
+        for load in (ser.loads, json.loads):
+            try:
+                results.append(ser.config_from_dict(load(text)))
+            except ValidationError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], text
