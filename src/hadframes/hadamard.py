@@ -1,7 +1,19 @@
 """Hadamard matrices, sequency (Walsh) ordering, and the fast transform.
 
 A Hadamard matrix of order n is a +-1 matrix H with H @ H.T == n * I,
-checked here in exact integer arithmetic. The sequency-ordered variant
+proved here exactly, in one of two ways:
+
+- a matrix equivalent to Sylvester's (rows and columns permuted and
+  negated) is proved in O(n^2) bit operations by its row group: once
+  normalized, its rows as bit words must be the n elements of a subgroup
+  of F_2^n under XOR whose nonzero words all have weight n/2, the
+  characters of Z_2^k;
+- every other matrix (a Paley matrix, any order that is not a power of
+  two, a power of two outside the Sylvester class, and every matrix that
+  is not Hadamard) gets the exact O(n^3) Gram product, whose first entry
+  off n * I names two rows that are not orthogonal.
+
+The sequency-ordered variant
 W_k rearranges the rows of the order-2^k Sylvester matrix so that row j
 has exactly j sign changes; its rows are the first 2^k Walsh functions
 sampled at t/2^k. Row ordering is produced by an index permutation
@@ -24,11 +36,6 @@ from .intlinalg import checked_matmul, identity_multiple
 DEFAULT_MAX_ORDER = 1 << 16
 MAX_ORDER_ENV = "HADFRAMES_MAX_ORDER"
 
-# Orders up to this bound are re-validated with an exact gram product at
-# construction time; larger orders rely on the doubling recursion, which
-# preserves the defining identity at every step.
-_AUTO_VALIDATE_MAX_ORDER = 1 << 10
-
 
 def max_order() -> int:
     """Configured order cap for constructions and imports (override via HADFRAMES_MAX_ORDER)."""
@@ -43,7 +50,10 @@ class SignMatrix:
     """Square matrix over {+1, -1} with exact integer entries.
 
     ``hadamard_validated`` is only ever set after the defining identity
-    H @ H.T == order * I has been established exactly.
+    H @ H.T == order * I has been proved exactly: by the row-group test
+    when the matrix is equivalent to Sylvester's, otherwise by the Gram
+    product (see ``validate_hadamard``), or by a row permutation or column
+    negation of a matrix so proved.
     """
 
     order: int
@@ -102,10 +112,9 @@ def _checked_order(k: int, limit: int | None) -> int:
 
 
 def _self_check(m: SignMatrix) -> SignMatrix:
-    if m.order <= _AUTO_VALIDATE_MAX_ORDER:
-        cert = validate_hadamard(m)
-        if not cert.ok:
-            raise AssertionError(f"construction produced a non-Hadamard matrix: {cert.detail}")
+    cert = validate_hadamard(m)
+    if not cert.ok:
+        raise AssertionError(f"construction produced a non-Hadamard matrix: {cert.detail}")
     return replace(m, hadamard_validated=True)
 
 
@@ -155,8 +164,58 @@ def build_walsh(k: int, *, limit: int | None = None) -> WalshMatrix:
     return w
 
 
+def _sylvester_class(e: np.ndarray) -> bool:
+    """True only if the +-1 matrix ``e`` is equivalent to a Sylvester matrix,
+    which proves e @ e.T == n * I; False says nothing either way.
+
+    Normalized (columns negated to make row 0 all +1, then rows negated to
+    make column 0 all +1), row i becomes a bit word r_i with a 1 for every
+    -1 entry, and r_i . r_j = n - 2 wt(r_i ^ r_j) over the integers. Row 0
+    is now the zero word. The words must be n distinct ones, every word
+    after row 0 of weight n/2, and they must equal their XOR span, grown
+    by doubling: each row not yet in the span joins it as a generator.
+    Then r_i ^ r_j for i != j is a nonzero word of that group, of weight
+    n/2, so every off-diagonal inner product is 0. A normalized matrix
+    passes exactly when it is Sylvester's up to the order of rows and
+    columns (Sylvester 1867; Horadam, Hadamard Matrices and Their
+    Applications, 2007).
+    """
+    n = e.shape[0]
+    if n < 1 or n & (n - 1):
+        return False
+    bits = e < 0
+    bits ^= bits[0].copy()  # negate columns by row 0
+    bits ^= bits[:, :1].copy()  # negate rows by column 0
+    # Weights on the boolean matrix: np.bitwise_count needs numpy 2.
+    if (np.count_nonzero(bits[1:], axis=1) != n // 2).any():
+        return False
+    packed = np.packbits(bits, axis=1)
+    words = [w.tobytes() for w in packed]
+    rows = set(words)
+    if len(rows) != n:
+        return False
+    span = packed[:1]  # the zero word
+    seen = {words[0]}
+    for word, row in zip(words, packed):
+        if word not in seen:
+            if len(span) == n:
+                return False
+            grown = span ^ row
+            span = np.concatenate([span, grown])
+            seen.update(w.tobytes() for w in grown)
+    return seen == rows
+
+
 def validate_hadamard(m: SignMatrix) -> MatrixCertificate:
-    """Check H @ H.T == n * I in exact integer arithmetic."""
+    """Prove H @ H.T == n * I exactly, or name two rows that are not orthogonal.
+
+    A matrix equivalent to Sylvester's is proved by its row group in O(n^2)
+    bit operations (``_sylvester_class``). Any other matrix gets the exact
+    O(n^3) Gram product from ``checked_matmul``; a failure always comes from
+    the Gram, so its witness is the first entry where the Gram is not n * I.
+    """
+    if _sylvester_class(m.entries):
+        return MatrixCertificate(ok=True, order=m.order, check="hadamard")
     g = checked_matmul(m.entries, m.entries.T)
     c = identity_multiple(g)
     if c == m.order:

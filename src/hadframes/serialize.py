@@ -130,10 +130,11 @@ def _size(name: str, n: int) -> int:
 
 def _int_array(flat) -> np.ndarray | list:
     """A flat JSON array of integers: the 1-D int64 array ``loads`` makes of
-    it, or a list, from a dict built in Python or an array ``loads`` left as
-    a list because it is not all plain int64 integers."""
-    if type(flat) is np.ndarray and flat.dtype == np.int64 and flat.ndim == 1:
-        return flat
+    it, a 1-D signed integer array from a dict built in Python (a sign
+    matrix's int8 entries), or a list, from such a dict or an array
+    ``loads`` left as a list because it is not all plain int64 integers."""
+    if type(flat) is np.ndarray and flat.dtype.kind == "i" and flat.ndim == 1:
+        return flat.astype(np.int64, copy=False)
     return _json(list)(flat)
 
 
@@ -339,8 +340,7 @@ def loads(text: str):
 
 
 def sign_matrix_to_dict(m: hadamard.SignMatrix) -> dict:
-    entries = m.entries.reshape(-1).astype(np.int64)
-    return {"kind": "sign_matrix", "order": m.order, "entries": entries}
+    return {"kind": "sign_matrix", "order": m.order, "entries": m.entries.reshape(-1)}
 
 
 def walsh_matrix_to_dict(w: hadamard.WalshMatrix) -> dict:

@@ -266,6 +266,21 @@ def test_gen_etf_from_supplied_order12_matrix(tmp_path, capsys, had12):
     assert payload["certificate"]["alpha_sq"] == {"num": 1, "den": 121}
 
 
+def test_gen_etf_from_a_paley20_csv(tmp_path, capsys, paley_matrices):
+    # order 20 is no power of two, so the ETF rests on the Gram's proof
+    path = tmp_path / "paley20.csv"
+    body = "\n".join(",".join(map(str, row)) for row in paley_matrices[20])
+    path.write_text(f"# kind=sign_matrix scale_sq=1/1\n{body}\n")
+    code, out, _ = run(capsys, "gen-etf", "--input", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ambient_dim"] == 19 and payload["count"] == 20
+    cert = payload["certificate"]
+    assert cert["tight"] and cert["equiangular"] and cert["welch_equality"]
+    assert cert["bound_A"] == {"num": 20, "den": 19}
+    assert cert["alpha_sq"] == {"num": 1, "den": 361}
+
+
 def test_gen_gff_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "gen-gff", "--n", "2", "--m", "2")
     assert code == 2

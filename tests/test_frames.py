@@ -26,6 +26,7 @@ from hadframes import (
     is_tight,
     normalize_first_row,
     reconstruct_tight,
+    sign_matrix,
     welch_bound_sq,
 )
 
@@ -224,8 +225,6 @@ def test_etf_order8_meets_welch_bound(etf8):
 def test_etf_requires_normalized_first_row():
     m = build_walsh(2).base
     flipped = m.entries * np.array([1, -1, 1, 1])[np.newaxis, :]
-    from hadframes import sign_matrix
-
     with pytest.raises(ValidationError, match="first row"):
         etf_from_hadamard(sign_matrix(flipped))
 
@@ -238,6 +237,13 @@ def test_etf_from_order12_fixture(had12):
     equi, alpha_sq = is_equiangular(f)
     assert equi and alpha_sq == Fraction(1, 121)
     assert coherence(f).max_corr_sq == welch_bound_sq(12, 11)
+
+
+def test_etf_from_paley_matrices_of_orders_12_to_48(paley_matrices):
+    for n in (12, 20, 24, 32, 44, 48):
+        c = grassmannian_certificate(etf_from_hadamard(normalize_first_row(sign_matrix(paley_matrices[n]))))
+        assert c.tight and c.equiangular and c.welch_equality, n
+        assert c.bound_A == Fraction(n, n - 1) and c.alpha_sq == Fraction(1, (n - 1) ** 2), n
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ against a plain matrix-vector product.
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,9 @@ from hadframes import (
     validate_hadamard,
     validate_walsh_order,
 )
-from hadframes.hadamard import MAX_ORDER_ENV, max_order
+from hadframes import cli, hadamard
+from hadframes.hadamard import MAX_ORDER_ENV, MatrixCertificate, _sylvester_class, max_order
+from hadframes.intlinalg import checked_matmul
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -365,3 +368,111 @@ def test_flipping_one_entry_breaks_the_hadamard_certificate(had12, data):
     assert i in rows and cert.detail.endswith(("product 2", "product -2"))
     with pytest.raises(ValidationError):
         etf_from_hadamard(sign_matrix(g))
+
+
+# ---------------------------------------------------------------------------
+# the two proofs: the row group of a Sylvester-class matrix, else the Gram
+
+
+def gram_certificate(h) -> MatrixCertificate:
+    """The verdict and witness of a direct int64 Gram, without validate_hadamard."""
+    h = np.asarray(h, dtype=np.int64)
+    n = len(h)
+    g = h @ h.T
+    bad = np.argwhere(g != n * np.eye(n, dtype=np.int64))
+    if not len(bad):
+        return MatrixCertificate(ok=True, order=n, check="hadamard")
+    i, j = (int(v) for v in bad[0])
+    return MatrixCertificate(
+        ok=False, order=n, check="hadamard", detail=f"rows {i} and {j} have inner product {int(g[i, j])}",
+    )
+
+
+def scrambled(draw, h) -> np.ndarray:
+    """``h`` with rows and columns permuted and negated, and maybe one entry flipped."""
+    n = len(h)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(np.array)
+    g = h[draw(st.permutations(range(n)))][:, draw(st.permutations(range(n)))]
+    g = g * draw(signs)[:, None] * draw(signs)[None, :]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g[i, j] = -g[i, j]
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_group_proof_is_sound_and_certificates_match_the_gram(paley_matrices, data):
+    h = data.draw(st.sampled_from(
+        [build_sylvester(k).entries for k in range(7)]
+        + [build_walsh(k).base.entries for k in range(7)]
+        + list(paley_matrices.values())
+    )).astype(np.int64)
+    m = sign_matrix(scrambled(data.draw, h))
+    direct = gram_certificate(m.entries)
+    if _sylvester_class(m.entries):
+        assert direct.ok
+    assert validate_hadamard(m) == direct
+
+
+def test_paley_orders_4_and_8_are_sylvester_class(paley_matrices):
+    for n in (4, 8):
+        assert _sylvester_class(sign_matrix(paley_matrices[n]).entries), n
+
+
+def test_paley_orders_outside_sylvester_class_are_proved_by_the_gram(paley_matrices, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return checked_matmul(a, b)
+
+    monkeypatch.setattr(hadamard, "checked_matmul", counted)
+    for n in (12, 20, 24, 32, 44, 48):
+        m = sign_matrix(paley_matrices[n])
+        assert not _sylvester_class(m.entries), n
+        assert validate_hadamard(m) == MatrixCertificate(ok=True, order=n, check="hadamard")
+    assert calls == [(n, n) for n in (12, 20, 24, 32, 44, 48)]
+
+
+@pytest.mark.parametrize("rows", [
+    # normalized words 0000, 0100, 0010, 0110: a group under XOR, weights 1, 1, 2
+    [[1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, -1, -1, 1]],
+    # words 0000, 0101, 0101, 0101: weight 2 each, the group {0, 0101} with repeats
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, -1, 1, -1], [1, -1, 1, -1]],
+    # eight distinct words of weight 4 after the first, not closed under XOR:
+    # W_3's word 01101001 replaced by 01111000
+    [[1 - 2 * int(b) for b in w] for w in (
+        "00000000", "00001111", "00110011", "00111100",
+        "01010101", "01011010", "01100110", "01111000")],
+])
+def test_row_group_proof_refuses_words_that_are_not_a_hadamard_group(rows):
+    h = np.array(rows, dtype=np.int8)
+    assert not _sylvester_class(h)
+    assert validate_hadamard(sign_matrix(h)) == gram_certificate(h)
+
+
+def test_sylvester_class_inputs_never_reach_the_cubic_product(paley_matrices, monkeypatch, tmp_path):
+    def refuse(a, b):
+        raise AssertionError("the O(n^3) Gram product was reached")
+
+    monkeypatch.setattr(hadamard, "checked_matmul", refuse)
+    assert build_sylvester(11).hadamard_validated
+    assert build_walsh(11).base.hadamard_validated
+    assert validate_hadamard(build_sylvester(11)).ok
+    assert validate_hadamard(build_walsh(11).base).ok
+
+    rng = np.random.default_rng(9)
+    n = 1 << 9
+    w = build_walsh(9).base.entries.astype(np.int64)
+    g = w[rng.permutation(n)][:, rng.permutation(n)]
+    g = g * rng.choice([-1, 1], n)[:, None] * rng.choice([-1, 1], n)[None, :]
+    assert validate_hadamard(sign_matrix(g)).ok
+
+    out = tmp_path / "w11.json"
+    assert cli.main(["gen-walsh", "--k", "11", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"]["hadamard"]["ok"]
+
+    # the patch is live: a matrix outside the class still reaches it
+    with pytest.raises(AssertionError, match="Gram product was reached"):
+        validate_hadamard(sign_matrix(paley_matrices[12]))

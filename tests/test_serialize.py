@@ -296,6 +296,16 @@ def test_bool_and_float_entries_are_not_coerced():
         ser.object_from_dict({**d, "order": 2.0})
 
 
+def test_sign_matrix_dict_keeps_the_int8_entries():
+    w = build_walsh(3)
+    d = ser.walsh_matrix_to_dict(w)
+    assert d["entries"].dtype == np.int8
+    listed = {**d, "entries": d["entries"].tolist()}
+    assert ser.canonical_dumps(d) == json.dumps(listed, sort_keys=True, separators=(",", ":")) + "\n"
+    back = ser.object_from_dict(d)  # a dict built in Python decodes too
+    assert np.array_equal(back.base.entries, w.base.entries)
+
+
 def test_decode_errors_name_the_field():
     d = via_json(ser.frame_to_dict(etf_from_hadamard(build_walsh(2).base)))
     with pytest.raises(ValidationError, match="'scale_sq'"):
