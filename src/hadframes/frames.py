@@ -48,14 +48,22 @@ class CoherenceReport:
 
 @dataclass(frozen=True)
 class FrameCertificate:
-    """Exact frame verdicts; rational fields are present iff their flag holds."""
+    """Exact frame verdicts; rational fields are present iff their flag holds.
+
+    ``grassmannian`` is tight and equiangular, proved on the frame itself.
+    For unit-norm vectors it implies Welch equality: tightness fixes
+    sum_{i != j} |<e_i, e_j>|^2 = N^2/M - N, and equal angles make every
+    squared correlation equal to its mean over the N(N - 1) ordered pairs,
+    which is the Welch bound. So the frame has the least coherence of any
+    N unit vectors in F^M.
+    """
 
     tight: bool
     bound_A: Fraction | None
     equiangular: bool
     alpha_sq: Fraction | None
     welch_equality: bool
-    grassmannian_by_etf: bool
+    grassmannian: bool
 
 
 def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
@@ -153,7 +161,8 @@ def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
     Deleting the all-ones first row of an order-n Hadamard matrix leaves n
     columns in F^(n-1); scaled by 1/sqrt(n-1) they form a unit-norm frame
     that is tight with bound n/(n-1) and equiangular with correlation
-    1/(n-1), which meets the Welch bound with equality.
+    1/(n-1), which meets the Welch bound with equality. The input is proved
+    Hadamard here, once, by ``require_hadamard``.
     """
     h = require_hadamard(h)
     n = h.order
@@ -168,11 +177,11 @@ def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
 
 
 def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
-    """Assemble tightness, equiangularity, and Welch-equality verdicts.
+    """Prove tightness, equiangularity, and Welch equality exactly on ``f``.
 
-    tight and equiangular together are sufficient for minimal coherence;
-    no optimality claim is made when either flag is false. The N x N Gram
-    is formed once and read by both the equiangularity and Welch checks.
+    ``grassmannian`` (tight and equiangular) is the minimal-coherence claim;
+    none is made when either verdict is false. The N x N Gram is formed
+    once and read by both the equiangularity and Welch checks.
     """
     if f.count < 2:
         raise ValidationError("certificate needs at least two frame vectors")
@@ -186,7 +195,7 @@ def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
         equiangular=equi,
         alpha_sq=alpha_sq,
         welch_equality=welch_eq,
-        grassmannian_by_etf=tight and equi,
+        grassmannian=tight and equi,
     )
 
 

@@ -5,8 +5,14 @@ them exactly orthonormal. Tightness of a fusion frame (sum of projections
 equal to A * I) is decided by one exact product per distinct scale: the
 bases of that scale stacked side by side, times their transpose, which is
 the sum of their B_i @ B_i.T. The row criterion (lemma_row_check) is the
-same test read row by row. Pairwise chordal distances of a whole frame come
-from one block Gram of the stacked bases.
+same test read row by row. Pairwise chordal distances, of one pair or of a
+whole frame, come from one block Gram of the stacked bases.
+
+Constructors check only what the types require: ``subspace_from_columns``
+that the scaled basis is orthonormal, ``make_fusion_frame`` that the
+subspaces share one ambient space and span it. Tightness, equi-distance and
+optimality are proved by ``equidistance_certificate``, from the subspaces
+alone, whichever constructor made them.
 """
 
 from __future__ import annotations
@@ -44,24 +50,38 @@ class Subspace:
 class FusionFrame:
     """Ordered collection of subspaces spanning F^M.
 
-    ``constructed_grassmannian`` is a provenance flag set by build_gff.
+    The object records no property beyond spanning; every claim about it,
+    including the Grassmannian one, is proved by ``equidistance_certificate``.
     """
 
     ambient_dim: int
     subspaces: tuple[Subspace, ...]
-    constructed_grassmannian: bool = False
 
 
 @dataclass(frozen=True)
 class FusionCertificate:
-    """Exact fusion-frame verdicts; rational fields present iff their flag holds."""
+    """Exact fusion-frame verdicts; rational fields present iff their flag holds.
+
+    ``grassmannian`` is tight and equal_dim and equi_distance, which proves
+    that the L subspaces of dimension d are an optimal packing in F^M: their
+    smallest squared chordal distance meets the simplex bound
+    d(M - d)/M * L/(L - 1) (Conway, Hardin & Sloane, "Packing lines,
+    planes, etc.", 1996). For any L such subspaces,
+    ||sum_i P_i - (Ld/M) I||_F^2 >= 0 gives
+    sum_{i != j} tr(P_i P_j) >= L^2 d^2 / M - L d, so the mean pairwise
+    distance d - tr(P_i P_j) is at most the bound, and the smallest at
+    most the mean. A tight frame has sum_i P_i = A I with A = Ld/M, so
+    ||sum_i P_i||_F^2 = A^2 M fixes the sum of all pairwise traces and the
+    mean equals the bound; equal distances then all equal it. So
+    ``dist_sq`` equals the simplex bound exactly when ``grassmannian`` holds.
+    """
 
     tight: bool
     bound_A: Fraction | None
     equal_dim: bool
     equi_distance: bool
     dist_sq: Fraction | None
-    grassmannian_by_construction: bool
+    grassmannian: bool
 
 
 def subspace_from_columns(basis_raw, scale_sq) -> Subspace:
@@ -97,8 +117,8 @@ def projection(s: Subspace) -> np.ndarray:
 def chordal_dist_sq(s1: Subspace, s2: Subspace) -> Fraction:
     """Exact squared chordal distance m - tr(P1 @ P2), in [0, m].
 
-    Uses tr(P1 P2) = scale1 * scale2 * ||B1.T @ B2||_F^2, avoiding the
-    M x M projection matrices.
+    tr(P1 P2) = scale1 * scale2 * ||B1.T @ B2||_F^2 comes from
+    ``_pairwise_traces`` of the pair, avoiding the M x M projection matrices.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise ValidationError(
@@ -108,11 +128,8 @@ def chordal_dist_sq(s1: Subspace, s2: Subspace) -> Fraction:
         raise ValidationError(
             f"chordal distance needs equal dimensions, got {s1.dim} and {s2.dim}"
         )
-    cross = checked_matmul(s1.basis_raw.T, s2.basis_raw)
-    ssq = int((cross.astype(object) ** 2).sum()) if cross.dtype == object else int(
-        np.einsum("ij,ij->", cross, cross)
-    )
-    return Fraction(s1.dim) - Fraction(ssq) * s1.scale_sq * s2.scale_sq
+    traces, den = _pairwise_traces([s1, s2])
+    return s1.dim - Fraction(int(traces[0, 1]), den)
 
 
 def chordal_dist(s1: Subspace, s2: Subspace) -> float:
@@ -120,11 +137,7 @@ def chordal_dist(s1: Subspace, s2: Subspace) -> float:
     return math.sqrt(float(chordal_dist_sq(s1, s2)))
 
 
-def make_fusion_frame(
-    subspaces: Sequence[Subspace],
-    *,
-    constructed_grassmannian: bool = False,
-) -> FusionFrame:
+def make_fusion_frame(subspaces: Sequence[Subspace]) -> FusionFrame:
     """Validate a nonempty spanning collection of subspaces of one space."""
     subs = tuple(subspaces)
     if not subs:
@@ -141,11 +154,7 @@ def make_fusion_frame(
     if bound is None or bound <= 0:
         if int_rank(np.hstack([s.basis_raw for s in subs])) < big_m:
             raise ValidationError("subspaces do not jointly span the ambient space")
-    return FusionFrame(
-        ambient_dim=big_m,
-        subspaces=subs,
-        constructed_grassmannian=constructed_grassmannian,
-    )
+    return FusionFrame(ambient_dim=big_m, subspaces=subs)
 
 
 def _rational_identity_multiple(parts: dict[Fraction, np.ndarray]) -> Fraction | None:
@@ -206,7 +215,8 @@ def build_gff(n: int, m: int) -> FusionFrame:
     columns i + k * 2^(n-m) for k = 0 .. 2^m - 1, each scaled by
     1/sqrt(2^n - 2^m). The result is tight with bound 2^n / (2^n - 2^m)
     and all pairwise squared chordal distances equal
-    2^m - 2^m / (2^(n-m) - 1)^2.
+    2^m - 2^m / (2^(n-m) - 1)^2, the simplex bound. Neither claim is
+    recorded: ``equidistance_certificate`` proves both on the result.
     """
     if not isinstance(n, (int, np.integer)) or not isinstance(m, (int, np.integer)):
         raise ValidationError("n and m must be integers")
@@ -224,7 +234,7 @@ def build_gff(n: int, m: int) -> FusionFrame:
         )
         for i in range(n_sub)
     ]
-    return make_fusion_frame(subs, constructed_grassmannian=True)
+    return make_fusion_frame(subs)
 
 
 def _pairwise_traces(subs: Sequence[Subspace]) -> tuple[np.ndarray, int]:
@@ -248,14 +258,13 @@ def _pairwise_traces(subs: Sequence[Subspace]) -> tuple[np.ndarray, int]:
 
 
 def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
-    """Tightness, equal dimensions, and equal pairwise chordal distances.
+    """Prove tightness, equal dimensions, equal pairwise chordal distances,
+    and from them optimality, in exact arithmetic on ``ff``'s subspaces.
 
     The distances m - tr(P_i P_j) of every pair come from one block Gram
-    (see chordal_dist_sq for the single-pair definition).
-
-    ``grassmannian_by_construction`` is a provenance flag: it is set only
-    for frames produced by build_gff (and only when every computed check
-    also holds); it is not an independent optimality proof.
+    (see chordal_dist_sq for the single-pair definition). ``grassmannian``
+    is proved from these verdicts, not from where ``ff`` came from; see
+    ``FusionCertificate`` for why they prove the simplex bound is met.
     """
     subs = ff.subspaces
     if len(subs) < 2:
@@ -276,9 +285,7 @@ def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
         equal_dim=equal_dim,
         equi_distance=equi,
         dist_sq=dist_sq,
-        grassmannian_by_construction=(
-            ff.constructed_grassmannian and tight and equal_dim and equi
-        ),
+        grassmannian=tight and equal_dim and equi,
     )
 
 

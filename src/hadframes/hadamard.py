@@ -1,5 +1,12 @@
 """Hadamard matrices, sequency (Walsh) ordering, and the fast transform.
 
+Constructors build and certificates prove. ``SignMatrix`` checks only what
+the type requires: a square matrix of order at least 1 with entries +-1.
+``build_sylvester`` and ``build_walsh`` return their matrices unproved, and
+no object records that it was once proved. A Hadamard claim is proved where
+it is made: in the ``hadamard`` certificate of ``validate_hadamard``, and by
+``require_hadamard`` for a caller that needs a Hadamard input.
+
 A Hadamard matrix of order n is a +-1 matrix H with H @ H.T == n * I,
 proved here exactly, in one of two ways:
 
@@ -13,19 +20,17 @@ proved here exactly, in one of two ways:
   is not Hadamard) gets the exact O(n^3) Gram product, whose first entry
   off n * I names two rows that are not orthogonal.
 
-The sequency-ordered variant
-W_k rearranges the rows of the order-2^k Sylvester matrix so that row j
-has exactly j sign changes; its rows are the first 2^k Walsh functions
-sampled at t/2^k. Row ordering is produced by an index permutation
-(bit reversal composed with the binary-to-Gray-code map) and then
-re-verified by counting sign changes, so its correctness is checked,
-never assumed.
+The sequency-ordered variant W_k rearranges the rows of the order-2^k
+Sylvester matrix so that row j has exactly j sign changes; its rows are
+the first 2^k Walsh functions sampled at t/2^k. The row ordering is an
+index permutation (bit reversal composed with the binary-to-Gray-code
+map), and the ``walsh_order`` certificate checks it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,23 +52,22 @@ def max_order() -> int:
 
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
-    """Square matrix over {+1, -1} with exact integer entries.
+    """Square matrix of order at least 1 over {+1, -1}, exact integer entries.
 
-    ``hadamard_validated`` is only ever set after the defining identity
-    H @ H.T == order * I has been proved exactly: by the row-group test
-    when the matrix is equivalent to Sylvester's, otherwise by the Gram
-    product (see ``validate_hadamard``), or by a row permutation or column
-    negation of a matrix so proved.
+    Construction checks only this shape and these entries. Whether the
+    matrix is Hadamard is proved by ``validate_hadamard`` each time it is
+    asked, never recorded on the object.
     """
 
     order: int
     entries: np.ndarray
-    hadamard_validated: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError("sign matrix must be square")
+        if a.shape[0] == 0:
+            raise ValidationError("sign matrix must have order >= 1")
         if not ((a == 1) | (a == -1)).all():
             raise ValidationError("sign matrix entries must be +1 or -1")
         if self.order != a.shape[0]:
@@ -111,24 +115,18 @@ def _checked_order(k: int, limit: int | None) -> int:
     return n
 
 
-def _self_check(m: SignMatrix) -> SignMatrix:
-    cert = validate_hadamard(m)
-    if not cert.ok:
-        raise AssertionError(f"construction produced a non-Hadamard matrix: {cert.detail}")
-    return replace(m, hadamard_validated=True)
-
-
 def build_sylvester(k: int, *, limit: int | None = None) -> SignMatrix:
     """Order-2^k Hadamard matrix from the doubling recursion.
 
     Each step maps H to [[H, H], [H, -H]], starting from [[1]]; the first
-    row and column of the result are all +1.
+    row and column of the result are all +1. The result is not proved
+    here: ``validate_hadamard`` proves it where a certificate claims it.
     """
     n = _checked_order(k, limit)
     h = np.ones((1, 1), dtype=np.int8)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return _self_check(SignMatrix(order=n, entries=h))
+    return SignMatrix(order=n, entries=h)
 
 
 @lru_cache(maxsize=32)
@@ -149,19 +147,13 @@ def build_walsh(k: int, *, limit: int | None = None) -> WalshMatrix:
 
     Row j equals the j-th Walsh function sampled at t/2^k for
     t = 0 .. 2^k - 1; in particular row j has exactly j sign changes and
-    column 0 is all +1. The ordering is verified after construction.
+    column 0 is all +1. Neither the ordering nor the Hadamard property is
+    proved here: the ``walsh_order`` and ``hadamard`` certificates prove
+    them on the matrix a command emits.
     """
-    n = _checked_order(k, limit)
     syl = build_sylvester(k, limit=limit)
-    perm = np.fromiter(_sequency_permutation(int(k)), dtype=np.int64, count=n)
-    w = WalshMatrix(
-        log_order=int(k),
-        base=replace(sign_matrix(syl.entries[perm]), hadamard_validated=True),
-    )
-    cert = validate_walsh_order(w)
-    if not cert.ok:
-        raise AssertionError(f"sequency ordering check failed: {cert.detail}")
-    return w
+    perm = np.fromiter(_sequency_permutation(int(k)), dtype=np.int64, count=syl.order)
+    return WalshMatrix(log_order=int(k), base=sign_matrix(syl.entries[perm]))
 
 
 def _sylvester_class(e: np.ndarray) -> bool:
@@ -239,7 +231,12 @@ def sign_changes(m: SignMatrix) -> np.ndarray:
 
 
 def validate_walsh_order(w: WalshMatrix | SignMatrix) -> MatrixCertificate:
-    """Check sequency ordering: row j has j sign changes and starts at +1."""
+    """Check sequency ordering: row j has j sign changes and starts at +1.
+
+    ``build_walsh`` orders the rows by an index permutation; this
+    certificate re-verifies that order by counting sign changes on the
+    matrix itself, so the ordering is checked, never assumed.
+    """
     m = w.base if isinstance(w, WalshMatrix) else w
     changes = sign_changes(m)
     expected = np.arange(m.order)
@@ -259,25 +256,26 @@ def validate_walsh_order(w: WalshMatrix | SignMatrix) -> MatrixCertificate:
 
 
 def require_hadamard(m: SignMatrix) -> SignMatrix:
-    """Return ``m`` carrying the validated flag, validating now if needed."""
-    if m.hadamard_validated:
-        return m
+    """Return ``m`` once ``validate_hadamard`` has proved it Hadamard.
+
+    The proof runs on every call; a matrix that fails it raises a
+    ValidationError naming two rows that are not orthogonal.
+    """
     cert = validate_hadamard(m)
     if not cert.ok:
         raise ValidationError(f"matrix is not Hadamard: {cert.detail}")
-    return replace(m, hadamard_validated=True)
+    return m
 
 
 def normalize_first_row(m: SignMatrix) -> SignMatrix:
     """Negate columns whose first entry is -1, making the first row all +1.
 
     Column negation is H -> H @ D with D diagonal +-1, so
-    (H @ D)(H @ D).T == H @ H.T and the Hadamard property is preserved.
+    (H @ D)(H @ D).T == H @ H.T: the result is Hadamard exactly when ``m``
+    is. Nothing is proved here; a caller that needs a Hadamard matrix
+    proves the result (``etf_from_hadamard`` does, by ``require_hadamard``).
     """
-    m = require_hadamard(m)
-    flips = np.where(m.entries[0] == -1, np.int8(-1), np.int8(1))
-    out = sign_matrix(m.entries * flips[np.newaxis, :])
-    return replace(out, hadamard_validated=True)
+    return sign_matrix(m.entries * m.entries[0])
 
 
 def fwht(v) -> np.ndarray:

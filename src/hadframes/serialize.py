@@ -4,7 +4,7 @@ JSON is emitted with sorted keys and fixed separators so identical objects
 serialize to identical bytes; rationals appear as {"num", "den"} pairs in
 lowest terms with positive denominator. CSV carries only the raw integer
 matrix plus one header line with the scale (and subspace dimensions for
-fusion frames); flags that cannot ride along in CSV are JSON-only.
+fusion frames).
 
 Integer arrays enter the program through one reader and leave it through
 one writer. ``loads`` is ``json.loads`` except that a JSON array of plain
@@ -75,7 +75,7 @@ def _json(*types: type) -> Callable[[Any], Any]:
     return read
 
 
-_INT, _BOOL, _STR, _OBJECT = (_json(t) for t in (int, bool, str, dict))
+_INT, _STR, _OBJECT = (_json(t) for t in (int, str, dict))
 
 
 def _LIST(value) -> list:
@@ -364,7 +364,6 @@ def fusion_frame_to_dict(ff: fusion.FusionFrame) -> dict:
         "ambient_dim": ff.ambient_dim,
         "scale_sq": fraction_to_pair(_shared_scale(ff)),
         "subspaces": [s.basis_raw.reshape(-1) for s in ff.subspaces],
-        "constructed_grassmannian": ff.constructed_grassmannian,
     }
 
 
@@ -434,8 +433,7 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
         return [_int_matrix(flat, m, len(_int_array(flat)) // m) for flat in _LIST(flats)]
 
     return fusion.make_fusion_frame(
-        [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)],
-        constructed_grassmannian=_field(d, "constructed_grassmannian", _BOOL, False),
+        [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)]
     )
 
 
@@ -480,10 +478,10 @@ def _all_ok(checks: dict, require: str) -> bool:  # a matrix, at every level
     return all(c["ok"] for c in checks.values())
 
 
-def _frame_passes(*grassmannian: str) -> Callable[[dict, str], bool]:
+def _frame_passes(checks: dict, require: str) -> bool:  # a frame or fusion frame
     # "valid" needs no check: construction already re-validated every invariant.
-    needs = {"valid": (), "tight": ("tight",), "grassmannian": ("tight", *grassmannian)}
-    return lambda checks, require: all(checks[k] for k in needs[require])
+    return require == "valid" or checks[require]
+
 
 # Rows reach public functions through module names at call time, so a
 # function rebound there (by a monkeypatch or the benchmark's span tracer) is
@@ -522,7 +520,7 @@ KINDS = (
         ),
         csv_sizes=("ambient_dim", "count"),
         checks=lambda f: frame_certificate_to_dict(frames.grassmannian_certificate(f)),
-        passes=_frame_passes("equiangular", "welch_equality"),
+        passes=_frame_passes,
     ),
     Kind(
         "fusion_frame", fusion.FusionFrame,
@@ -532,7 +530,7 @@ KINDS = (
         from_csv=_fusion_from_csv,
         csv_sizes=("ambient_dim", None),
         checks=lambda ff: fusion_certificate_to_dict(fusion.equidistance_certificate(ff)),
-        passes=_frame_passes("equal_dim", "equi_distance"),
+        passes=_frame_passes,
     ),
 )
 _BY_TYPE = {k.type: k for k in KINDS}

@@ -9,7 +9,7 @@ Criteria:
   1. sequency-ordered matrices validate exactly for k = 0..8
   2. Hadamard ETFs reproduce bound, Gram, and Welch equality up to order 256
   3. fusion-frame construction reproduces bound, row check, traces, distances
-     for all 0 <= m < n <= 8
+     and the simplex bound for all 0 <= m < n <= 8
   4. fast transform equals naive multiplication for k = 0..12
   5. tight-frame and fusion round trips below 1e-12 in floats
   6. Welch inequality holds on 200 random unit-norm frames
@@ -34,6 +34,7 @@ from hadframes import (
     build_walsh,
     chordal_dist_sq,
     coherence,
+    equidistance_certificate,
     etf_from_hadamard,
     float_coherence_sq,
     frame_from_integer_columns,
@@ -116,7 +117,12 @@ def test_criterion_3_fusion_frame_reproduction():
                             d2 = chordal_dist_sq(subs[i], subs[j])
                             assert d2 == dist_expected, f"(n,m,i,j)=({n},{m},{i},{j})"
                             assert Fraction(dim) - d2 == tr_expected
-    report(3, "bound 2^n/(2^n-2^m), row check, pairwise traces and distances for n<=8", t)
+                # equi-distant and tight: the simplex bound d(M-d)/M * L/(L-1)
+                c = equidistance_certificate(ff)
+                big_m, dim = (1 << n) - (1 << m), 1 << m
+                simplex = Fraction(dim * (big_m - dim), big_m) * Fraction(n_sub, n_sub - 1)
+                assert c.grassmannian and c.dist_sq == simplex, f"(n,m)=({n},{m})"
+    report(3, "bound 2^n/(2^n-2^m), row check, pairwise distances at the simplex bound for n<=8", t)
 
 
 def test_criterion_4_fwht_oracle_equivalence():

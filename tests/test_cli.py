@@ -33,7 +33,8 @@ def test_gen_gff_31_certificate_values(capsys):
     cert = json.loads(out)["certificate"]
     assert cert["bound_A"] == {"num": 4, "den": 3}
     assert cert["dist_sq"] == {"num": 16, "den": 9}
-    assert cert["grassmannian_by_construction"]
+    assert cert["grassmannian"]
+    assert "constructed_grassmannian" not in json.loads(out)
 
 
 def test_gen_etf_order8(capsys):
@@ -123,11 +124,19 @@ def test_verify_require_levels(tmp_path, capsys):
         "scale_sq": {"num": 1, "den": 1},
         "raw": [1, 0, -1, 0, 0, 1, 0, -1],
     }
-    path = tmp_path / "roots.json"
-    path.write_text(json.dumps(frame))
-    assert run(capsys, "verify", "--input", str(path), "--require", "valid")[0] == 0
-    assert run(capsys, "verify", "--input", str(path), "--require", "tight")[0] == 0
-    assert run(capsys, "verify", "--input", str(path), "--require", "grassmannian")[0] == 1
+    roots = tmp_path / "roots.json"
+    roots.write_text(json.dumps(frame))
+    # the coordinate planes e1e2, e3e4, e1e3, e2e4 of F^4: tight with A = 2
+    # and of equal dimension, but at squared distances 2 and 1
+    planes = tmp_path / "planes.csv"
+    planes.write_text(
+        "# kind=fusion_frame scale_sq=1/1 subspace_dims=2,2,2,2\n"
+        "1,0,0,0,1,0,0,0\n0,1,0,0,0,0,1,0\n0,0,1,0,0,1,0,0\n0,0,0,1,0,0,0,1\n"
+    )
+    for path in (roots, planes):
+        assert run(capsys, "verify", "--input", str(path), "--require", "valid")[0] == 0
+        assert run(capsys, "verify", "--input", str(path), "--require", "tight")[0] == 0
+        assert run(capsys, "verify", "--input", str(path), "--require", "grassmannian")[0] == 1
 
 
 def test_export_json_to_csv_and_back(tmp_path, capsys):

@@ -252,7 +252,7 @@ def test_etf_from_paley_matrices_of_orders_12_to_48(paley_matrices):
 
 def test_certificate_of_etf_is_all_true(etf4):
     c = grassmannian_certificate(etf4)
-    assert c.tight and c.equiangular and c.welch_equality and c.grassmannian_by_etf
+    assert c.tight and c.equiangular and c.welch_equality and c.grassmannian
     assert c.bound_A == Fraction(4, 3) and c.alpha_sq == Fraction(1, 9)
 
 
@@ -260,20 +260,20 @@ def test_certificate_of_orthonormal_basis(basis2):
     c = grassmannian_certificate(basis2)
     assert c.tight and c.bound_A == 1
     assert c.equiangular and c.alpha_sq == 0
-    assert c.welch_equality and c.grassmannian_by_etf
+    assert c.welch_equality and c.grassmannian
 
 
 def test_certificate_of_fourth_roots(fourth_roots):
     c = grassmannian_certificate(fourth_roots)
     assert c.tight and c.bound_A == 2
     assert not c.equiangular and c.alpha_sq is None
-    assert not c.welch_equality and not c.grassmannian_by_etf
+    assert not c.welch_equality and not c.grassmannian
 
 
 def test_certificate_flags_coincide_on_constructed_frames(etf4, etf8, basis2, fourth_roots):
     for f in (etf4, etf8, basis2, fourth_roots):
         c = grassmannian_certificate(f)
-        assert c.grassmannian_by_etf == (c.tight and c.equiangular) == c.welch_equality
+        assert c.grassmannian == (c.tight and c.equiangular) == c.welch_equality
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ def test_gff31_shape():
     assert len(ff.subspaces) == 4
     assert all(s.dim == 2 for s in ff.subspaces)
     assert all(s.scale_sq == Fraction(1, 6) for s in ff.subspaces)
-    assert ff.constructed_grassmannian
 
 
 def test_gff21_degenerate_whole_space_pair():
@@ -280,7 +279,7 @@ def test_certificate_of_gff31():
     assert c.tight and c.bound_A == Fraction(4, 3)
     assert c.equal_dim and c.equi_distance
     assert c.dist_sq == Fraction(16, 9)
-    assert c.grassmannian_by_construction
+    assert c.grassmannian
 
 
 def test_certificate_of_coordinate_lines():
@@ -288,7 +287,8 @@ def test_certificate_of_coordinate_lines():
     c = equidistance_certificate(ff)
     assert c.tight and c.bound_A == 1
     assert c.equal_dim and c.equi_distance and c.dist_sq == 1
-    assert not c.grassmannian_by_construction  # provenance, not geometry
+    # three lines in F^3 meet the simplex bound 1 * 2/3 * 3/2 = 1
+    assert c.grassmannian
 
 
 def test_certificate_detects_unequal_distances():
@@ -296,10 +296,23 @@ def test_certificate_detects_unequal_distances():
     ff = make_fusion_frame([line(2, 0), line(2, 1), diag])
     c = equidistance_certificate(ff)
     assert c.equal_dim and not c.equi_distance and c.dist_sq is None
+    assert not c.grassmannian
     # distances are 1 (axes) and 1/2 (axis vs diagonal)
     assert chordal_dist_sq(ff.subspaces[0], ff.subspaces[1]) == 1
     assert chordal_dist_sq(ff.subspaces[0], ff.subspaces[2]) == Fraction(1, 2)
     assert chordal_dist_sq(ff.subspaces[1], ff.subspaces[2]) == Fraction(1, 2)
+
+    # tight and of equal dimension is not enough: the coordinate planes
+    # e1e2, e3e4, e1e3, e2e4 of F^4 sum to 2 * I at squared distances 2 and 1
+    e = np.eye(4, dtype=int)
+    planes = make_fusion_frame(
+        [subspace_from_columns(e[:, list(ij)], 1) for ij in ((0, 1), (2, 3), (0, 2), (1, 3))]
+    )
+    c = equidistance_certificate(planes)
+    assert c.tight and c.bound_A == 2 and c.equal_dim
+    assert not c.equi_distance and not c.grassmannian
+    assert chordal_dist_sq(planes.subspaces[0], planes.subspaces[1]) == 2
+    assert chordal_dist_sq(planes.subspaces[0], planes.subspaces[2]) == 1
 
 
 def test_certificate_needs_two_subspaces():

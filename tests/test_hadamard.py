@@ -159,6 +159,11 @@ def test_sign_matrix_rejects_non_sign_entries():
         sign_matrix([[1, 1, 1], [1, -1, 1]])
 
 
+def test_sign_matrix_rejects_order_zero():
+    with pytest.raises(ValidationError, match="order >= 1"):
+        sign_matrix(np.zeros((0, 0), dtype=int))
+
+
 def test_validate_walsh_order_accepts_walsh():
     assert validate_walsh_order(build_walsh(2)).ok
     assert validate_walsh_order(build_walsh(0)).ok
@@ -210,8 +215,9 @@ def test_normalize_preserves_hadamard_certificate():
 
 
 def test_normalize_rejects_non_hadamard():
+    # normalizing proves nothing; the ETF construction refuses the result
     with pytest.raises(ValidationError, match="not Hadamard"):
-        normalize_first_row(sign_matrix([[1, 1], [1, 1]]))
+        etf_from_hadamard(normalize_first_row(sign_matrix([[1, 1], [1, 1]])))
 
 
 def test_normalize_handles_order12_fixture(had12):
@@ -457,8 +463,6 @@ def test_sylvester_class_inputs_never_reach_the_cubic_product(paley_matrices, mo
         raise AssertionError("the O(n^3) Gram product was reached")
 
     monkeypatch.setattr(hadamard, "checked_matmul", refuse)
-    assert build_sylvester(11).hadamard_validated
-    assert build_walsh(11).base.hadamard_validated
     assert validate_hadamard(build_sylvester(11)).ok
     assert validate_hadamard(build_walsh(11).base).ok
 
@@ -476,3 +480,32 @@ def test_sylvester_class_inputs_never_reach_the_cubic_product(paley_matrices, mo
     # the patch is live: a matrix outside the class still reaches it
     with pytest.raises(AssertionError, match="Gram product was reached"):
         validate_hadamard(sign_matrix(paley_matrices[12]))
+
+
+@pytest.mark.parametrize("argv,proofs", [
+    # the certificate proves W_11 and its order once each; nothing before it
+    (["gen-walsh", "--k", "11"],
+     {"_sylvester_class": 1, "validate_walsh_order": 1, "validate_hadamard": 1}),
+    # etf_from_hadamard proves its normalized input once
+    (["gen-etf", "--order", "512"],
+     {"_sylvester_class": 1, "validate_walsh_order": 0, "validate_hadamard": 1}),
+    # the fusion certificate proves what the output claims; W_9 is not proved
+    (["gen-gff", "--n", "9", "--m", "1"],
+     {"_sylvester_class": 0, "validate_walsh_order": 0, "validate_hadamard": 0}),
+])
+def test_each_claim_is_proved_once(monkeypatch, tmp_path, argv, proofs):
+    calls = dict.fromkeys(proofs, 0)
+
+    def counted(name):
+        inner = getattr(hadamard, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in proofs:
+        monkeypatch.setattr(hadamard, name, counted(name))
+    assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == proofs

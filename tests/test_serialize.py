@@ -67,25 +67,17 @@ def test_frame_json_round_trip():
     assert back.scale_sq == f.scale_sq
 
 
-def test_fusion_json_round_trip_keeps_provenance():
-    ff = build_gff(3, 1)
-    back = ser.object_from_dict(via_json(ser.fusion_frame_to_dict(ff)))
-    assert back.constructed_grassmannian
-    assert len(back.subspaces) == 4
-    for a, b in zip(back.subspaces, ff.subspaces):
-        assert np.array_equal(a.basis_raw, b.basis_raw)
-        assert a.scale_sq == b.scale_sq
-
-
 def test_older_json_with_a_degenerate_key_still_loads():
-    # The flag is gone: objects no longer write it, and a key an older
+    # The flags are gone: objects no longer write them, and a key an older
     # version wrote, of any value, is ignored like every unknown key.
-    for obj in (etf_from_hadamard(build_walsh(1).base), build_gff(2, 1)):
+    olds = {"degenerate": (True, False, "no"), "constructed_grassmannian": (True, False, 7, "x")}
+    for obj in (etf_from_hadamard(build_walsh(1).base), build_gff(2, 1), build_gff(3, 1)):
         d = via_json(ser.kind_of(obj).to_dict(obj))
-        assert "degenerate" not in d
-        for old in (True, False, "no"):
-            back = ser.object_from_dict({**d, "degenerate": old})
-            assert via_json(ser.kind_of(back).to_dict(back)) == d
+        for key, values in olds.items():
+            assert key not in d
+            for old in values:
+                back = ser.object_from_dict({**d, key: old})
+                assert via_json(ser.kind_of(back).to_dict(back)) == d
 
 
 def test_json_bytes_are_stable():
