@@ -11,14 +11,22 @@ reduction, fusion frames, and Grassmannian packings", ACHA 2009).
 Reconstruction is least squares on the surviving rows by default, or the
 naive tight-frame sum for comparison against the analytic noise floor.
 
-Trials are drawn one at a time and decoded a block at a time. Trial t
-draws from its own stream, derived from (seed, t), in a fixed order: the
-signal x, then the noise, then the survivors. Up to ``BLOCK_TRIALS``
-trials fill one block, one row per trial: the received coefficients
-y = x phi^T + noise and the survivor masks. Each block decodes with a few
-matrix products over all its rows, b = (y * mask) phi first. The errors are
-then aggregated in trial order. How the trials are blocked moves a
-report's floats in their last bits at most, and its counts not at all.
+Trials are drawn and decoded a block at a time. A run derives three
+streams from its seed, ``np.random.SeedSequence(seed).spawn(3)``: one for
+the signals, one for the noise and one for the erasures. Up to
+``BLOCK_TRIALS`` trials fill one block, one row per trial, and each stream
+fills its share of the block in trial order: the unit signals x, the noise
+on every transmitted scalar, and each trial's k erased units, the k
+smallest of one uniform per unit. numpy draws the same values from a
+stream whether it is asked for them in one call or in many, so the draws
+do not depend on ``BLOCK_TRIALS``, and the first T trials of a longer run
+draw what a T-trial run draws. The signal stream depends only on the seed
+and M, so every input of the same ambient dimension sees the same signals
+trial by trial. Each block decodes the received coefficients
+y = x phi^T + noise under its survivor masks with a few matrix products
+over all its rows, b = (y * mask) phi first. The errors are then
+aggregated in trial order. How the trials are blocked moves a report's
+floats in their last bits at most, and its counts not at all.
 
 Decoding a tight input. Every object the package builds is tight: the
 scaled columns T of its units (a frame's vectors, or each subspace's
@@ -73,7 +81,10 @@ from .frames import ScaledFrame, is_tight
 from .fusion import FusionFrame, fusion_tight
 from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 
-SignalSource = Callable[[np.random.Generator, int], np.ndarray]
+# ``source(rng, n, dim)``: n signals of F^dim as the rows of an (n, dim)
+# array. The channel calls it once per block, in trial order, with the run's
+# signal stream, so one source sees the same stream however trials are blocked.
+SignalSource = Callable[[np.random.Generator, int, int], np.ndarray]
 Units = Sequence[tuple[np.ndarray, Fraction]]  # each unit's integer columns and their scale
 
 # A million trials take minutes and put the standard error of mean_mse at
@@ -167,17 +178,21 @@ class SimReport:
     survivor_sets: int
 
 
-def default_signal_source(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Unit-norm direction drawn uniformly (normalized Gaussian)."""
-    while True:
-        v = rng.standard_normal(dim)
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            return v / nrm
+def default_signal_source(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n unit-norm directions drawn uniformly (normalized Gaussian rows).
 
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(trial)])
+    A row that draws all zeros is drawn again from a stream spawned off
+    ``rng``, the j-th such row from the j-th spawned stream, so the redraw
+    does not depend on where the block starts.
+    """
+    v = rng.standard_normal((n, dim))
+    nrm = np.linalg.norm(v, axis=1)
+    for t in np.flatnonzero(nrm == 0):
+        redraw = rng.spawn(1)[0]
+        while nrm[t] == 0:
+            v[t] = redraw.standard_normal(dim)
+            nrm[t] = np.linalg.norm(v[t])
+    return v / nrm[:, None]
 
 
 def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
@@ -189,15 +204,6 @@ def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
         raise ValidationError(
             f"random erasure count {spec.k} must be below the {units} transmitted {what}"
         )
-
-
-def _survivors(spec: ErasureSpec, units: int, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of the units that get through one trial."""
-    keep = np.ones(units, dtype=bool)
-    keep[list(spec.indices)] = False  # empty unless the mode is fixed
-    if spec.mode == "random":
-        keep[rng.choice(units, size=spec.k, replace=False)] = False
-    return keep
 
 
 def _non_finite(cfg: ChannelConfig) -> ValidationError:
@@ -303,23 +309,22 @@ def _lstsq_decoder(phi: np.ndarray, rows: np.ndarray):
     return decode
 
 
-def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction,
-                      deficit: Callable[[np.ndarray], int]):
+def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction):
     """Least-squares decoder for a tight input: the rank-k' downdate of the
     module docstring, run on a block of trials.
 
     Unit i owns the next ``rows[i]`` rows of ``phi``, and ``phi^T phi`` =
-    ``bound`` * I. ``deficit(keep)`` is the exact dimension of the null space
-    of the survivors' normal matrix. The returned ``decode(y, keeps)`` takes
-    one trial per row: its received coefficients in ``y`` and its survivor
-    mask in ``keeps``. Row t of the result is
+    ``bound`` * I. The returned ``decode(y, keeps, deficits)`` takes one
+    trial per row: its received coefficients in ``y``, its survivor mask in
+    ``keeps``, and in ``deficits`` the exact dimension of the null space of
+    its survivors' normal matrix. Row t of the result is
     ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's survivors
     S, computed without factoring phi_S.
     """
     a = float(bound)
     gram = phi @ phi.T
 
-    def decode(y: np.ndarray, keeps: np.ndarray) -> np.ndarray:
+    def decode(y: np.ndarray, keeps: np.ndarray, deficits: np.ndarray) -> np.ndarray:
         erased = ~np.repeat(keeps, rows, axis=1)
         b = (y * ~erased) @ phi
         x = b / a
@@ -329,7 +334,7 @@ def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction,
             e = erased[group].nonzero()[1].reshape(-1, k)  # each trial's erased rows
             lam, w = np.linalg.eigh(gram[e[:, :, None], e[:, None, :]])
             # lam <= A in ascending order, so each trial's null directions come last
-            live = np.arange(k) < k - np.array([deficit(keeps[t]) for t in group])[:, None]
+            live = np.arange(k) < k - deficits[group][:, None]
             h = np.full(lam.shape, -1.0 / a**2)
             h[live] = 1.0 / (a * (a - lam[live]))
             z = np.take_along_axis(b[group] @ phi.T, e, axis=1)  # T_E^T b
@@ -395,8 +400,9 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
     columns side by side are T, and ``phi = T^T`` is the one analysis map:
     unit i sends its columns' coefficients, so it owns as many rows of
     ``phi`` as it has columns. After the erasure check, ``tightness()`` gives
-    (tight, A). Trials are drawn one by one and decoded ``BLOCK_TRIALS`` at a
-    time. Naive mode needs a tight input and returns ``(y * mask) phi / A``;
+    (tight, A). Trials are drawn and decoded ``BLOCK_TRIALS`` at a time from
+    the run's signal, noise and erasure streams, as the module docstring
+    says. Naive mode needs a tight input and returns ``(y * mask) phi / A``;
     otherwise a tight input decodes through ``_downdate_decoder`` and any
     other trial by trial through ``_lstsq_decoder``. How far each survivor
     set falls short of spanning F^M is decided exactly once per set: from
@@ -404,7 +410,8 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
     columns otherwise. ``what`` names the units in error messages.
     """
     n_units = len(units)
-    _check_erasure(cfg.erasure, n_units, what)
+    spec = cfg.erasure
+    _check_erasure(spec, n_units, what)
     phi = np.hstack([raw.astype(np.float64) * math.sqrt(float(scale)) for raw, scale in units]).T
     rows = np.array([raw.shape[1] for raw, _ in units])
     m = phi.shape[1]
@@ -423,31 +430,36 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
         if not tight:
             raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
         a = float(bound)
-        decode = lambda y, keeps: (y * np.repeat(keeps, rows, axis=1)) @ phi / a  # noqa: E731
+        decode = lambda y, keeps, _: (y * np.repeat(keeps, rows, axis=1)) @ phi / a  # noqa: E731
     elif tight:
-        decode = _downdate_decoder(phi, rows, bound, deficit)
+        decode = _downdate_decoder(phi, rows, bound)
     else:
         lstsq = _lstsq_decoder(phi, rows)
-        decode = lambda y, keeps: np.array([  # noqa: E731
+        decode = lambda y, keeps, _: np.array([  # noqa: E731
             lstsq(row, keep) if keep.any() else np.zeros(m) for row, keep in zip(y, keeps)])
+    streams = np.random.SeedSequence(int(cfg.seed)).spawn(3)
+    signals, noises, erasures = map(np.random.default_rng, streams)
     acc = _Accumulator()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
         for start in range(0, cfg.trials, BLOCK_TRIALS):
             n = min(BLOCK_TRIALS, cfg.trials - start)
-            x = np.empty((n, m))
-            noise = np.zeros((n, len(phi)))
-            keeps = np.empty((n, n_units), dtype=bool)
-            for t in range(n):
-                rng = _trial_rng(cfg.seed, start + t)
-                x[t] = signal_source(rng, m)
-                if cfg.noise_std > 0:
-                    noise[t] = rng.normal(0.0, cfg.noise_std, size=len(phi))
-                keeps[t] = _survivors(cfg.erasure, n_units, rng)
-            mse = ((decode(x @ phi.T + noise, keeps) - x) ** 2).sum(axis=1)
+            x = np.asarray(signal_source(signals, n, m), dtype=np.float64)
+            if x.shape != (n, m):
+                raise ValidationError(f"signal source gave shape {x.shape}, want {(n, m)}")
+            y = x @ phi.T
+            if cfg.noise_std > 0:
+                y += noises.normal(0.0, cfg.noise_std, (n, len(phi)))
+            keeps = np.ones((n, n_units), dtype=bool)
+            keeps[:, list(spec.indices)] = False  # empty unless the mode is fixed
+            if spec.mode == "random":  # the k smallest of one uniform per unit
+                erased = np.argpartition(erasures.random((n, n_units)), spec.k - 1, axis=1)
+                np.put_along_axis(keeps, erased[:, :spec.k], False, axis=1)
+            deficits = np.array([deficit(keep) for keep in keeps])
+            mse = ((decode(y, keeps, deficits) - x) ** 2).sum(axis=1)
             if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
-            for err, keep in zip(mse.tolist(), keeps):
-                acc.add(err, deficit(keep) == 0, cfg.exact_threshold)
+            for err, d in zip(mse.tolist(), deficits.tolist()):
+                acc.add(err, d == 0, cfg.exact_threshold)
     return acc.report(cfg, len(spans))
 
 
@@ -505,10 +517,14 @@ def compare(
     cfg: ChannelConfig,
     signal_source: SignalSource = default_signal_source,
 ) -> list[tuple[str, SimReport]]:
-    """Simulate every named candidate with a shared seed schedule.
+    """Simulate every named candidate under one config; rows come back
+    sorted by mean MSE.
 
-    All candidates must share the ambient dimension so each trial feeds
-    them the same signal; rows come back sorted by mean MSE.
+    Each run draws from the three streams of the shared seed. The signal
+    stream depends only on the seed and the ambient dimension, which all
+    candidates must share, so trial t feeds every candidate the same signal.
+    Candidates with as many units and rows also draw the same noise and
+    erasures.
     """
     cands = list(candidates)
     if not cands:

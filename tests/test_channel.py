@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import itertools
 import math
@@ -43,7 +44,6 @@ from hadframes.channel import (
     _erasure_deficit,
     _lstsq_decoder,
     _spanning_deficit,
-    _trial_rng,
     default_signal_source,
     simulate,
 )
@@ -303,12 +303,62 @@ def test_fixed_erasure_indices_must_be_in_range(etf4):
         simulate_frame(etf4, cfg)
 
 
-def test_custom_signal_source_is_used(etf4):
-    def constant_source(rng, dim):
-        return np.ones(dim) / np.sqrt(dim)
+def test_custom_signal_source_is_used(etf4, monkeypatch):
+    # Every unit erased, so xhat = 0 and each squared error is |x|^2: the
+    # errors show which signals went through. The source's rows have norms
+    # 1, 2, 3, ... in trial order, which no default signal has.
+    calls, mses = [], []
+    add = channel._Accumulator.add
+    monkeypatch.setattr(channel._Accumulator, "add",
+                        lambda self, mse, *rest: mses.append(mse) or add(self, mse, *rest))
 
-    rep = simulate_frame(etf4, ChannelConfig(trials=5, seed=0), constant_source)
-    assert rep.exact_recovery_count == 5
+    def growing_source(rng, n, dim):
+        start = sum(c[0] for c in calls)
+        calls.append((n, dim))
+        return np.outer(np.arange(start + 1, start + n + 1), np.ones(dim) / np.sqrt(dim))
+
+    trials = channel.BLOCK_TRIALS + 5
+    cfg = ChannelConfig(erasure=ErasureSpec.fixed(range(4)), trials=trials, seed=0)
+    simulate_frame(etf4, cfg, growing_source)
+    assert calls == [(channel.BLOCK_TRIALS, 3), (5, 3)]
+    assert mses == pytest.approx([float(t * t) for t in range(1, trials + 1)], rel=1e-12)
+
+
+def test_signal_source_shape_is_checked(etf4):
+    with pytest.raises(ValidationError, match="signal source gave shape"):
+        simulate_frame(etf4, ChannelConfig(trials=3), lambda rng, n, dim: np.ones(dim))
+
+
+class ZeroRows:
+    """A generator whose standard_normal rows at the given positions of its
+    stream come out all zero; spawned streams are the real ones."""
+
+    def __init__(self, seed, zero_rows):
+        self.rng, self.zero_rows, self.drawn = np.random.default_rng(seed), zero_rows, 0
+
+    def standard_normal(self, shape):
+        v = self.rng.standard_normal(shape)
+        for r in self.zero_rows:
+            if 0 <= r - self.drawn < len(v):
+                v[r - self.drawn] = 0.0
+        self.drawn += len(v)
+        return v
+
+    def spawn(self, n):
+        return self.rng.spawn(n)
+
+
+def test_default_signal_source_redraws_zero_rows_wherever_the_block_starts():
+    whole = default_signal_source(ZeroRows(4, [1, 5]), 8, 3)
+    assert np.allclose(np.linalg.norm(whole, axis=1), 1.0)
+    for cut in (1, 2, 5, 6):
+        rng = ZeroRows(4, [1, 5])
+        parts = [default_signal_source(rng, cut, 3), default_signal_source(rng, 8 - cut, 3)]
+        assert np.array_equal(np.vstack(parts), whole), cut
+    # a zero row is replaced by a redraw, not left to divide by zero
+    plain = default_signal_source(np.random.default_rng(4), 8, 3)
+    assert np.array_equal(np.delete(whole, [1, 5], axis=0), np.delete(plain, [1, 5], axis=0))
+    assert not np.array_equal(whole[[1, 5]], plain[[1, 5]])
 
 
 def test_report_aggregates_are_internally_consistent(etf4):
@@ -608,7 +658,7 @@ def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     keeps = np.array([~survivor_mask(len(units), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
-    got = _downdate_decoder(phi, rows, bound, exact)(y, keeps)
+    got = _downdate_decoder(phi, rows, bound)(y, keeps, np.array([exact(keep) for keep in keeps]))
     for erased, keep, y_t, x in zip(erased_sets, keeps, y, got):
         assert exact(keep) == by_rank(keep), erased
         idx = np.repeat(keep, rows)
@@ -765,22 +815,25 @@ def unequal_f3():
 
 
 def reference_report(obj, cfg):
-    """The channel written out trial by trial: the same draws from each
-    trial's stream, np.linalg.lstsq on the surviving rows (or the naive sum
-    in naive mode), and int_rank of the surviving columns for recoverability."""
+    """The channel written out trial by trial: one trial's draws at a time
+    from the run's signal, noise and erasure streams, np.linalg.lstsq on the
+    surviving rows (or the naive sum in naive mode), and int_rank of the
+    surviving columns for recoverability."""
     phi, rows, units, bound = channel_inputs(obj)
     m = phi.shape[1]
+    streams = np.random.SeedSequence(cfg.seed).spawn(3)
+    signals, noises, erasures = map(np.random.default_rng, streams)
     mses, non_recoverable, sets = [], 0, set()
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        x = default_signal_source(rng, m)
+    for _ in range(cfg.trials):
+        x = default_signal_source(signals, 1, m)[0]
         y = phi @ x
         if cfg.noise_std > 0:
-            y = y + rng.normal(0.0, cfg.noise_std, size=len(phi))
+            y = y + noises.normal(0.0, cfg.noise_std, size=len(phi))
         keep = np.ones(len(units), dtype=bool)
         keep[list(cfg.erasure.indices)] = False
         if cfg.erasure.mode == "random":
-            keep[rng.choice(len(units), size=cfg.erasure.k, replace=False)] = False
+            k = cfg.erasure.k
+            keep[np.argpartition(erasures.random(len(units)), k - 1)[:k]] = False
         idx = np.repeat(keep, rows)
         if cfg.mode == "naive":
             xhat = phi[idx].T @ y[idx] / float(bound)
@@ -847,6 +900,84 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, obj, mode):
         assert_reports_agree(simulate(obj, cfg), default)
 
 
+@pytest.mark.parametrize("obj,mode", [
+    (ETF8, "lstsq"),
+    (unequal_f3(), "naive"),
+    (frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1), "lstsq"),  # not tight
+])
+def test_the_first_trials_of_a_longer_run_are_a_shorter_run(monkeypatch, obj, mode):
+    # 137 trials end inside the second block of the 300-trial run: the
+    # signals match bit for bit, and so do the noise and erasures, which the
+    # errors and their recoverability would show.
+    runs = []
+    add = channel._Accumulator.add
+    monkeypatch.setattr(channel._Accumulator, "add", lambda self, mse, ok, *rest:
+                        runs[-1][1].append((mse, ok)) or add(self, mse, ok, *rest))
+
+    def source(rng, n, dim):
+        runs[-1][0].extend(default_signal_source(rng, n, dim))
+        return np.array(runs[-1][0][-n:])
+
+    for trials in (300, 137):
+        runs.append(([], []))
+        cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(2), trials=trials,
+                            seed=8, mode=mode)
+        simulate(obj, cfg, source)
+    (long_x, long_t), (short_x, short_t) = runs
+    assert np.array_equal(long_x[:137], short_x)
+    assert [ok for _, ok in long_t[:137]] == [ok for _, ok in short_t]
+    assert [e for e, _ in long_t[:137]] == pytest.approx([e for e, _ in short_t], rel=1e-12)
+
+
+def recorded_masks(monkeypatch):
+    """The survivor masks that reach the tight decoder, one array per block."""
+    masks = []
+
+    def build(*args):
+        decode = _downdate_decoder(*args)
+        return lambda y, keeps, deficits: masks.append(keeps.copy()) or decode(y, keeps, deficits)
+
+    monkeypatch.setattr(channel, "_downdate_decoder", build)
+    return masks
+
+
+@pytest.mark.parametrize("obj", [build_gff(5, 2), ETF8], ids=["gff52", "etf8"])
+def test_naive_two_erasure_mean_is_within_four_standard_errors_of_the_exact_value(obj):
+    # With no noise, erasing the set E leaves the naive receiver the error
+    # (1/A) T_E T_E^T x, whose mean square over uniform unit signals is
+    # |T_E^T T_E|_F^2 / (A^2 M). Both inputs have A^2 M = 64/7 and, for every
+    # pair, |T_E^T T_E|_F^2 = 2 + 2/49, so the mean over pairs is 25/112.
+    cfg = ChannelConfig(erasure=ErasureSpec.random_k(2), trials=4000, seed=1, mode="naive")
+    rep = simulate(obj, cfg)
+    assert abs(rep.mean_mse - 25 / 112) <= 4 * rep.mean_mse_stderr, rep
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_trial_erases_exactly_k_distinct_units(monkeypatch, k):
+    masks = recorded_masks(monkeypatch)
+    for obj, units in ((ETF16, 16), (build_gff(4, 1), len(build_gff(4, 1).subspaces))):
+        masks.clear()
+        simulate(obj, ChannelConfig(erasure=ErasureSpec.random_k(k), trials=300, seed=k))
+        keeps = np.vstack(masks)
+        assert keeps.shape == (300, units)
+        assert (keeps.sum(axis=1) == units - k).all()
+
+
+def test_random_erasure_pairs_are_uniform(monkeypatch):
+    # 15 000 trials erase 2 of 6 units: each of the 15 pairs is expected
+    # 1000 times. The bound 36.12 is the 0.999 quantile of chi-square with
+    # 14 degrees of freedom.
+    masks = recorded_masks(monkeypatch)
+    basis6 = frame_from_integer_columns(np.eye(6, dtype=int), 1)
+    trials = 15000
+    simulate(basis6, ChannelConfig(erasure=ErasureSpec.random_k(2), trials=trials, seed=1))
+    counts = collections.Counter(tuple(np.flatnonzero(~keep).tolist()) for keep in np.vstack(masks))
+    assert set(counts) == set(itertools.combinations(range(6), 2))
+    expected = trials / 15
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < 36.12, counts
+
+
 @pytest.mark.parametrize("obj,units,mode", [
     (frame_from_integer_columns(np.eye(3, dtype=int), 1), 3, "lstsq"),
     (frame_from_integer_columns(np.eye(3, dtype=int), 1), 3, "naive"),
@@ -860,9 +991,9 @@ def test_erasing_every_unit_decodes_zero_without_runtime_warning(monkeypatch, ob
     monkeypatch.setattr(channel._Accumulator, "add",
                         lambda self, mse, *rest: mses.append(mse) or add(self, mse, *rest))
 
-    def source(rng, dim):
-        signals.append(default_signal_source(rng, dim))
-        return signals[-1]
+    def source(rng, n, dim):
+        signals.extend(default_signal_source(rng, n, dim))
+        return np.array(signals[-n:])
 
     cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.fixed(range(units)), trials=200,
                         seed=5, mode=mode)
