@@ -54,8 +54,11 @@ computes once per run and which is held as Python ints. C is tiny and
 mostly singular, so its rank comes from fraction-free elimination,
 exactly. The same count is the dimension the survivors fail to span, so it
 also decides recoverability, once per survivor set and in both modes.
-Inputs that are not tight can only come from an import; they decode trial
-by trial through ``_lstsq_decoder``, and the rank of the survivors' integer
+
+Decoding an input that is not tight. Such an input can only come from an
+import. Each block groups its trials by survivor set, and each set's trials
+are solved together by one np.linalg.lstsq call on the surviving rows, with
+one right-hand side per trial. The exact rank of the survivors' integer
 columns decides their spanning.
 
 Fusion noise model. Piece i is sent as its m_i coordinates B_i^T x in
@@ -90,6 +93,9 @@ Units = Sequence[tuple[np.ndarray, Fraction]]  # each unit's integer columns and
 # A million trials take minutes and put the standard error of mean_mse at
 # a thousandth of the per-trial standard deviation; more is refused.
 MAX_TRIALS = 10**6
+
+# A trial whose squared error is below this counts as an exact recovery.
+EXACT_THRESHOLD = 1e-20
 
 # Trials decoded together. On an order-64 input a block's arrays of 128
 # float64 rows take 64 KiB each, below glibc's 128 KiB mmap threshold, so
@@ -143,14 +149,10 @@ class ChannelConfig:
     trials: int = 1
     seed: int = 0
     mode: str = "lstsq"
-    exact_threshold: float = 1e-20
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
-        if not (math.isfinite(self.exact_threshold) and self.exact_threshold >= 0):
-            raise ValidationError(
-                f"exact_threshold must be finite and nonnegative, got {self.exact_threshold}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
@@ -229,10 +231,10 @@ class _Accumulator:
     mean: float = 0.0
     m2: float = 0.0
 
-    def add(self, mse: float, recoverable: bool, threshold: float) -> None:
+    def add(self, mse: float, recoverable: bool) -> None:
         self.total += mse
         self.peak = max(self.peak, mse)
-        if mse < threshold:
+        if mse < EXACT_THRESHOLD:
             self.exact += 1
         if not recoverable:
             self.nonrec += 1
@@ -270,41 +272,23 @@ def _lstsq_decoder(phi: np.ndarray, rows: np.ndarray):
     is not tight, which only an import can give.
 
     Unit i owns the next ``rows[i]`` rows of ``phi``. The returned
-    ``decode(y, keep)`` gives the minimum-norm least-squares solution of
-    ``phi_S x = y_S``, where S keeps the rows of the units that ``keep``
-    marks: the result of ``np.linalg.lstsq(phi_S, y_S, rcond=None)``. The
-    first time a survivor set is seen, its M x M map ``D_S = V diag(1/s^2)
-    V^T`` is built from the SVD of ``R = qr(phi_S)``, keeping the singular
-    values above lstsq's own cutoff ``eps * max(phi_S.shape) * s[0]``. Each
-    trial then solves the seminormal equations ``x = D_S phi^T (y * mask_S)``,
-    where ``mask_S`` zeroes the erased units' rows, and takes one correction
-    step ``x += D_S phi^T ((y - phi x) * mask_S)``. The correction keeps the
-    result within about ``eps * cond(phi_S)`` of lstsq's; without it the
-    error grows with ``cond(phi_S)**2``. At most ``phi.size // M**2`` maps
-    are kept, so the cache never outgrows ``phi``; once it is full, each new
-    set goes to ``np.linalg.lstsq``. Tight inputs use ``_downdate_decoder``
-    instead. Whitening by ``S^(-1/2)`` would put a non-tight input on that
-    path, but it does not keep lstsq's minimum-norm solution on survivor
-    sets that do not span, so this decoder stays for them.
+    ``decode(y, keeps, deficits)`` takes one trial per row, as
+    ``_downdate_decoder``'s does, and ignores ``deficits``. Row t of the
+    result is ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's
+    survivors S, or 0 where every unit is erased. Each distinct survivor set
+    of the block is solved once, with its trials as the right-hand sides.
     """
-    m = phi.shape[1]
-    cap = phi.size // (m * m)
-    maps: dict[bytes, np.ndarray] = {}
 
-    def decode(y: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        mask, key = np.repeat(keep, rows), keep.tobytes()
-        d = maps.get(key)
-        if d is None:
-            phi_s = phi[mask]
-            if len(maps) >= cap:
-                return np.linalg.lstsq(phi_s, y[mask], rcond=None)[0]
-            r = np.linalg.qr(phi_s, mode="r")
-            _, s, vt = np.linalg.svd(r, full_matrices=False)
-            kept = s > np.finfo(float).eps * max(phi_s.shape) * s[0]
-            v = vt[kept].T
-            d = maps[key] = (v / s[kept] ** 2) @ v.T
-        x = d @ (phi.T @ (y * mask))
-        return x + d @ (phi.T @ ((y - phi @ x) * mask))
+    def decode(y: np.ndarray, keeps: np.ndarray, deficits: np.ndarray) -> np.ndarray:
+        x = np.zeros((len(y), phi.shape[1]))
+        groups: dict[bytes, list[int]] = {}
+        for t, keep in enumerate(keeps):
+            groups.setdefault(keep.tobytes(), []).append(t)
+        for group in groups.values():
+            mask = np.repeat(keeps[group[0]], rows)
+            if mask.any():
+                x[group] = np.linalg.lstsq(phi[mask], y[group][:, mask].T, rcond=None)[0].T
+        return x
 
     return decode
 
@@ -404,10 +388,11 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
     the run's signal, noise and erasure streams, as the module docstring
     says. Naive mode needs a tight input and returns ``(y * mask) phi / A``;
     otherwise a tight input decodes through ``_downdate_decoder`` and any
-    other trial by trial through ``_lstsq_decoder``. How far each survivor
-    set falls short of spanning F^M is decided exactly once per set: from
-    the k' x k' matrix C for a tight input, from the rank of the survivors'
-    columns otherwise. ``what`` names the units in error messages.
+    other through ``_lstsq_decoder``, one lstsq call per survivor set and
+    block. How far each survivor set falls short of spanning F^M is decided
+    exactly once per set: from the k' x k' matrix C for a tight input, from
+    the rank of the survivors' columns otherwise. ``what`` names the units
+    in error messages.
     """
     n_units = len(units)
     spec = cfg.erasure
@@ -434,9 +419,7 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
     elif tight:
         decode = _downdate_decoder(phi, rows, bound)
     else:
-        lstsq = _lstsq_decoder(phi, rows)
-        decode = lambda y, keeps, _: np.array([  # noqa: E731
-            lstsq(row, keep) if keep.any() else np.zeros(m) for row, keep in zip(y, keeps)])
+        decode = _lstsq_decoder(phi, rows)
     streams = np.random.SeedSequence(int(cfg.seed)).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)
     acc = _Accumulator()
@@ -459,7 +442,7 @@ def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]
             if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
             for err, d in zip(mse.tolist(), deficits.tolist()):
-                acc.add(err, d == 0, cfg.exact_threshold)
+                acc.add(err, d == 0)
     return acc.report(cfg, len(spans))
 
 

@@ -98,8 +98,12 @@ def _field(d: dict, key: str, read: Callable, default=_MISSING):
 
 
 def _fields(d, readers: dict) -> dict:
-    """The fields of the JSON object ``d`` that are present, each through its reader."""
+    """The fields of the JSON object ``d`` that are present, each through its
+    reader; a field with no reader is refused."""
     d = _OBJECT(d)
+    unknown = [key for key in d if key not in readers]
+    if unknown:
+        raise ValidationError(f"unknown field {unknown[0]!r}")
     return {key: _field(d, key, read) for key, read in readers.items() if key in d}
 
 
@@ -388,15 +392,14 @@ def report_to_dict(r: SimReport) -> dict:
 
 
 def config_from_dict(d) -> ChannelConfig:
-    """A ChannelConfig from the fields given; absent ones keep the dataclass defaults."""
-    cfg = _fields(d, {
-        "noise_std": _float, "exact_threshold": _float, "trials": _INT, "seed": _INT,
-        "mode": _STR, "erasure": _OBJECT,
-    })
+    """A ChannelConfig from the fields given; absent ones keep the dataclass
+    defaults, and a field the config or its erasure does not have is refused."""
+    cfg = _fields(d, {"noise_std": _float, "trials": _INT, "seed": _INT, "mode": _STR,
+                      "erasure": _OBJECT})
     if "erasure" in cfg:
         er = cfg["erasure"]
-        readers = {"indices": lambda ids: tuple(map(_INT, _LIST(ids))), "k": _INT}
-        cfg["erasure"] = ErasureSpec(_field(er, "mode", _STR), **_fields(er, readers))
+        readers = {"mode": _STR, "indices": lambda ids: tuple(map(_INT, _LIST(ids))), "k": _INT}
+        cfg["erasure"] = ErasureSpec(**{"mode": _field(er, "mode", _STR), **_fields(er, readers)})
     return ChannelConfig(**cfg)
 
 

@@ -410,7 +410,9 @@ def etf4(tmp_path, capsys):
                '{"erasure":{"mode":"fixed","indices":[0],"k":2}}',
                '{"erasure":{"mode":"fixed","indices":[]}}', '{"exact_threshold":-1}',
                '{"trials":10000000000000000000000}', "[" * 100000 + "]" * 100000,
-               '{"erasure":{"mode":"fixed","indices":[1,2]],"trials":3}'],
+               '{"erasure":{"mode":"fixed","indices":[1,2]],"trials":3}',
+               '{"noise-std":0.5,"trials":7}', '{"trails":7}',
+               '{"erasure":{"mode":"random","k":1,"indeces":[0]}}'],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
     cfg = tmp_path / "cfg.json"

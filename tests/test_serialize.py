@@ -306,6 +306,10 @@ def test_decode_errors_name_the_field():
         ser.config_from_dict({"noise_std": "abc"})
     with pytest.raises(ValidationError, match="'k'"):
         ser.config_from_dict({"erasure": {"mode": "random", "k": "1"}})
+    with pytest.raises(ValidationError, match="unknown field 'trails'"):
+        ser.config_from_dict({"trials": 7, "trails": 7})
+    with pytest.raises(ValidationError, match="unknown field 'indeces'"):
+        ser.config_from_dict({"erasure": {"mode": "random", "k": 1, "indeces": [0]}})
 
 
 @pytest.mark.parametrize("scale", ["1.0", "1e0", "1_0/10", "\u0661", "1/1.0", "0x1"])
