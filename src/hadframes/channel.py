@@ -3,11 +3,12 @@
 A fusion frame of L subspaces is a frame of sum_i m_i scaled basis
 vectors, sent in L units of m_i coefficients each; a frame of N vectors is
 the case m_i = 1. One trial loop (``_simulate``) sends both through one
-analysis map phi = T^T, where the columns of T are every unit's scaled
-integer columns side by side. Every transmitted scalar picks up i.i.d.
-zero-mean Gaussian noise of standard deviation sigma, and an erasure drops
-whole units (Kutyniok, Pezeshki, Calderbank & Liu, "Robust dimension
-reduction, fusion frames, and Grassmannian packings", ACHA 2009).
+analysis map phi = T^T, where T is the input's one integer matrix with
+every column scaled by the square root of its unit's scale. Every
+transmitted scalar picks up i.i.d. zero-mean Gaussian noise of standard
+deviation sigma, and an erasure drops whole units (Kutyniok, Pezeshki,
+Calderbank & Liu, "Robust dimension reduction, fusion frames, and
+Grassmannian packings", ACHA 2009).
 Reconstruction is least squares on the surviving rows by default, or the
 naive tight-frame sum for comparison against the analytic noise floor.
 
@@ -88,7 +89,6 @@ from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 # array. The channel calls it once per block, in trial order, with the run's
 # signal stream, so one source sees the same stream however trials are blocked.
 SignalSource = Callable[[np.random.Generator, int, int], np.ndarray]
-Units = Sequence[tuple[np.ndarray, Fraction]]  # each unit's integer columns and their scale
 
 # A million trials take minutes and put the standard error of mean_mse at
 # a thousandth of the per-trial standard deviation; more is refused.
@@ -331,22 +331,23 @@ def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction):
     return decode
 
 
-def _erasure_deficit(units: Units, bound: Fraction):
+def _erasure_deficit(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
+                     bound: Fraction):
     """``deficit(keep)``: the dimension the survivors of a tight input fail
     to span, k' - rank(C) for the integer matrix C of the module docstring.
 
-    The input is tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j),
-    where G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator
-    of A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
+    ``raw`` holds the input's integer columns, unit i owns the next
+    ``rows[i]`` of them, and their scale is ``scales[i]``; the input is
+    tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j), where
+    G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator of
+    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
     G is read from the exact Gram of all columns, computed once. Distinct
     survivor sets often share C (on an ETF, C only depends on the signs of
     the erased vectors' inner products), so each C is eliminated once.
     """
-    raw = np.hstack([r for r, _ in units])
     gram = checked_matmul(raw.T, raw).tolist()
-    ratios = [bound / scale for r, scale in units for _ in range(r.shape[1])]
+    ratios = [bound / scale for scale, r in zip(scales, rows) for _ in range(r)]
     num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
-    rows = np.array([r.shape[1] for r, _ in units])
     ranks: dict[tuple[tuple[int, ...], ...], int] = {}
 
     def deficit(keep: np.ndarray) -> int:
@@ -365,43 +366,42 @@ def _erasure_deficit(units: Units, bound: Fraction):
     return deficit
 
 
-def _spanning_deficit(units: Units, m: int):
+def _spanning_deficit(raw: np.ndarray, rows: np.ndarray, m: int):
     """``deficit(keep)`` for any input: M minus the exact rank of the
-    survivors' integer columns."""
-
-    def deficit(keep: np.ndarray) -> int:
-        surv = np.flatnonzero(keep)
-        return m - int_rank(np.hstack([units[i][0] for i in surv])) if surv.size else m
-
-    return deficit
+    survivors' integer columns, ``raw`` laid out as for ``_erasure_deficit``."""
+    return lambda keep: m - int_rank(raw[:, np.repeat(keep, rows)])
 
 
-def _simulate(units: Units, tightness: Callable[[], tuple[bool, Fraction | None]], what: str,
+def _simulate(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
+              tightness: Callable[[], tuple[bool, Fraction | None]], what: str,
               cfg: ChannelConfig, signal_source: SignalSource) -> SimReport:
     """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
 
-    ``units[i]`` is unit i's integer columns and their scale. Their scaled
-    columns side by side are T, and ``phi = T^T`` is the one analysis map:
-    unit i sends its columns' coefficients, so it owns as many rows of
-    ``phi`` as it has columns. After the erasure check, ``tightness()`` gives
-    (tight, A). Trials are drawn and decoded ``BLOCK_TRIALS`` at a time from
-    the run's signal, noise and erasure streams, as the module docstring
-    says. Naive mode needs a tight input and returns ``(y * mask) phi / A``;
-    otherwise a tight input decodes through ``_downdate_decoder`` and any
-    other through ``_lstsq_decoder``, one lstsq call per survivor set and
-    block. How far each survivor set falls short of spanning F^M is decided
-    exactly once per set: from the k' x k' matrix C for a tight input, from
-    the rank of the survivors' columns otherwise. ``what`` names the units
-    in error messages.
+    ``raw`` is the input's integer matrix. Unit i owns its next ``rows[i]``
+    columns, scaled by the square root of ``scales[i]``: a frame passes one
+    column per unit, a fusion frame one subspace's basis. The scaled
+    columns are T, and ``phi = T^T`` is the one analysis map: unit i sends
+    its columns' coefficients, so it owns as many rows of ``phi`` as it has
+    columns. After the erasure check, ``tightness()`` gives (tight, A).
+    Trials are drawn and decoded ``BLOCK_TRIALS`` at a time from the run's
+    signal, noise and erasure streams, as the module docstring says. Naive
+    mode needs a tight input and returns ``(y * mask) phi / A``; otherwise a
+    tight input decodes through ``_downdate_decoder`` and any other through
+    ``_lstsq_decoder``, one lstsq call per survivor set and block. How far
+    each survivor set falls short of spanning F^M is decided exactly once
+    per set: from the k' x k' matrix C for a tight input, from the rank of
+    the survivors' columns otherwise. ``what`` names the units in error
+    messages.
     """
-    n_units = len(units)
+    n_units = len(rows)
     spec = cfg.erasure
     _check_erasure(spec, n_units, what)
-    phi = np.hstack([raw.astype(np.float64) * math.sqrt(float(scale)) for raw, scale in units]).T
-    rows = np.array([raw.shape[1] for raw, _ in units])
+    col_scale = np.repeat([math.sqrt(float(scale)) for scale in scales], rows)
+    phi = (raw.astype(np.float64) * col_scale).T
     m = phi.shape[1]
     tight, bound = tightness()
-    rank_deficit = _erasure_deficit(units, bound) if tight else _spanning_deficit(units, m)
+    rank_deficit = (_erasure_deficit(raw, rows, scales, bound) if tight
+                    else _spanning_deficit(raw, rows, m))
     spans: dict[bytes, int] = {}
 
     def deficit(keep: np.ndarray) -> int:
@@ -457,8 +457,8 @@ def simulate_frame(
     survivor set that does not span F^M counts as non-recoverable; its
     minimum-norm solution is still recorded.
     """
-    units = [(f.raw[:, j:j + 1], f.scale_sq) for j in range(f.count)]
-    return _simulate(units, lambda: is_tight(f), "coefficients", cfg, signal_source)
+    return _simulate(f.raw, np.ones(f.count, dtype=np.int64), (f.scale_sq,) * f.count,
+                     lambda: is_tight(f), "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(
@@ -474,8 +474,8 @@ def simulate_fusion(
     the channel as the frame of all its basis vectors. The noise model is in
     the module docstring.
     """
-    units = [(s.basis_raw, s.scale_sq) for s in ff.subspaces]
-    return _simulate(units, lambda: fusion_tight(ff), "subspace pieces", cfg, signal_source)
+    return _simulate(ff.basis_raw, np.array(ff.dims), ff.scales,
+                     lambda: fusion_tight(ff), "subspace pieces", cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

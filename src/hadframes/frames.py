@@ -148,13 +148,6 @@ def _equiangular(absg: np.ndarray, f: ScaledFrame) -> tuple[bool, Fraction | Non
     return True, _corr_sq(int(vals[0]), f)
 
 
-def is_equiangular(f: ScaledFrame) -> tuple[bool, Fraction | None]:
-    """All off-diagonal Gram entries share one squared value; return it."""
-    if f.count < 2:
-        raise ValidationError("equiangularity needs at least two frame vectors")
-    return _equiangular(_off_diagonal_abs(_raw_gram(f)), f)
-
-
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
     """Equiangular tight frame from a normalized Hadamard matrix.
 
@@ -241,20 +234,6 @@ def reconstruct_tight(f: ScaledFrame, coefficients, *, exact: bool = False) -> n
     if c.size != f.count:
         raise ValidationError(f"coefficients must have length {f.count}")
     return (synthesis_matrix(f) @ c) / float(bound)
-
-
-def float_frame_bounds(vectors) -> tuple[float, float]:
-    """Approximate frame bounds (A, B) of arbitrary real column vectors.
-
-    Diagnostic only: min and max eigenvalues of the frame operator via a
-    symmetric eigensolver (tolerance around 1e-10). Use the exact
-    certificates for any +-1-based construction.
-    """
-    v = np.asarray(vectors, dtype=np.float64)
-    if v.ndim != 2:
-        raise ValidationError("expected an M x N matrix of column vectors")
-    eig = np.linalg.eigvalsh(v @ v.T)
-    return float(eig[0]), float(eig[-1])
 
 
 def float_coherence_sq(vectors) -> float:

@@ -1,23 +1,31 @@
 """Subspaces, fusion frames, chordal distances, and exact tightness checks.
 
-A subspace is stored as integer basis columns plus a rational scale making
-them exactly orthonormal. Tightness of a fusion frame (sum of projections
-equal to A * I) is decided by one exact product per distinct scale: the
-bases of that scale stacked side by side, times their transpose, which is
-the sum of their B_i @ B_i.T. The row criterion (lemma_row_check) is the
-same test read row by row. Pairwise chordal distances, of one pair or of a
-whole frame, come from one block Gram of the stacked bases.
+A fusion frame of L subspaces of F^M is stored as one read-only integer
+matrix B of size M x sum_i d_i, its ``dims`` d_i and one rational scale
+s_i per subspace: subspace i is spanned by the next d_i columns B_i of B,
+and sqrt(s_i) B_i is an orthonormal basis of it. ``subspaces`` hands out
+each B_i as a column view of B. Every check reads B in place:
 
-Constructors check only what the types require: ``subspace_from_columns``
-that the scaled basis is orthonormal, ``make_fusion_frame`` that the
-subspaces share one ambient space and span it. Tightness, equi-distance and
-optimality are proved by ``equidistance_certificate``, from the subspaces
-alone, whichever constructor made them.
+- orthonormality, B_i^T B_i = I / s_i, is one stacked product per distinct
+  dimension;
+- tightness, sum_i s_i B_i B_i^T = A I, is one integer product over the
+  common denominator q of the scales, s_i = p_i / q: B diag(p) B^T, which
+  is B B^T when all scales agree. The row criterion (lemma_row_check) is
+  the same test read row by row;
+- the pairwise traces tr(P_i P_j) = s_i s_j ||B_i^T B_j||_F^2 come from
+  the one block Gram B^T B.
+
+Constructors check only what the types require: ``fusion_frame_from_columns``
+that every scaled basis is orthonormal and that the subspaces span F^M,
+``subspace_from_columns`` the first for one subspace. Tightness,
+equi-distance and optimality are proved by ``equidistance_certificate``,
+from the matrix alone, whichever constructor made it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +40,6 @@ from .intlinalg import (
     checked_matmul,
     identity_multiple,
     int_rank,
-    scaled_fraction_matrix,
 )
 
 
@@ -48,14 +55,30 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class FusionFrame:
-    """Ordered collection of subspaces spanning F^M.
+    """Subspaces spanning F^M, as one read-only integer matrix.
 
-    The object records no property beyond spanning; every claim about it,
-    including the Grassmannian one, is proved by ``equidistance_certificate``.
+    ``basis_raw`` is M x sum(dims): subspace i is spanned by its next
+    ``dims[i]`` columns, scaled by sqrt(``scales[i]``). The object records
+    no property beyond spanning; every claim about it, including the
+    Grassmannian one, is proved by ``equidistance_certificate``.
     """
 
-    ambient_dim: int
-    subspaces: tuple[Subspace, ...]
+    basis_raw: np.ndarray
+    dims: tuple[int, ...]
+    scales: tuple[Fraction, ...]
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis_raw.shape[0]
+
+    @property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        """Every subspace, its basis a column view of ``basis_raw``."""
+        ends = np.cumsum(self.dims).tolist()
+        return tuple(
+            Subspace(self.ambient_dim, d, self.basis_raw[:, end - d:end], scale)
+            for d, end, scale in zip(self.dims, ends, self.scales)
+        )
 
 
 @dataclass(frozen=True)
@@ -84,57 +107,66 @@ class FusionCertificate:
     grassmannian: bool
 
 
+def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tuple]:
+    """The read-only int64 matrix, dims and scales of subspaces whose scaled
+    bases are exactly orthonormal.
+
+    The Grams B_i^T B_i of all subspaces of one dimension d come from one
+    stacked product. Each must be c_i I with c_i s_i = 1; the first entry
+    off it, in subspace order, is the witness.
+    """
+    b = as_int_matrix(basis_raw, name="basis")
+    big_m, n = b.shape
+    dims = tuple(map(operator.index, dims))
+    scales = tuple(as_fraction(s) for s in scales)
+    if not dims or min(dims) < 1 or sum(dims) != n or len(scales) != len(dims):
+        raise ValidationError(f"subspace dimensions must be positive, one scale each,"
+                              f" and add up to the column count {n}")
+    if min(scales) <= 0:
+        raise ValidationError(f"scale_sq must be positive, got {min(scales)}")
+    if max(dims) > big_m:
+        raise ValidationError(f"subspace dimension {max(dims)} exceeds ambient {big_m}")
+    starts = np.cumsum((0, *dims[:-1]))
+    witnesses = []
+    for d in set(dims):
+        idx = np.flatnonzero(np.array(dims) == d)
+        blocks = b[:, starts[idx, None] + np.arange(d)].transpose(1, 0, 2)  # (L_d, M, d)
+        g = checked_matmul(blocks.transpose(0, 2, 1), blocks)
+        bad = g != g[:, :1, :1] * np.eye(d, dtype=g.dtype)
+        bad[:, 0, 0] = [int(c) * scales[i] != 1 for c, i in zip(g[:, 0, 0], idx)]
+        if bad.any():
+            t, j, k = np.argwhere(bad)[0]
+            witnesses.append((idx[t], j, k, int(g[t, j, k])))
+    if witnesses:
+        i, j, k, inner = min(witnesses)
+        raise ValidationError(
+            f"subspace {i}: columns {j},{k} have inner product {inner} * {scales[i]}"
+            f" != {int(j == k)}: basis is not orthonormal under the scale"
+        )
+    b = b.copy()
+    b.setflags(write=False)
+    return b, dims, scales
+
+
 def subspace_from_columns(basis_raw, scale_sq) -> Subspace:
     """Validate exact orthonormality of the scaled columns and wrap them."""
     b = as_int_matrix(basis_raw, name="basis")
-    scale = as_fraction(scale_sq)
-    if scale <= 0:
-        raise ValidationError(f"scale_sq must be positive, got {scale}")
-    big_m, m = b.shape
-    if m > big_m:
-        raise ValidationError(f"subspace dimension {m} exceeds ambient {big_m}")
-    g = checked_matmul(b.T, b)
-    for i in range(m):
-        for j in range(i, m):
-            want = 1 if i == j else 0
-            if int(g[i, j]) * scale != want:
-                raise ValidationError(
-                    f"columns {i},{j} have inner product {int(g[i, j])} * {scale}"
-                    f" != {want}: basis is not orthonormal under the scale"
-                )
-    b = b.copy()
-    b.setflags(write=False)
-    return Subspace(ambient_dim=big_m, dim=m, basis_raw=b, scale_sq=scale)
+    b, (m,), (scale,) = _orthonormal_columns(b, (b.shape[1],), (scale_sq,))
+    return Subspace(ambient_dim=b.shape[0], dim=m, basis_raw=b, scale_sq=scale)
 
 
-def projection(s: Subspace) -> np.ndarray:
-    """Orthogonal projection onto the subspace as an exact Fraction matrix."""
-    return scaled_fraction_matrix(
-        checked_matmul(s.basis_raw, s.basis_raw.T), s.scale_sq
-    )
+def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
+    """Validate and wrap an integer matrix as subspaces spanning F^M.
 
-
-def chordal_dist_sq(s1: Subspace, s2: Subspace) -> Fraction:
-    """Exact squared chordal distance m - tr(P1 @ P2), in [0, m].
-
-    tr(P1 P2) = scale1 * scale2 * ||B1.T @ B2||_F^2 comes from
-    ``_pairwise_traces`` of the pair, avoiding the M x M projection matrices.
+    Subspace i is spanned by the next ``dims[i]`` columns, and scaled by
+    sqrt(``scales[i]``) they must be orthonormal. A tight frame's projection
+    sum A * I with A > 0 is invertible, which proves spanning without the
+    rank computation.
     """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValidationError(
-            f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
-        )
-    if s1.dim != s2.dim:
-        raise ValidationError(
-            f"chordal distance needs equal dimensions, got {s1.dim} and {s2.dim}"
-        )
-    traces, den = _pairwise_traces([s1, s2])
-    return s1.dim - Fraction(int(traces[0, 1]), den)
-
-
-def chordal_dist(s1: Subspace, s2: Subspace) -> float:
-    """Float square root of chordal_dist_sq, for reporting."""
-    return math.sqrt(float(chordal_dist_sq(s1, s2)))
+    ff = FusionFrame(*_orthonormal_columns(basis_raw, dims, scales))
+    if not fusion_tight(ff)[0] and int_rank(ff.basis_raw) < ff.ambient_dim:
+        raise ValidationError("subspaces do not jointly span the ambient space")
+    return ff
 
 
 def make_fusion_frame(subspaces: Sequence[Subspace]) -> FusionFrame:
@@ -145,53 +177,45 @@ def make_fusion_frame(subspaces: Sequence[Subspace]) -> FusionFrame:
     big_m = subs[0].ambient_dim
     for i, s in enumerate(subs):
         if s.ambient_dim != big_m:
-            raise ValidationError(
-                f"subspace {i} lives in F^{s.ambient_dim}, expected F^{big_m}"
-            )
-    # A tight frame's projection sum A * I with A > 0 is invertible, which
-    # proves spanning without the rank computation.
-    bound = _stacked_identity_multiple(subs)
-    if bound is None or bound <= 0:
-        if int_rank(np.hstack([s.basis_raw for s in subs])) < big_m:
-            raise ValidationError("subspaces do not jointly span the ambient space")
-    return FusionFrame(ambient_dim=big_m, subspaces=subs)
-
-
-def _rational_identity_multiple(parts: dict[Fraction, np.ndarray]) -> Fraction | None:
-    scales = list(parts)
-    if len(scales) == 1:
-        c = identity_multiple(parts[scales[0]])
-        return None if c is None else Fraction(c) * scales[0]
-    total = sum(
-        scaled_fraction_matrix(parts[sc], sc) for sc in scales
+            raise ValidationError(f"subspace {i} lives in F^{s.ambient_dim}, expected F^{big_m}")
+    return fusion_frame_from_columns(
+        np.hstack([s.basis_raw for s in subs]),
+        [s.dim for s in subs],
+        [s.scale_sq for s in subs],
     )
-    diag = np.diagonal(total)
-    if not all(d == diag[0] for d in diag):
-        return None
-    off = np.array(total, copy=True)
-    np.fill_diagonal(off, Fraction(0))
-    if any(x != 0 for x in off.reshape(-1)):
-        return None
-    return diag[0]
 
 
-def _stacked_identity_multiple(subs: Sequence[Subspace]) -> Fraction | None:
-    # Per distinct scale, the bases stacked side by side times their
-    # transpose is the integer sum of B_i @ B_i.T over that scale.
-    by_scale: dict[Fraction, list[np.ndarray]] = {}
-    for s in subs:
-        by_scale.setdefault(s.scale_sq, []).append(s.basis_raw)
-    row_grams = {}
-    for sc, blocks in by_scale.items():
-        stacked = np.hstack(blocks)
-        row_grams[sc] = checked_matmul(stacked, stacked.T)
-    return _rational_identity_multiple(row_grams)
+def chordal_dist_sq(s1: Subspace, s2: Subspace) -> Fraction:
+    """Exact squared chordal distance m - tr(P1 @ P2), in [0, m].
+
+    tr(P1 P2) = scale1 * scale2 * ||B1.T @ B2||_F^2, which avoids the
+    M x M projection matrices.
+    """
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValidationError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
+    if s1.dim != s2.dim:
+        raise ValidationError(f"chordal distance needs equal dimensions, got {s1.dim} and {s2.dim}")
+    g = checked_matmul(s1.basis_raw.T, s2.basis_raw).astype(object)
+    return s1.dim - s1.scale_sq * s2.scale_sq * int((g * g).sum())
+
+
+def _weights(ff: FusionFrame) -> tuple[list[int], int]:
+    # Integer weights p_i and the common denominator q with scale_i = p_i / q.
+    q = math.lcm(*(s.denominator for s in ff.scales))
+    return [s.numerator * (q // s.denominator) for s in ff.scales], q
 
 
 def fusion_tight(ff: FusionFrame) -> tuple[bool, Fraction | None]:
-    """Decide sum_i P_i == A * I exactly; return A when tight."""
-    a = _stacked_identity_multiple(ff.subspaces)
-    return (a is not None), a
+    """Decide sum_i P_i == A * I exactly; return A when tight.
+
+    q * sum_i P_i is the integer matrix B diag(p) B^T of the module
+    docstring, one product of the stored matrix.
+    """
+    p, q = _weights(ff)
+    b = ff.basis_raw
+    weighted = b if set(p) == {1} else b * np.repeat(np.array(p, dtype=object), ff.dims)
+    c = identity_multiple(checked_matmul(weighted, b.T))
+    return (c is not None), (None if c is None else Fraction(c, q))
 
 
 def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
@@ -201,8 +225,8 @@ def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     A * I, and stacked @ stacked.T is the sum of the projections, so the
     check holds exactly when the fusion frame is tight with bound A.
 
-    Per scale it computes the same stacked product as fusion_tight, so the
-    two always agree; a failed row check proves non-tightness.
+    It computes the same product as fusion_tight, so the two always agree;
+    a failed row check proves non-tightness.
     """
     return fusion_tight(ff)
 
@@ -218,67 +242,63 @@ def build_gff(n: int, m: int) -> FusionFrame:
     2^m - 2^m / (2^(n-m) - 1)^2, the simplex bound. Neither claim is
     recorded: ``equidistance_certificate`` proves both on the result.
     """
-    if not isinstance(n, (int, np.integer)) or not isinstance(m, (int, np.integer)):
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, m)):
         raise ValidationError("n and m must be integers")
     n, m = int(n), int(m)
     if m < 0 or m >= n:
         raise ValidationError(f"need n > m >= 0, got n={n}, m={m}")
     w = build_walsh(n)
-    dropped = w.base.entries[1 << m :, :].astype(np.int64)
     big_m = (1 << n) - (1 << m)
     n_sub = 1 << (n - m)
-    scale = Fraction(1, big_m)
-    subs = [
-        subspace_from_columns(
-            dropped[:, [i + k * n_sub for k in range(1 << m)]], scale
-        )
-        for i in range(n_sub)
-    ]
-    return make_fusion_frame(subs)
+    # Column i + k * 2^(n-m) of the dropped rows becomes column i * 2^m + k.
+    dropped = w.base.entries[1 << m:, :].reshape(big_m, 1 << m, n_sub)
+    return fusion_frame_from_columns(
+        dropped.transpose(0, 2, 1).reshape(big_m, -1),
+        (1 << m,) * n_sub,
+        (Fraction(1, big_m),) * n_sub,
+    )
 
 
-def _pairwise_traces(subs: Sequence[Subspace]) -> tuple[np.ndarray, int]:
+def _pairwise_traces(ff: FusionFrame) -> tuple[np.ndarray, int]:
     # Integer L x L matrix t and denominator q with tr(P_i P_j) = t[i, j] / q,
-    # for subspaces of one dimension d. One block Gram of the stacked bases,
-    # reshaped to (L, d, L, d), holds every B_i.T @ B_j; its squared
-    # Frobenius norms are weighted by scale_i * scale_j = p_i * p_j / q
-    # over a common denominator, so mixed scales take the same route.
-    n_sub, d = len(subs), subs[0].dim
-    stacked = np.hstack([s.basis_raw for s in subs])
-    g = checked_matmul(stacked.T, stacked)
+    # for subspaces of one dimension d. The block Gram B^T B, reshaped to
+    # (L, d, L, d), holds every B_i.T @ B_j; its squared Frobenius norms are
+    # weighted by scale_i * scale_j = p_i * p_j / q over a common
+    # denominator, so mixed scales take the same route.
+    n_sub, d = len(ff.dims), ff.dims[0]
+    g = checked_matmul(ff.basis_raw.T, ff.basis_raw)
     peak = max(int(g.max()), -int(g.min()))
     if g.dtype == object or peak * peak * d * d >= 1 << 63:
         g = g.astype(object)
     g *= g
     frob = g.reshape(n_sub, d, n_sub, d).sum(axis=(1, 3))
-    den = math.lcm(*(s.scale_sq.denominator for s in subs))
-    p = np.array([s.scale_sq.numerator * (den // s.scale_sq.denominator) for s in subs],
-                 dtype=object)
-    return np.outer(p, p) * frob.astype(object), den * den
+    p, q = _weights(ff)
+    if set(p) != {1}:
+        frob = np.outer(np.array(p, dtype=object), p) * frob.astype(object)
+    return frob, q * q
 
 
 def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
     """Prove tightness, equal dimensions, equal pairwise chordal distances,
-    and from them optimality, in exact arithmetic on ``ff``'s subspaces.
+    and from them optimality, in exact arithmetic on ``ff``'s matrix.
 
     The distances m - tr(P_i P_j) of every pair come from one block Gram
     (see chordal_dist_sq for the single-pair definition). ``grassmannian``
     is proved from these verdicts, not from where ``ff`` came from; see
     ``FusionCertificate`` for why they prove the simplex bound is met.
     """
-    subs = ff.subspaces
-    if len(subs) < 2:
+    if len(ff.dims) < 2:
         raise ValidationError("certificate needs at least two subspaces")
     tight, bound = fusion_tight(ff)
-    equal_dim = len({s.dim for s in subs}) == 1
+    equal_dim = len(set(ff.dims)) == 1
     equi = False
     dist_sq: Fraction | None = None
     if equal_dim:
-        traces, den = _pairwise_traces(subs)
-        upper = traces[np.triu_indices(len(subs), 1)]
+        traces, den = _pairwise_traces(ff)
+        upper = traces[np.triu_indices(len(ff.dims), 1)]
         equi = bool((upper == upper[0]).all())
         if equi:
-            dist_sq = subs[0].dim - Fraction(int(upper[0]), den)
+            dist_sq = ff.dims[0] - Fraction(int(upper[0]), den)
     return FusionCertificate(
         tight=tight,
         bound_A=bound,
@@ -287,11 +307,6 @@ def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
         dist_sq=dist_sq,
         grassmannian=tight and equal_dim and equi,
     )
-
-
-def _float_projection(s: Subspace) -> np.ndarray:
-    b = s.basis_raw.astype(np.float64)
-    return (b @ b.T) * float(s.scale_sq)
 
 
 def fusion_analyze(ff: FusionFrame, x, *, exact: bool = False) -> list[np.ndarray]:
@@ -308,7 +323,7 @@ def fusion_analyze(ff: FusionFrame, x, *, exact: bool = False) -> list[np.ndarra
     xf = np.asarray(x, dtype=np.float64).reshape(-1)
     if xf.size != ff.ambient_dim:
         raise ValidationError(f"signal must have length {ff.ambient_dim}")
-    return [_float_projection(s) @ xf for s in ff.subspaces]
+    return [s.basis_raw @ (s.basis_raw.T @ xf) * float(s.scale_sq) for s in ff.subspaces]
 
 
 def fusion_reconstruct_tight(ff: FusionFrame, pieces, *, exact: bool = False) -> np.ndarray:
@@ -317,10 +332,8 @@ def fusion_reconstruct_tight(ff: FusionFrame, pieces, *, exact: bool = False) ->
     if not tight:
         raise ValidationError("fusion frame is not tight; least-squares is required")
     ps = list(pieces)
-    if len(ps) != len(ff.subspaces):
-        raise ValidationError(
-            f"expected {len(ff.subspaces)} pieces, got {len(ps)}"
-        )
+    if len(ps) != len(ff.dims):
+        raise ValidationError(f"expected {len(ff.dims)} pieces, got {len(ps)}")
     if exact:
         total = np.array([Fraction(0)] * ff.ambient_dim, dtype=object)
         for p in ps:

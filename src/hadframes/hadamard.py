@@ -105,24 +105,24 @@ def sign_matrix(rows) -> SignMatrix:
     return SignMatrix(order=a.shape[0], entries=a)
 
 
-def _checked_order(k: int, limit: int | None) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0:
+def _checked_order(k: int) -> int:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValidationError(f"k must be a non-negative integer, got {k!r}")
-    cap = max_order() if limit is None else limit
+    cap = max_order()
     n = 1 << int(k)
     if n > cap:
         raise ResourceLimitError(f"order 2**{k} = {n} exceeds the configured cap {cap}")
     return n
 
 
-def build_sylvester(k: int, *, limit: int | None = None) -> SignMatrix:
+def build_sylvester(k: int) -> SignMatrix:
     """Order-2^k Hadamard matrix from the doubling recursion.
 
     Each step maps H to [[H, H], [H, -H]], starting from [[1]]; the first
     row and column of the result are all +1. The result is not proved
     here: ``validate_hadamard`` proves it where a certificate claims it.
     """
-    n = _checked_order(k, limit)
+    n = _checked_order(k)
     h = np.ones((1, 1), dtype=np.int8)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
@@ -142,7 +142,7 @@ def _sequency_permutation(k: int) -> tuple[int, ...]:
     return tuple(bitrev(s ^ (s >> 1)) for s in range(1 << k))
 
 
-def build_walsh(k: int, *, limit: int | None = None) -> WalshMatrix:
+def build_walsh(k: int) -> WalshMatrix:
     """Sequency-ordered Hadamard matrix of order 2^k.
 
     Row j equals the j-th Walsh function sampled at t/2^k for
@@ -151,7 +151,7 @@ def build_walsh(k: int, *, limit: int | None = None) -> WalshMatrix:
     proved here: the ``walsh_order`` and ``hadamard`` certificates prove
     them on the matrix a command emits.
     """
-    syl = build_sylvester(k, limit=limit)
+    syl = build_sylvester(k)
     perm = np.fromiter(_sequency_permutation(int(k)), dtype=np.int64, count=syl.order)
     return WalshMatrix(log_order=int(k), base=sign_matrix(syl.entries[perm]))
 

@@ -4,7 +4,8 @@ Every routine here is exact: machine-integer paths stay inside proven
 overflow bounds and fall back to arbitrary-precision Python integers when
 they would not. checked_matmul is the one exact product kernel: the Gram
 of a +-1 matrix, a frame's Gram and frame operator, and a fusion frame's
-block Gram all go through it.
+block Gram, frame operator and stacked per-subspace Grams all go through
+it.
 
 checked_matmul computes in one of four tiers, chosen from the bound
 max|a| * max|b| * k on every partial sum of the product:
@@ -64,10 +65,11 @@ def _exact_dtype(a: np.ndarray, b: np.ndarray):
     or object.
 
     Chosen from the worst-case bound max|a| * max|b| * k on every partial
-    sum of the product, where k is the inner dimension. Each maximum counts
-    as at least 1, so the entries themselves also lie below the bound.
+    sum of the product, where k is the inner dimension, the last axis of
+    ``a``. Each maximum counts as at least 1, so the entries themselves also
+    lie below the bound.
     """
-    bound = _max_abs(a) * _max_abs(b) * a.shape[1]
+    bound = _max_abs(a) * _max_abs(b) * a.shape[-1]
     if bound < _FLOAT32_EXACT_BOUND:
         return np.float32
     if bound < _FLOAT_EXACT_BOUND:
@@ -77,12 +79,18 @@ def _exact_dtype(a: np.ndarray, b: np.ndarray):
     return object
 
 
+def _swapped(x: tuple) -> tuple:
+    return (*x[:-2], x[-1], x[-2])
+
+
 def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
-    # b views the same memory as a with its axes swapped, so b equals a.T.
+    # b views the same memory as a with its last two axes swapped, so b
+    # equals a.T for matrices and a's transposed stack for stacks of them.
     return (
         a.dtype == b.dtype
-        and a.shape == b.shape[::-1]
-        and a.strides == b.strides[::-1]
+        and a.ndim == b.ndim >= 2
+        and a.shape == _swapped(b.shape)
+        and a.strides == _swapped(b.strides)
         and a.ctypes.data == b.ctypes.data
     )
 
@@ -90,20 +98,23 @@ def _is_transpose(a: np.ndarray, b: np.ndarray) -> bool:
 def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integer matrix product, exact for any magnitude.
 
-    The dtype comes from _exact_dtype. On the float64 path BLAS is exact:
-    every product a[i, l] * b[l, j] and every partial sum of them, in any
-    order and with or without fused multiply-add, is an integer of
-    magnitude at most max|a| * max|b| * k < 2**50, and float64 holds every
-    integer up to 2**53, so no operation rounds. The float32 path is the
-    same argument with 2**21 and 2**24. Either result is returned as
-    int64. Between 2**50 and 2**62 int64 cannot overflow; beyond that the
-    product runs on Python integers and returns an object array.
+    Stacked operands multiply matrix by matrix, as ``@`` does; k is then the
+    inner dimension of each product. The dtype comes from _exact_dtype. On
+    the float64 path BLAS is exact: every product a[i, l] * b[l, j] and
+    every partial sum of them, in any order and with or without fused
+    multiply-add, is an integer of magnitude at most max|a| * max|b| * k
+    < 2**50, and float64 holds every integer up to 2**53, so no operation
+    rounds. The float32 path is the same argument with 2**21 and 2**24.
+    Either result is returned as int64. Between 2**50 and 2**62 int64
+    cannot overflow; beyond that the product runs on Python integers and
+    returns an object array.
 
-    A Gram product checked_matmul(a, a.T) converts a only once.
+    A Gram product checked_matmul(a, a.T), or its stacked form, converts a
+    only once.
     """
     dtype = _exact_dtype(a, b)
     ca = a.astype(dtype, copy=False)
-    cb = ca.T if _is_transpose(a, b) else b.astype(dtype, copy=False)
+    cb = np.swapaxes(ca, -1, -2) if _is_transpose(a, b) else b.astype(dtype, copy=False)
     out = ca @ cb
     if dtype in (np.float32, np.float64):
         return out.astype(np.int64)

@@ -356,7 +356,7 @@ def frame_to_dict(f: frames.ScaledFrame) -> dict:
 
 
 def _shared_scale(ff: fusion.FusionFrame) -> Fraction:
-    scales = {s.scale_sq for s in ff.subspaces}
+    scales = set(ff.scales)
     if len(scales) != 1:
         raise ValidationError("fusion frame schema needs a single scale_sq; subspace scales differ")
     return scales.pop()
@@ -433,20 +433,21 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
     scale = _field(d, "scale_sq", pair_to_fraction)
 
     def bases(flats) -> list[np.ndarray]:
-        return [_int_matrix(flat, m, len(_int_array(flat)) // m) for flat in _LIST(flats)]
+        flats = [_int_array(flat) for flat in _LIST(flats)]
+        dims = [len(flat) // m for flat in flats]
+        _size("column count", sum(dims))
+        return [_int_matrix(flat, m, dim) for flat, dim in zip(flats, dims)]
 
-    return fusion.make_fusion_frame(
-        [fusion.subspace_from_columns(b, scale) for b in _field(d, "subspaces", bases)]
+    blocks = _field(d, "subspaces", bases)
+    return fusion.fusion_frame_from_columns(
+        np.hstack(blocks), [b.shape[1] for b in blocks], [scale] * len(blocks)
     )
 
 
 def _fusion_from_csv(fields: dict, mat: np.ndarray) -> fusion.FusionFrame:
     scale = _field(fields, "scale_sq", _ratio_token, Fraction(1))
     dims = _field(fields, "subspace_dims", lambda text: [_int_token(x) for x in text.split(",")])
-    if min(dims) < 1 or sum(dims) != mat.shape[1]:
-        raise ValidationError("subspace_dims must be positive and add up to the column count")
-    blocks = np.split(mat, np.cumsum(dims)[:-1], axis=1)
-    return fusion.make_fusion_frame([fusion.subspace_from_columns(b, scale) for b in blocks])
+    return fusion.fusion_frame_from_columns(mat, dims, [scale] * len(dims))
 
 
 def _scale_token(fr: Fraction) -> str:
@@ -454,9 +455,8 @@ def _scale_token(fr: Fraction) -> str:
 
 
 def _fusion_csv(ff: fusion.FusionFrame) -> tuple[dict, np.ndarray]:
-    dims = ",".join(str(s.dim) for s in ff.subspaces)
-    fields = {"scale_sq": _scale_token(_shared_scale(ff)), "subspace_dims": dims}
-    return fields, np.hstack([s.basis_raw for s in ff.subspaces])
+    dims = ",".join(map(str, ff.dims))
+    return {"scale_sq": _scale_token(_shared_scale(ff)), "subspace_dims": dims}, ff.basis_raw
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +472,7 @@ class Kind(NamedTuple):
     from_dict: Callable[[dict], Any]
     to_csv: Callable[[Any], tuple[dict, np.ndarray]]  # header fields after kind, matrix
     from_csv: Callable[[dict, np.ndarray], Any]
-    csv_sizes: tuple[str, str | None]  # what a CSV's row and column counts are; None: no cap
+    csv_sizes: tuple[str, str]  # what a CSV's row and column counts are
     checks: Callable[[Any], dict]  # the JSON-ready certificate
     passes: Callable[[dict, str], bool]  # (checks, --require level) -> verdict
 
@@ -531,7 +531,7 @@ KINDS = (
         from_dict=_fusion_from_dict,
         to_csv=_fusion_csv,
         from_csv=_fusion_from_csv,
-        csv_sizes=("ambient_dim", None),
+        csv_sizes=("ambient_dim", "column count"),
         checks=lambda ff: fusion_certificate_to_dict(fusion.equidistance_certificate(ff)),
         passes=_frame_passes,
     ),
@@ -601,8 +601,7 @@ def object_from_csv(text: str):
     lines = [ln for ln in body.splitlines() if ln.strip()]
     rows, cols = kind.csv_sizes
     _size(rows, len(lines))
-    if cols is not None:
-        _size(cols, lines[0].count(",") + 1)
+    _size(cols, lines[0].count(",") + 1)
     return kind.from_csv(fields, _csv_body(lines))
 
 

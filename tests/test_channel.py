@@ -396,11 +396,11 @@ def test_simulate_dispatches_on_the_object_type(etf4):
 # the shared least-squares decoder
 
 
-def coordinate_map(units):
-    """The analysis map of ``units`` (integer columns, scale) and each unit's
-    row count: every unit's scaled columns side by side, transposed."""
-    phi = np.hstack([raw * math.sqrt(float(scale)) for raw, scale in units]).T
-    return phi, np.array([raw.shape[1] for raw, _ in units])
+def coordinate_map(raw, rows, scales):
+    """The analysis map of the integer columns ``raw``, unit i owning the
+    next ``rows[i]`` of them at scale ``scales[i]``, and the row counts:
+    every column scaled by the square root of its unit's scale, transposed."""
+    return (raw * np.repeat([math.sqrt(float(s)) for s in scales], rows)).T, np.asarray(rows)
 
 
 def survivor_mask(units, surv):
@@ -447,14 +447,14 @@ WALSH4 = np.array(build_walsh(2).base.entries)
 def mixed_fusion_maps(draw):
     """The coordinate map of subspaces of F^4 with unequal dimensions and
     two scales: coordinate planes (scale 1) and Walsh-column spans (1/4)."""
-    units = []
+    subs = []
     for _ in range(draw(st.integers(2, 5))):
         cols = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
         basis, scale = draw(st.sampled_from([(np.eye(4, dtype=int), 1), (WALSH4, Fraction(1, 4))]))
-        s = subspace_from_columns(basis[:, cols], scale)
-        units.append((s.basis_raw, s.scale_sq))
-    phi, rows = coordinate_map(units)
-    return phi, rows, draw(survivor_sets(len(units)))
+        subs.append(subspace_from_columns(basis[:, cols], scale))
+    phi, rows = coordinate_map(np.hstack([s.basis_raw for s in subs]), [s.dim for s in subs],
+                               [s.scale_sq for s in subs])
+    return phi, rows, draw(survivor_sets(len(subs)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -501,12 +501,15 @@ def test_memory_does_not_grow_with_trials():
     # The first run of each input also fills the interpreter's free lists,
     # which would otherwise count towards a traced run; a full collection
     # empties them, so the collector stays off until the traced runs are done.
+    # Both traced runs fill whole blocks: a partial last block has arrays of
+    # another shape, and its peak would measure that shape, not the trials.
+    assert 256 % channel.BLOCK_TRIALS == 0
     gc.disable()
     try:
         for obj in (lop, build_gff(4, 1)):
-            run(obj, 2000)
+            run(obj, 2560)
             peaks = []
-            for trials in (200, 2000):
+            for trials in (256, 2560):
                 tracemalloc.start()
                 run(obj, trials)
                 peaks.append(tracemalloc.get_traced_memory()[1])
@@ -609,15 +612,15 @@ def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
 
 
 def channel_inputs(obj):
-    """The coordinate map and row table of the units that ``simulate`` hands
-    the trial loop for ``obj``, the units, and the tight bound (None when
-    ``obj`` is not tight)."""
+    """What ``simulate`` hands the trial loop for ``obj``: its coordinate
+    map and row table, its integer matrix and unit scales, and the tight
+    bound (None when ``obj`` is not tight)."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
         simulate(obj, ChannelConfig())
-    units, tightness = captured[0][:2]
-    return *coordinate_map(units), units, tightness()[1]
+    raw, rows, scales, tightness = captured[0][:4]
+    return *coordinate_map(raw, rows, scales), raw, scales, tightness()[1]
 
 
 def assert_downdate_matches_lstsq(obj, erased_sets, seed):
@@ -625,11 +628,11 @@ def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     match x = np.linalg.lstsq's solution within 1e-12 * (1 + |x|), and the
     exact count k' - rank(C) must be the dimension the survivors' integer
     columns fail to span."""
-    phi, rows, units, bound = channel_inputs(obj)
+    phi, rows, raw, scales, bound = channel_inputs(obj)
     m = phi.shape[1]
-    exact = _erasure_deficit(units, bound)
-    by_rank = _spanning_deficit(units, m)
-    keeps = np.array([~survivor_mask(len(units), erased) for erased in erased_sets])
+    exact = _erasure_deficit(raw, rows, scales, bound)
+    by_rank = _spanning_deficit(raw, rows, m)
+    keeps = np.array([~survivor_mask(len(rows), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
     got = _downdate_decoder(phi, rows, bound)(y, keeps, np.array([exact(keep) for keep in keeps]))
@@ -708,8 +711,8 @@ def test_downdate_matches_lstsq_on_rank_deficient_etf64_sets():
     # 61 of the 64 vectors in F^63: C has rank 1, so two null directions
     etf64 = etf_from_hadamard(build_walsh(6).base)
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
-    _, _, units, bound = channel_inputs(etf64)
-    deficit = _erasure_deficit(units, bound)
+    _, rows, raw, scales, bound = channel_inputs(etf64)
+    deficit = _erasure_deficit(raw, rows, scales, bound)
     assert [deficit(~survivor_mask(64, d)) for d in drops] == [2] * 3
     assert_downdate_matches_lstsq(etf64, drops, 1)
 
@@ -793,7 +796,7 @@ def reference_report(obj, cfg):
     from the run's signal, noise and erasure streams, np.linalg.lstsq on the
     surviving rows (or the naive sum in naive mode), and int_rank of the
     surviving columns for recoverability."""
-    phi, rows, units, bound = channel_inputs(obj)
+    phi, rows, raw, scales, bound = channel_inputs(obj)
     m = phi.shape[1]
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)
@@ -803,18 +806,18 @@ def reference_report(obj, cfg):
         y = phi @ x
         if cfg.noise_std > 0:
             y = y + noises.normal(0.0, cfg.noise_std, size=len(phi))
-        keep = np.ones(len(units), dtype=bool)
+        keep = np.ones(len(rows), dtype=bool)
         keep[list(cfg.erasure.indices)] = False
         if cfg.erasure.mode == "random":
             k = cfg.erasure.k
-            keep[np.argpartition(erasures.random(len(units)), k - 1)[:k]] = False
+            keep[np.argpartition(erasures.random(len(rows)), k - 1)[:k]] = False
         idx = np.repeat(keep, rows)
         if cfg.mode == "naive":
             xhat = phi[idx].T @ y[idx] / float(bound)
         else:
             xhat = np.linalg.lstsq(phi[idx], y[idx], rcond=None)[0]
         mses.append(float(((xhat - x) ** 2).sum()))
-        non_recoverable += int_rank(np.hstack([units[i][0] for i in np.flatnonzero(keep)])) < m
+        non_recoverable += int_rank(raw[:, idx]) < m
         sets.add(keep.tobytes())
     mses = np.array(mses)
     return SimReport(

@@ -481,6 +481,11 @@ def test_bad_max_order_environment_exits_2(capsys, monkeypatch, etf4, value):
          '{"kind":"fusion_frame","ambient_dim":9,"scale_sq":{"num":1,"den":1},"subspaces":[]}'),
         ("rows.csv", "# kind=frame scale_sq=1/1\n" + "1\n" * 9),
         ("cols.csv", "# kind=frame scale_sq=1/1\n" + ",".join(["1"] * 9) + "\n"),
+        # 20 lines in F^1: each fits the cap, their column count does not
+        ("fusion-cols.csv", "# kind=fusion_frame scale_sq=1/1 subspace_dims=" + ",".join(["1"] * 20)
+                            + "\n" + ",".join(["1"] * 20) + "\n"),
+        ("fusion-cols.json", '{"kind":"fusion_frame","ambient_dim":1,"scale_sq":{"num":1,"den":1},'
+                             '"subspaces":[' + ",".join(["[1]"] * 20) + "]}"),
     ],
 )
 def test_import_over_the_order_cap_exits_2(tmp_path, capsys, monkeypatch, name, content):

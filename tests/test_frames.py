@@ -18,11 +18,9 @@ from hadframes import (
     coherence,
     etf_from_hadamard,
     float_coherence_sq,
-    float_frame_bounds,
     frame_from_integer_columns,
     gram,
     grassmannian_certificate,
-    is_equiangular,
     is_tight,
     normalize_first_row,
     reconstruct_tight,
@@ -188,17 +186,22 @@ def test_repeated_vector_breaks_tightness():
     assert is_tight(f) == (False, None)
 
 
+def equiangularity(f):
+    c = grassmannian_certificate(f)
+    return c.equiangular, c.alpha_sq
+
+
 def test_equiangularity_of_etf(etf4):
-    assert is_equiangular(etf4) == (True, Fraction(1, 9))
+    assert equiangularity(etf4) == (True, Fraction(1, 9))
 
 
 def test_orthonormal_basis_is_equiangular_at_zero(basis2):
-    assert is_equiangular(basis2) == (True, 0)
+    assert equiangularity(basis2) == (True, 0)
 
 
 def test_mixed_correlations_are_not_equiangular():
     f = frame_from_integer_columns([[1, 1, 1], [1, -1, 1]], Fraction(1, 2))
-    assert is_equiangular(f) == (False, None)
+    assert equiangularity(f) == (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ def test_etf_order2_is_degenerate_antipodal_pair():
     f = etf_from_hadamard(build_walsh(1).base)
     assert f.ambient_dim == 1 and f.count == 2
     assert is_tight(f) == (True, 2)
-    assert is_equiangular(f) == (True, 1)
+    assert equiangularity(f) == (True, 1)
     assert coherence(f).max_corr_sq == welch_bound_sq(2, 1)
 
 
@@ -234,7 +237,7 @@ def test_etf_from_order12_fixture(had12):
     assert (f.ambient_dim, f.count) == (11, 12)
     tight, bound = is_tight(f)
     assert tight and bound == Fraction(12, 11)
-    equi, alpha_sq = is_equiangular(f)
+    equi, alpha_sq = equiangularity(f)
     assert equi and alpha_sq == Fraction(1, 121)
     assert coherence(f).max_corr_sq == welch_bound_sq(12, 11)
 
@@ -317,18 +320,6 @@ def test_reconstruct_requires_tight_frame():
 
 # ---------------------------------------------------------------------------
 # float diagnostics and the Welch inequality
-
-
-def test_float_bounds_of_tight_frame(etf4):
-    from hadframes import synthesis_matrix
-
-    lo, hi = float_frame_bounds(synthesis_matrix(etf4))
-    assert abs(lo - 4 / 3) < 1e-10 and abs(hi - 4 / 3) < 1e-10
-
-
-def test_float_bounds_of_non_tight_frame():
-    lo, hi = float_frame_bounds(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    assert abs(lo - 1) < 1e-10 and abs(hi - 2) < 1e-10
 
 
 def test_random_frames_respect_welch_inequality():

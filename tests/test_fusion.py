@@ -19,18 +19,17 @@ from hadframes import (
     build_gff,
     build_sylvester,
     build_walsh,
-    chordal_dist,
     chordal_dist_sq,
     equidistance_certificate,
     etf_from_hadamard,
     frame_from_integer_columns,
     fusion_analyze,
+    fusion_frame_from_columns,
     fusion_reconstruct_tight,
     fusion_tight,
     gram,
     lemma_row_check,
     make_fusion_frame,
-    projection,
     subspace_from_columns,
 )
 
@@ -78,8 +77,11 @@ def test_scaled_hadamard_columns_span_plane():
 
 
 def test_equal_columns_are_not_orthonormal():
-    with pytest.raises(ValidationError, match="not orthonormal"):
+    with pytest.raises(ValidationError, match="columns 0,1 have inner product 2 .* not orthonormal"):
         subspace_from_columns([[1, 1], [1, 1]], Fraction(1, 2))
+    # the first column is a unit vector, the second is not
+    with pytest.raises(ValidationError, match="columns 1,1 have inner product 2 .* != 1"):
+        subspace_from_columns([[1, 0], [0, 1], [0, 1]], 1)
 
 
 def test_subspace_dim_cannot_exceed_ambient():
@@ -87,30 +89,61 @@ def test_subspace_dim_cannot_exceed_ambient():
         subspace_from_columns(np.ones((1, 2), dtype=int), 1)
 
 
-def test_projection_onto_first_axis():
-    assert projection(line(2, 0)).tolist() == [[1, 0], [0, 0]]
-
-
-def test_projection_onto_whole_space_is_identity():
-    s = subspace_from_columns(np.eye(2, dtype=int), 1)
-    assert projection(s).tolist() == [[1, 0], [0, 1]]
-
-
-def test_projection_onto_diagonal_line():
-    s = subspace_from_columns([[1], [1]], Fraction(1, 2))
-    assert projection(s).tolist() == [
-        [Fraction(1, 2), Fraction(1, 2)],
-        [Fraction(1, 2), Fraction(1, 2)],
-    ]
-
-
 def test_projection_is_idempotent_symmetric_with_trace_dim():
+    # every subspace view of the stored matrix is a scaled orthonormal basis
     for s in build_gff(3, 1).subspaces:
-        p = projection(s)
+        p = np.array(projection_oracle(s), dtype=object)
         assert np.array_equal(p @ p, p)
         assert np.array_equal(p.T, p)
         assert sum(p[i, i] for i in range(s.ambient_dim)) == s.dim
-        assert p.tolist() == projection_oracle(s)
+
+
+# ---------------------------------------------------------------------------
+# one matrix
+
+
+def test_fusion_frame_stores_one_read_only_matrix_with_views():
+    ff = build_gff(4, 1)
+    assert ff.basis_raw.shape == (14, 16) and not ff.basis_raw.flags.writeable
+    assert ff.dims == (2,) * 8 and ff.scales == (Fraction(1, 14),) * 8
+    dropped = build_walsh(4).base.entries[2:]
+    for i, s in enumerate(ff.subspaces):
+        assert np.shares_memory(s.basis_raw, ff.basis_raw)
+        assert np.array_equal(s.basis_raw, dropped[:, [i, i + 8]])
+        assert (s.ambient_dim, s.dim, s.scale_sq) == (14, 2, Fraction(1, 14))
+
+
+def test_make_fusion_frame_adapts_the_matrix_constructor():
+    e = np.eye(3, dtype=int)
+    dims, scales = (2, 1, 1, 2), (1, 1, 1, 1)
+    cols = [[0, 1], [2], [0], [1, 2]]
+    ff = make_fusion_frame([subspace_from_columns(e[:, c], 1) for c in cols])
+    direct = fusion_frame_from_columns(e[:, sum(cols, [])], dims, scales)
+    assert np.array_equal(ff.basis_raw, direct.basis_raw)
+    assert ff.dims == direct.dims == dims and ff.scales == direct.scales
+    assert fusion_tight(direct) == (True, 2)
+
+
+def test_constructor_names_the_first_subspace_that_is_not_orthonormal():
+    # dims 1, 2, 1 take two stacked products. Subspace 1's columns meet at
+    # inner product 1, and subspace 2's column has squared norm 2 under
+    # scale 1; the witness is the first failing subspace.
+    mat = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 0]])
+    scales = (1, Fraction(1, 2), 1)
+    with pytest.raises(ValidationError, match=r"^subspace 1: columns 0,1 have inner product 1 "
+                                              r"\* 1/2 != 0: basis is not orthonormal"):
+        fusion_frame_from_columns(mat, (1, 2, 1), scales)
+    mat[1:, 2] = [-1, 0]  # subspace 1 is now orthonormal
+    with pytest.raises(ValidationError, match=r"^subspace 2: columns 0,0 have inner product 2 "
+                                              r"\* 1 != 1: basis is not orthonormal"):
+        fusion_frame_from_columns(mat, (1, 2, 1), scales)
+
+
+@pytest.mark.parametrize("dims,scales", [((2, 1), (1, 1)), ((1, 1, 1, 1), (1, 1, 1)),
+                                         ((0, 2, 2), (1, 1, 1)), ((), ())])
+def test_constructor_checks_dims_and_scales(dims, scales):
+    with pytest.raises(ValidationError, match="add up to the column count 4"):
+        fusion_frame_from_columns(np.eye(4, dtype=int), dims, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +185,6 @@ def test_chordal_distance_requires_equal_dims():
     plane = subspace_from_columns(np.eye(2, dtype=int), 1)
     with pytest.raises(ValidationError, match="equal dimensions"):
         chordal_dist_sq(line(2, 0), plane)
-
-
-def test_chordal_float_accessor():
-    assert chordal_dist(line(2, 0), line(2, 1)) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +288,8 @@ def test_gff_rejects_bad_parameters():
         build_gff(2, -1)
     with pytest.raises(ValidationError, match="integers"):
         build_gff(3.0, 1)
+    with pytest.raises(ValidationError, match="integers"):
+        build_gff(True, False)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -448,10 +479,20 @@ def pairwise_equidistance(ff):
     return (True, seen.pop()) if len(seen) == 1 else (False, None)
 
 
+def tightness_oracle(ff):
+    """(tight, A) from the Fraction sum of every subspace's projection."""
+    total = np.sum([np.array(projection_oracle(s), dtype=object) for s in ff.subspaces], axis=0)
+    a = total[0, 0]
+    tight = all(total[r, t] == (a if r == t else 0)
+                for r in range(ff.ambient_dim) for t in range(ff.ambient_dim))
+    return (True, a) if tight else (False, None)
+
+
 def assert_certificate_matches_pairs(ff):
     c = equidistance_certificate(ff)
     assert c.equal_dim == (len({s.dim for s in ff.subspaces}) == 1)
     assert (c.equi_distance, c.dist_sq) == pairwise_equidistance(ff)
+    assert (c.tight, c.bound_A) == tightness_oracle(ff)
 
 
 def _fixed_fusion_frames():

@@ -286,16 +286,11 @@ def test_fwht_equals_naive_multiply(k, data):
 # resource limits
 
 
-def test_order_cap_raises_resource_error():
-    with pytest.raises(ResourceLimitError, match="exceeds"):
-        build_sylvester(4, limit=8)
-    with pytest.raises(ResourceLimitError):
-        build_walsh(4, limit=8)
-
-
 def test_order_cap_env_override(monkeypatch):
     monkeypatch.setenv(MAX_ORDER_ENV, "8")
     assert max_order() == 8
+    with pytest.raises(ResourceLimitError, match="exceeds"):
+        build_sylvester(4)
     with pytest.raises(ResourceLimitError):
         build_walsh(4)
     monkeypatch.delenv(MAX_ORDER_ENV)
@@ -305,6 +300,8 @@ def test_order_cap_env_override(monkeypatch):
 def test_negative_k_rejected():
     with pytest.raises(ValidationError, match="non-negative"):
         build_sylvester(-1)
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        build_walsh(True)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "8.0", " "])

@@ -163,6 +163,12 @@ def test_checked_matmul_matches_python_integers(m, k, n, ea, eb, seed):
     b = rng.integers(-(1 << eb), 1 << eb, size=(k, n), endpoint=True)
     assert as_ints(checked_matmul(a, b)) == object_product(a, b)
     assert as_ints(checked_matmul(a, a.T)) == object_product(a, a.T)
+    # stacked operands: the bound uses each product's inner dimension k
+    sa = rng.integers(-(1 << ea), 1 << ea, size=(3, m, k), endpoint=True)
+    sb = rng.integers(-(1 << eb), 1 << eb, size=(3, k, n), endpoint=True)
+    assert [as_ints(p) for p in checked_matmul(sa, sb)] == list(map(object_product, sa, sb))
+    st_gram = checked_matmul(np.swapaxes(sa, 1, 2), sa)
+    assert [as_ints(p) for p in st_gram] == [object_product(x.T, x) for x in sa]
 
 
 def test_gram_product_detects_the_transposed_view():
@@ -170,6 +176,8 @@ def test_gram_product_detects_the_transposed_view():
     assert _is_transpose(a, a.T) and _is_transpose(a.T, a)
     assert not _is_transpose(a, a.T.copy())
     assert not _is_transpose(a[:, :3], a[:3, :].T)
+    s = a.reshape(3, 2, 2)
+    assert _is_transpose(s, np.swapaxes(s, 1, 2)) and not _is_transpose(s, s.T)
     assert as_ints(checked_matmul(a, a.T)) == object_product(a, a.T)
     assert as_ints(checked_matmul(a.T, a)) == object_product(a.T, a)
 

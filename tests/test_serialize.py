@@ -331,7 +331,7 @@ def test_csv_float_cells_are_refused_not_truncated():
 @pytest.mark.parametrize(
     "module,name,decode,value",
     [
-        (fusion_module, "make_fusion_frame", ser.object_from_dict, "gff"),
+        (fusion_module, "fusion_frame_from_columns", ser.object_from_dict, "gff"),
         (frames_module, "frame_from_integer_columns", ser.object_from_csv, "etf-csv"),
         (ser, "ChannelConfig", ser.config_from_dict, "config"),
     ],
