@@ -74,6 +74,7 @@ N sigma^2 / A^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -81,8 +82,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .frames import ScaledFrame, is_tight
-from .fusion import FusionFrame, fusion_tight
+from .frames import ScaledFrame, _lines
+from .fusion import FusionFrame, _analysis_map, fusion_tight
 from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 
 # ``source(rng, n, dim)``: n signals of F^dim as the rows of an (n, dim)
@@ -104,6 +105,13 @@ EXACT_THRESHOLD = 1e-20
 BLOCK_TRIALS = 128
 
 
+def _integer(value, what: str) -> int:
+    # A Python or numpy integer as an int; bools and fractions are refused.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ErasureSpec:
     """What gets erased per trial: nothing, a fixed index set, or k at random."""
@@ -113,6 +121,8 @@ class ErasureSpec:
     k: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k, "erasure count k"))
+        object.__setattr__(self, "indices", tuple(_integer(i, "erasure index") for i in self.indices))
         if self.mode not in ("none", "fixed", "random"):
             raise ValidationError(f"unknown erasure mode {self.mode!r}")
         if self.mode != "fixed" and len(self.indices):
@@ -120,7 +130,7 @@ class ErasureSpec:
         if self.mode != "random" and self.k != 0:
             raise ValidationError(f"erasure mode {self.mode!r} takes no count k")
         if self.mode == "fixed":
-            ids = tuple(int(i) for i in self.indices)
+            ids = self.indices
             if not ids or len(set(ids)) != len(ids) or min(ids) < 0:
                 raise ValidationError("fixed erasure indices must be nonempty, distinct and >= 0")
             object.__setattr__(self, "indices", tuple(sorted(ids)))
@@ -137,7 +147,7 @@ class ErasureSpec:
 
     @classmethod
     def random_k(cls, k: int) -> "ErasureSpec":
-        return cls(mode="random", k=int(k))
+        return cls(mode="random", k=k)
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,15 @@ class ChannelConfig:
     mode: str = "lstsq"
 
     def __post_init__(self):
+        if isinstance(self.noise_std, bool) or not isinstance(self.noise_std, numbers.Real):
+            raise ValidationError(f"noise_std must be a real number, got {self.noise_std!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValidationError(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if self.mode not in ("lstsq", "naive"):
             raise ValidationError(f"unknown reconstruction mode {self.mode!r}")
@@ -396,8 +410,7 @@ def _simulate(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
     n_units = len(rows)
     spec = cfg.erasure
     _check_erasure(spec, n_units, what)
-    col_scale = np.repeat([math.sqrt(float(scale)) for scale in scales], rows)
-    phi = (raw.astype(np.float64) * col_scale).T
+    phi = _analysis_map(raw, rows, scales)
     m = phi.shape[1]
     tight, bound = tightness()
     rank_deficit = (_erasure_deficit(raw, rows, scales, bound) if tight
@@ -446,6 +459,12 @@ def _simulate(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
     return acc.report(cfg, len(spans))
 
 
+def _send(ff: FusionFrame, what: str, cfg: ChannelConfig,
+          signal_source: SignalSource) -> SimReport:
+    return _simulate(ff.basis_raw, np.array(ff.dims), ff.scales,
+                     lambda: fusion_tight(ff), what, cfg, signal_source)
+
+
 def simulate_frame(
     f: ScaledFrame,
     cfg: ChannelConfig,
@@ -453,12 +472,12 @@ def simulate_frame(
 ) -> SimReport:
     """Transmit frame coefficients of random signals; reconstruct; aggregate.
 
-    Each of the ``count`` units is one coefficient, a row of ``T^T``. A
-    survivor set that does not span F^M counts as non-recoverable; its
-    minimum-norm solution is still recorded.
+    The frame goes down ``simulate_fusion``'s path as the fusion frame of
+    its lines: each of the ``count`` units is one coefficient, a row of
+    ``T^T``. A survivor set that does not span F^M counts as
+    non-recoverable; its minimum-norm solution is still recorded.
     """
-    return _simulate(f.raw, np.ones(f.count, dtype=np.int64), (f.scale_sq,) * f.count,
-                     lambda: is_tight(f), "coefficients", cfg, signal_source)
+    return _send(_lines(f), "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(
@@ -474,8 +493,7 @@ def simulate_fusion(
     the channel as the frame of all its basis vectors. The noise model is in
     the module docstring.
     """
-    return _simulate(ff.basis_raw, np.array(ff.dims), ff.scales,
-                     lambda: fusion_tight(ff), "subspace pieces", cfg, signal_source)
+    return _send(ff, "subspace pieces", cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

@@ -1,28 +1,52 @@
-"""Unit-norm frames with exact rational certificates.
+"""Unit-norm frames, read as the fusion frames of their lines.
 
-A frame is stored as an integer matrix of unscaled column vectors plus a
-single rational ``scale_sq``; frame vector i is column i times
-sqrt(scale_sq). Gram entries, tightness bounds, coherence, and the Welch
-bound are all rational in the squared quantities, so every certificate is
-decided by exact integer and Fraction arithmetic with no square roots.
+A frame of N unit vectors in F^M is stored as an integer matrix of
+unscaled columns plus one rational ``scale_sq``; frame vector e_i is
+column i times sqrt(scale_sq). Its lines span(e_i) are a fusion frame of N
+subspaces of dimension 1 with the same matrix and every scale
+``scale_sq`` (Kutyniok, Pezeshki, Calderbank & Liu, ACHA 2009), and every
+numeric function here calls its ``fusion.py`` twin on them:
+
+- tightness, and the constructor's spanning shortcut, is ``fusion_tight``;
+- the squared correlations |<e_i, e_j>|^2 = tr(P_i P_j) are the lines'
+  pairwise traces, which decide equiangularity, Welch equality and
+  coherence;
+- analysis and tight reconstruction are ``fusion_analyze`` and
+  ``fusion_reconstruct_tight``, one coordinate per line;
+- the channel sends a frame as its lines.
+
+An equiangular tight frame is the equi-distance tight fusion frame of its
+lines, and the Welch bound is the simplex bound at d = 1.
+
+What stays here: the ``ScaledFrame`` type and its constructor's checks (unit
+norm, spanning), the certificate and coherence records, the signed Gram
+``gram``, ``welch_bound_sq``, the ETF of a Hadamard matrix and the float
+diagnostic ``float_coherence_sq``. Every verdict is decided by exact integer
+and Fraction arithmetic with no square roots.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ValidationError
+from .fusion import (
+    FusionFrame,
+    _analysis_map,
+    _pairwise_traces,
+    fusion_analyze,
+    fusion_reconstruct_tight,
+    fusion_tight,
+)
 from .hadamard import SignMatrix, require_hadamard
 from .intlinalg import (
     as_fraction,
     as_int_matrix,
     checked_matmul,
     column_norms_sq,
-    identity_multiple,
     int_rank,
     scaled_fraction_matrix,
 )
@@ -56,6 +80,10 @@ class FrameCertificate:
     squared correlation equal to its mean over the N(N - 1) ordered pairs,
     which is the Welch bound. So the frame has the least coherence of any
     N unit vectors in F^M.
+
+    The Welch bound is the simplex bound of ``fusion.FusionCertificate`` at
+    d = 1: the lines' squared chordal distance is 1 - |<e_i, e_j>|^2, and
+    (M - 1)/M * N/(N - 1) = 1 - (N - M)/(M(N - 1)).
     """
 
     tight: bool
@@ -64,6 +92,13 @@ class FrameCertificate:
     alpha_sq: Fraction | None
     welch_equality: bool
     grassmannian: bool
+
+
+def _lines(f: ScaledFrame) -> FusionFrame:
+    # The fusion frame of f's lines on f's own matrix. The constructor has
+    # proved unit norm (each scaled column is an orthonormal basis of its
+    # line) and spanning, so nothing is copied or validated again.
+    return FusionFrame(f.raw, (1,) * f.count, (f.scale_sq,) * f.count)
 
 
 def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
@@ -78,48 +113,40 @@ def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
             raise ValidationError(
                 f"column {i} has squared norm {int(nrm)} * {scale} != 1"
             )
-    # A frame operator c * I with c > 0 is invertible, which proves spanning
-    # without the rank computation.
-    c = identity_multiple(checked_matmul(a, a.T))
-    if (c is None or c <= 0) and (n < m or int_rank(a) < m):
+    a = a.copy()
+    a.setflags(write=False)
+    f = ScaledFrame(ambient_dim=m, count=n, raw=a, scale_sq=scale)
+    # A frame operator A * I of unit vectors has A = N / M > 0 and is
+    # invertible, which proves spanning without the rank computation.
+    if not is_tight(f)[0] and (n < m or int_rank(a) < m):
         raise ValidationError(
             f"vectors do not span: rank < ambient dimension {m} (count {n})"
         )
-    a = a.copy()
-    a.setflags(write=False)
-    return ScaledFrame(ambient_dim=m, count=n, raw=a, scale_sq=scale)
-
-
-def _raw_gram(f: ScaledFrame) -> np.ndarray:
-    return checked_matmul(f.raw.T, f.raw)
+    return f
 
 
 def gram(f: ScaledFrame) -> np.ndarray:
     """N x N matrix of exact pairwise inner products, as Fractions."""
-    return scaled_fraction_matrix(_raw_gram(f), f.scale_sq)
+    return scaled_fraction_matrix(checked_matmul(f.raw.T, f.raw), f.scale_sq)
 
 
-def _off_diagonal_abs(g: np.ndarray) -> np.ndarray:
-    # |g| with -1 on the diagonal, below every off-diagonal value.
-    absg = np.abs(g)
-    np.fill_diagonal(absg, -1)
-    return absg
-
-
-def _corr_sq(entry: int, f: ScaledFrame) -> Fraction:
-    return Fraction(entry * entry) * f.scale_sq * f.scale_sq
+def _line_traces(f: ScaledFrame) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    # |<e_i, e_j>|^2 = tr(P_i P_j) = upper[k] / den for the pairs
+    # i = iu[0][k] < j = iu[1][k], in row-major order.
+    traces, den = _pairwise_traces(_lines(f))
+    iu = np.triu_indices(f.count, 1)
+    return traces[iu], iu, den
 
 
 def coherence(f: ScaledFrame) -> CoherenceReport:
     """Maximal squared frame correlation over all pairs, exact."""
     if f.count < 2:
         raise ValidationError("coherence needs at least two frame vectors")
-    absg = _off_diagonal_abs(_raw_gram(f))
-    peak = int(absg.max())
-    pairs = tuple(
-        (int(i), int(j)) for i, j in np.argwhere(absg == peak) if i < j
-    )
-    return CoherenceReport(max_corr_sq=_corr_sq(peak, f), achieving_pairs=pairs)
+    upper, iu, den = _line_traces(f)
+    peak = upper.max()
+    at = np.flatnonzero(upper == peak)
+    pairs = tuple(zip(iu[0][at].tolist(), iu[1][at].tolist()))
+    return CoherenceReport(max_corr_sq=Fraction(int(peak), den), achieving_pairs=pairs)
 
 
 def welch_bound_sq(count: int, dim: int) -> Fraction:
@@ -133,19 +160,8 @@ def welch_bound_sq(count: int, dim: int) -> Fraction:
 
 
 def is_tight(f: ScaledFrame) -> tuple[bool, Fraction | None]:
-    """Decide raw @ raw.T * scale_sq == A * I exactly; return A when tight."""
-    s = checked_matmul(f.raw, f.raw.T)
-    c = identity_multiple(s)
-    if c is None:
-        return False, None
-    return True, Fraction(c) * f.scale_sq
-
-
-def _equiangular(absg: np.ndarray, f: ScaledFrame) -> tuple[bool, Fraction | None]:
-    vals = absg[absg >= 0]
-    if not (vals == vals[0]).all():
-        return False, None
-    return True, _corr_sq(int(vals[0]), f)
+    """Decide sum_i e_i e_i^T == A * I exactly; return A when tight."""
+    return fusion_tight(_lines(f))
 
 
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
@@ -173,67 +189,48 @@ def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
     """Prove tightness, equiangularity, and Welch equality exactly on ``f``.
 
     ``grassmannian`` (tight and equiangular) is the minimal-coherence claim;
-    none is made when either verdict is false. The N x N Gram is formed
-    once and read by both the equiangularity and Welch checks.
+    none is made when either verdict is false. The lines' pairwise traces
+    come from one N x N Gram and are read by both the equiangularity and
+    the Welch check, which compares the largest of them to the bound.
     """
     if f.count < 2:
         raise ValidationError("certificate needs at least two frame vectors")
     tight, bound = is_tight(f)
-    absg = _off_diagonal_abs(_raw_gram(f))
-    equi, alpha_sq = _equiangular(absg, f)
-    welch_eq = _corr_sq(int(absg.max()), f) == welch_bound_sq(f.count, f.ambient_dim)
+    upper, _, den = _line_traces(f)
+    equi = bool((upper == upper[0]).all())
+    welch_eq = Fraction(int(upper.max()), den) == welch_bound_sq(f.count, f.ambient_dim)
     return FrameCertificate(
         tight=tight,
         bound_A=bound,
         equiangular=equi,
-        alpha_sq=alpha_sq,
+        alpha_sq=Fraction(int(upper[0]), den) if equi else None,
         welch_equality=welch_eq,
         grassmannian=tight and equi,
     )
 
 
 def synthesis_matrix(f: ScaledFrame) -> np.ndarray:
-    """Float M x N matrix whose columns are the scaled frame vectors."""
-    return f.raw.astype(np.float64) * math.sqrt(float(f.scale_sq))
-
-
-def _exact_vector(x, length: int, what: str) -> np.ndarray:
-    v = np.asarray(x, dtype=object).reshape(-1)
-    if v.size != length:
-        raise ValidationError(f"{what} must have length {length}, got {v.size}")
-    return np.array([as_fraction(e) for e in v], dtype=object)
+    """Float M x N matrix whose columns are the scaled frame vectors: the
+    transpose of the lines' analysis map."""
+    lines = _lines(f)
+    return _analysis_map(lines.basis_raw, lines.dims, lines.scales).T
 
 
 def analyze(f: ScaledFrame, x, *, exact: bool = False) -> np.ndarray:
-    """Frame coefficients of x.
+    """Frame coefficients of x: ``fusion_analyze`` of the lines, joined.
 
     Float mode returns the inner products <x, e_i>. Exact mode returns
     Fractions in units of the vector scale: u_i = <x, column i>, so that
     <x, e_i> = u_i * sqrt(scale_sq); reconstruct_tight(exact=True) expects
     exactly these units and the round trip is exact.
     """
-    if exact:
-        xv = _exact_vector(x, f.ambient_dim, "signal")
-        return f.raw.T.astype(object) @ xv
-    xf = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xf.size != f.ambient_dim:
-        raise ValidationError(f"signal must have length {f.ambient_dim}")
-    return synthesis_matrix(f).T @ xf
+    return np.concatenate(fusion_analyze(_lines(f), x, exact=exact))
 
 
 def reconstruct_tight(f: ScaledFrame, coefficients, *, exact: bool = False) -> np.ndarray:
-    """Reconstruct x = (1/A) * sum_i c_i e_i on a tight frame."""
-    tight, bound = is_tight(f)
-    if not tight:
-        raise ValidationError("frame is not tight; least-squares is required")
-    if exact:
-        u = _exact_vector(coefficients, f.count, "coefficients")
-        factor = f.scale_sq / bound
-        return (f.raw.astype(object) @ u) * factor
-    c = np.asarray(coefficients, dtype=np.float64).reshape(-1)
-    if c.size != f.count:
-        raise ValidationError(f"coefficients must have length {f.count}")
-    return (synthesis_matrix(f) @ c) / float(bound)
+    """Reconstruct x = (1/A) * sum_i c_i e_i on a tight frame:
+    ``fusion_reconstruct_tight`` of the lines, one coefficient per line."""
+    return fusion_reconstruct_tight(_lines(f), np.reshape(coefficients, (-1, 1)), exact=exact)
 
 
 def float_coherence_sq(vectors) -> float:

@@ -309,43 +309,59 @@ def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
     )
 
 
+def _analysis_map(raw: np.ndarray, dims, scales) -> np.ndarray:
+    """Float analysis map phi = T^T of the matrix form: T is ``raw`` with the
+    next ``dims[i]`` columns scaled by sqrt(``scales[i]``), so row r of phi is
+    the scaled basis vector r and phi @ x holds every subspace's coordinates."""
+    col_scale = np.repeat([math.sqrt(float(s)) for s in scales], dims)
+    return (raw.astype(np.float64) * col_scale).T
+
+
+def _vector(x, length: int, what: str, exact: bool) -> np.ndarray:
+    # x flattened to float64, or to Fractions in exact mode, of ``length`` entries.
+    v = np.asarray(x, dtype=object if exact else np.float64).reshape(-1)
+    if v.size != length:
+        raise ValidationError(f"{what} must have length {length}, got {v.size}")
+    return np.array([as_fraction(e) for e in v], dtype=object) if exact else v
+
+
 def fusion_analyze(ff: FusionFrame, x, *, exact: bool = False) -> list[np.ndarray]:
-    """Project x onto every subspace; returns the list of pieces P_i @ x."""
+    """Coordinates of x in every subspace, as the channel sends them.
+
+    Piece i has ``dims[i]`` entries. Float mode returns sqrt(s_i) B_i^T x,
+    the coordinates in the orthonormal basis sqrt(s_i) B_i, one piece of
+    ``_analysis_map(...) @ x``. Exact mode returns Fractions in units of the
+    basis scale, B_i^T x, so that the float piece is the exact one times
+    sqrt(s_i); fusion_reconstruct_tight(exact=True) expects exactly these
+    units and the round trip is exact.
+    """
+    v = _vector(x, ff.ambient_dim, "signal", exact)
     if exact:
-        xv = np.array([as_fraction(e) for e in np.asarray(x, dtype=object).reshape(-1)], dtype=object)
-        if xv.size != ff.ambient_dim:
-            raise ValidationError(f"signal must have length {ff.ambient_dim}")
-        return [
-            (s.basis_raw.astype(object) @ (s.basis_raw.T.astype(object) @ xv))
-            * s.scale_sq
-            for s in ff.subspaces
-        ]
-    xf = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xf.size != ff.ambient_dim:
-        raise ValidationError(f"signal must have length {ff.ambient_dim}")
-    return [s.basis_raw @ (s.basis_raw.T @ xf) * float(s.scale_sq) for s in ff.subspaces]
+        y = ff.basis_raw.T.astype(object) @ v
+    else:
+        y = _analysis_map(ff.basis_raw, ff.dims, ff.scales) @ v
+    return np.split(y, np.cumsum(ff.dims)[:-1])
 
 
 def fusion_reconstruct_tight(ff: FusionFrame, pieces, *, exact: bool = False) -> np.ndarray:
-    """Reconstruct x = (1/A) * sum_i piece_i on a tight fusion frame."""
+    """Reconstruct x = (1/A) * sum_i s_i B_i B_i^T x on a tight fusion frame
+    from the coordinates ``fusion_analyze`` returns, in its units.
+
+    Float pieces sqrt(s_i) B_i^T x give x = phi^T c / A for their
+    concatenation c. Exact pieces B_i^T x give x = B diag(s) c / A, in
+    Fractions.
+    """
     tight, bound = fusion_tight(ff)
     if not tight:
-        raise ValidationError("fusion frame is not tight; least-squares is required")
-    ps = list(pieces)
+        raise ValidationError("input is not tight; least-squares is required")
+    ps = [np.ravel(p) for p in pieces]
     if len(ps) != len(ff.dims):
         raise ValidationError(f"expected {len(ff.dims)} pieces, got {len(ps)}")
+    for i, (p, d) in enumerate(zip(ps, ff.dims)):
+        if p.size != d:
+            raise ValidationError(f"piece {i} must have {d} coordinates, got {p.size}")
+    c = _vector(np.concatenate(ps), sum(ff.dims), "coordinates", exact)
     if exact:
-        total = np.array([Fraction(0)] * ff.ambient_dim, dtype=object)
-        for p in ps:
-            pv = np.asarray(p, dtype=object).reshape(-1)
-            if pv.size != ff.ambient_dim:
-                raise ValidationError("piece has wrong ambient dimension")
-            total = total + np.array([as_fraction(e) for e in pv], dtype=object)
-        return total * (1 / bound)
-    total = np.zeros(ff.ambient_dim, dtype=np.float64)
-    for p in ps:
-        pf = np.asarray(p, dtype=np.float64).reshape(-1)
-        if pf.size != ff.ambient_dim:
-            raise ValidationError("piece has wrong ambient dimension")
-        total += pf
-    return total / float(bound)
+        weights = np.repeat(np.array(ff.scales, dtype=object), ff.dims)
+        return (ff.basis_raw.astype(object) @ (c * weights)) * (1 / bound)
+    return _analysis_map(ff.basis_raw, ff.dims, ff.scales).T @ c / float(bound)

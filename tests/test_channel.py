@@ -19,6 +19,7 @@ from hadframes import (
     ChannelConfig,
     ErasureSpec,
     ValidationError,
+    analyze,
     build_gff,
     build_sylvester,
     build_walsh,
@@ -26,6 +27,8 @@ from hadframes import (
     equidistance_certificate,
     etf_from_hadamard,
     frame_from_integer_columns,
+    fusion_analyze,
+    fusion_frame_from_columns,
     fusion_tight,
     is_tight,
     make_fusion_frame,
@@ -376,11 +379,27 @@ def test_report_aggregates_are_internally_consistent(etf4):
         ({"noise_std": float("nan")}, "noise_std"),
         ({"noise_std": float("inf")}, "noise_std"),
         ({"trials": MAX_TRIALS + 1}, "trials"),
+        ({"trials": 2.5}, "trials must be an integer"),
+        ({"trials": True}, "trials must be an integer"),
+        ({"seed": 2.7}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"noise_std": True}, "noise_std must be a real number"),
     ],
 )
 def test_config_rejects_non_finite_parameters(kwargs, match):
     with pytest.raises(ValidationError, match=match):
         ChannelConfig(**kwargs)
+
+
+def test_channel_settings_refuse_non_integers_from_every_constructor_and_take_numpy_integers():
+    for build in (lambda: ErasureSpec.random_k(1.5), lambda: ErasureSpec.random_k(True),
+                  lambda: ErasureSpec.fixed([1.7]), lambda: ErasureSpec.fixed([0, np.float64(2)])):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build()
+    cfg = ChannelConfig(erasure=ErasureSpec.random_k(np.int32(2)), trials=np.int64(3), seed=np.uint64(5))
+    assert (cfg.erasure.k, cfg.trials, cfg.seed) == (2, 3, 5)
+    assert all(type(v) is int for v in (cfg.erasure.k, cfg.trials, cfg.seed))
+    assert ErasureSpec.fixed(np.array([3, 1])).indices == (1, 3)
 
 
 def test_simulate_dispatches_on_the_object_type(etf4):
@@ -401,6 +420,36 @@ def coordinate_map(raw, rows, scales):
     next ``rows[i]`` of them at scale ``scales[i]``, and the row counts:
     every column scaled by the square root of its unit's scale, transposed."""
     return (raw * np.repeat([math.sqrt(float(s)) for s in scales], rows)).T, np.asarray(rows)
+
+
+def test_fusion_analyze_returns_the_coordinates_the_channel_sends(comparator6):
+    # u.csv of the CI: pieces of dimensions 2, 1, 1 and 2 in F^3
+    unequal = fusion_frame_from_columns(np.eye(3, dtype=int)[:, [0, 1, 2, 0, 1, 2]], (2, 1, 1, 2), (1,) * 4)
+    rng = np.random.default_rng(17)
+    for ff in (build_gff(4, 1), comparator6, unequal):
+        phi, _ = coordinate_map(ff.basis_raw, ff.dims, ff.scales)
+        x = rng.standard_normal(ff.ambient_dim)
+        pieces = fusion_analyze(ff, x)
+        assert [len(p) for p in pieces] == list(ff.dims)
+        assert np.array_equal(np.concatenate(pieces), phi @ x)
+        # exact mode: B_i^T x in Fractions, from Python loops over the columns
+        q = [Fraction(int(v), 7) for v in rng.integers(-20, 20, ff.ambient_dim)]
+        b = ff.basis_raw.tolist()
+        want = [sum(b[r][c] * q[r] for r in range(ff.ambient_dim)) for c in range(sum(ff.dims))]
+        exact = fusion_analyze(ff, q, exact=True)
+        assert [len(p) for p in exact] == list(ff.dims)
+        assert all(type(v) is Fraction for p in exact for v in p)
+        assert np.concatenate(exact).tolist() == want
+
+
+def test_frame_analysis_is_the_analysis_of_its_lines(etf4, basis3):
+    not_tight = frame_from_integer_columns([[1, 1, 1], [1, -1, 1]], Fraction(1, 2))
+    for f in (etf4, basis3, not_tight):
+        lines = fusion_frame_from_columns(f.raw, (1,) * f.count, (f.scale_sq,) * f.count)
+        x = [Fraction(k, 3) for k in range(1, f.ambient_dim + 1)]
+        for exact in (False, True):
+            want = np.concatenate(fusion_analyze(lines, x, exact=exact))
+            assert np.array_equal(analyze(f, x, exact=exact), want), exact
 
 
 def survivor_mask(units, surv):
@@ -575,10 +624,16 @@ def test_report_shows_stderr_and_survivor_sets_in_json_and_text():
         {"mode": "none", "indices": (1,)},
         {"mode": "random", "k": 1, "indices": (1,)},
         {"mode": "fixed", "indices": (0,), "k": 2},
+        {"mode": "random", "k": 1.5},
+        {"mode": "random", "k": True},
+        {"mode": "fixed", "indices": (1.7,)},
+        {"mode": "fixed", "indices": (0, True)},
     ],
 )
 def test_erasure_spec_refuses_fields_its_mode_ignores(kwargs):
-    with pytest.raises(ValidationError, match="takes no"):
+    # The first four give a field the mode ignores; the rest give a field
+    # that is not an integer.
+    with pytest.raises(ValidationError, match="takes no|must be an integer"):
         ErasureSpec(**kwargs)
 
 

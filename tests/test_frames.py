@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hadframes import (
     ValidationError,
@@ -47,6 +49,26 @@ def frame_operator_oracle(f):
         [sum(Fraction(a) * Fraction(b) for a, b in zip(r, s)) * f.scale_sq for s in rows]
         for r in rows
     ]
+
+
+@st.composite
+def equal_norm_frames(draw):
+    """Small integer frames whose columns share one squared norm: +-1
+    columns drawn with repeats from a short list, or signed, permuted
+    identity columns. Draws that do not span are skipped."""
+    m = draw(st.integers(1, 4))
+    count = st.integers(max(2, m), 8)
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m),
+                             min_size=1, max_size=4))
+        cols, scale = draw(st.lists(st.sampled_from(pool), min_size=draw(count), max_size=8)), Fraction(1, m)
+    else:
+        picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1, -1])),
+                              min_size=draw(count), max_size=8))
+        cols, scale = [[s * (r == k) for r in range(m)] for k, s in picks], 1
+    raw = np.array(cols, dtype=np.int64).T
+    assume(np.linalg.matrix_rank(raw) == m)
+    return frame_from_integer_columns(raw, scale)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +293,27 @@ def test_certificate_of_fourth_roots(fourth_roots):
     assert c.tight and c.bound_A == 2
     assert not c.equiangular and c.alpha_sq is None
     assert not c.welch_equality and not c.grassmannian
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_norm_frames())
+def test_verdicts_match_the_fraction_oracles(f):
+    op, g = frame_operator_oracle(f), gram_oracle(f)
+    m, n = f.ambient_dim, f.count
+    a = op[0][0]
+    tight = all(op[i][j] == (a if i == j else 0) for i in range(m) for j in range(m))
+    assert is_tight(f) == (tight, a if tight else None)
+    corr = {(i, j): g[i][j] ** 2 for i in range(n) for j in range(i + 1, n)}
+    peak = max(corr.values())
+    equi = len(set(corr.values())) == 1
+    c = grassmannian_certificate(f)
+    assert (c.tight, c.bound_A) == (tight, a if tight else None)
+    assert (c.equiangular, c.alpha_sq) == (equi, peak if equi else None)
+    assert c.welch_equality == (peak == welch_bound_sq(n, m))
+    assert c.grassmannian == (tight and equi)
+    rep = coherence(f)
+    assert rep.max_corr_sq == peak
+    assert rep.achieving_pairs == tuple(p for p, v in corr.items() if v == peak)
 
 
 def test_certificate_flags_coincide_on_constructed_frames(etf4, etf8, basis2, fourth_roots):
