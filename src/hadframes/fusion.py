@@ -344,12 +344,12 @@ def fusion_analyze(ff: FusionFrame, x, *, exact: bool = False) -> list[np.ndarra
 
 
 def fusion_reconstruct_tight(ff: FusionFrame, pieces, *, exact: bool = False) -> np.ndarray:
-    """Reconstruct x = (1/A) * sum_i s_i B_i B_i^T x on a tight fusion frame
-    from the coordinates ``fusion_analyze`` returns, in its units.
+    """Reconstruct x on a tight fusion frame from the coordinates that
+    ``fusion_analyze`` returns, in its units; piece i has ``dims[i]`` entries.
 
-    Float pieces sqrt(s_i) B_i^T x give x = phi^T c / A for their
-    concatenation c. Exact pieces B_i^T x give x = B diag(s) c / A, in
-    Fractions.
+    Float pieces c_i = sqrt(s_i) B_i^T x give x = (1/A) sum_i sqrt(s_i) B_i c_i,
+    which is phi^T c / A for their concatenation c. Exact pieces
+    u_i = B_i^T x give x = (1/A) sum_i s_i B_i u_i, in Fractions.
     """
     tight, bound = fusion_tight(ff)
     if not tight:
