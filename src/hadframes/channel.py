@@ -165,6 +165,7 @@ class ChannelConfig:
             raise ValidationError(f"noise_std must be a real number, got {self.noise_std!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
+        object.__setattr__(self, "noise_std", float(self.noise_std))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 1 <= self.trials <= MAX_TRIALS:

@@ -391,7 +391,7 @@ def test_config_rejects_non_finite_parameters(kwargs, match):
         ChannelConfig(**kwargs)
 
 
-def test_channel_settings_refuse_non_integers_from_every_constructor_and_take_numpy_integers():
+def test_channel_settings_refuse_non_integers_from_every_constructor_and_take_numpy_numbers():
     for build in (lambda: ErasureSpec.random_k(1.5), lambda: ErasureSpec.random_k(True),
                   lambda: ErasureSpec.fixed([1.7]), lambda: ErasureSpec.fixed([0, np.float64(2)])):
         with pytest.raises(ValidationError, match="must be an integer"):
@@ -400,6 +400,10 @@ def test_channel_settings_refuse_non_integers_from_every_constructor_and_take_nu
     assert (cfg.erasure.k, cfg.trials, cfg.seed) == (2, 3, 5)
     assert all(type(v) is int for v in (cfg.erasure.k, cfg.trials, cfg.seed))
     assert ErasureSpec.fixed(np.array([3, 1])).indices == (1, 3)
+    # a numpy or rational noise level is stored as the float the CLI reads
+    for std in (np.float32(0.5), Fraction(1, 2)):
+        cfg = ChannelConfig(noise_std=std)
+        assert type(cfg.noise_std) is float and config_from_dict(config_to_dict(cfg)) == cfg
 
 
 def test_simulate_dispatches_on_the_object_type(etf4):
