@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadframes import (
@@ -57,14 +57,14 @@ def equal_norm_frames(draw):
     columns drawn with repeats from a short list, or signed, permuted
     identity columns. Draws that do not span are skipped."""
     m = draw(st.integers(1, 4))
-    count = st.integers(max(2, m), 8)
+    n = draw(st.integers(max(2, m), 8))
     if draw(st.booleans()):
         pool = draw(st.lists(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m),
                              min_size=1, max_size=4))
-        cols, scale = draw(st.lists(st.sampled_from(pool), min_size=draw(count), max_size=8)), Fraction(1, m)
+        cols, scale = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), Fraction(1, m)
     else:
         picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from([1, -1])),
-                              min_size=draw(count), max_size=8))
+                              min_size=n, max_size=n))
         cols, scale = [[s * (r == k) for r in range(m)] for k, s in picks], 1
     raw = np.array(cols, dtype=np.int64).T
     assume(np.linalg.matrix_rank(raw) == m)
@@ -297,6 +297,9 @@ def test_certificate_of_fourth_roots(fourth_roots):
 
 @settings(max_examples=150, deadline=None)
 @given(equal_norm_frames())
+# At N = 4, M = 3 the Welch bound is 1/9: the first pair meets it, a repeated
+# column does not, so Welch equality must read the largest correlation.
+@example(frame_from_integer_columns([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, 1]], Fraction(1, 3)))
 def test_verdicts_match_the_fraction_oracles(f):
     op, g = frame_operator_oracle(f), gram_oracle(f)
     m, n = f.ambient_dim, f.count
