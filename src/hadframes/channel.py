@@ -82,8 +82,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .frames import ScaledFrame, _lines
-from .fusion import FusionFrame, _analysis_map, fusion_tight
+from .frames import ScaledFrame
+from .fusion import FusionFrame, _analysis_map
 from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
 
 # ``source(rng, n, dim)``: n signals of F^dim as the rows of an (n, dim)
@@ -163,9 +163,13 @@ class ChannelConfig:
     def __post_init__(self):
         if isinstance(self.noise_std, bool) or not isinstance(self.noise_std, numbers.Real):
             raise ValidationError(f"noise_std must be a real number, got {self.noise_std!r}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+        try:
+            std = float(self.noise_std)
+        except OverflowError:  # an int or Fraction beyond the float range
+            std = math.inf
+        if not (math.isfinite(std) and std >= 0):
             raise ValidationError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
-        object.__setattr__(self, "noise_std", float(self.noise_std))
+        object.__setattr__(self, "noise_std", std)
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not 1 <= self.trials <= MAX_TRIALS:
@@ -387,33 +391,33 @@ def _spanning_deficit(raw: np.ndarray, rows: np.ndarray, m: int):
     return lambda keep: m - int_rank(raw[:, np.repeat(keep, rows)])
 
 
-def _simulate(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
-              tightness: Callable[[], tuple[bool, Fraction | None]], what: str,
-              cfg: ChannelConfig, signal_source: SignalSource) -> SimReport:
+def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
+              signal_source: SignalSource) -> SimReport:
     """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
 
-    ``raw`` is the input's integer matrix. Unit i owns its next ``rows[i]``
-    columns, scaled by the square root of ``scales[i]``: a frame passes one
-    column per unit, a fusion frame one subspace's basis. The scaled
-    columns are T, and ``phi = T^T`` is the one analysis map: unit i sends
-    its columns' coefficients, so it owns as many rows of ``phi`` as it has
-    columns. After the erasure check, ``tightness()`` gives (tight, A).
-    Trials are drawn and decoded ``BLOCK_TRIALS`` at a time from the run's
-    signal, noise and erasure streams, as the module docstring says. Naive
-    mode needs a tight input and returns ``(y * mask) phi / A``; otherwise a
-    tight input decodes through ``_downdate_decoder`` and any other through
-    ``_lstsq_decoder``, one lstsq call per survivor set and block. How far
-    each survivor set falls short of spanning F^M is decided exactly once
-    per set: from the k' x k' matrix C for a tight input, from the rank of
-    the survivors' columns otherwise. ``what`` names the units in error
-    messages.
+    Unit i is subspace i of ``ff``, the next ``ff.dims[i]`` columns of its
+    integer matrix, scaled by the square root of ``ff.scales[i]``; a frame
+    passes its lines, one column per unit. The scaled columns are T, and
+    ``phi = T^T`` is the one analysis map: unit i sends its columns'
+    coefficients, so it owns as many rows of ``phi`` as it has columns.
+    Tightness and A are ``ff.bound_A``, which the constructor's spanning
+    proof has already formed. Trials are drawn and decoded ``BLOCK_TRIALS``
+    at a time from the run's signal, noise and erasure streams, as the
+    module docstring says. Naive mode needs a tight input and returns
+    ``(y * mask) phi / A``; otherwise a tight input decodes through
+    ``_downdate_decoder`` and any other through ``_lstsq_decoder``, one
+    lstsq call per survivor set and block. How far each survivor set falls
+    short of spanning F^M is decided exactly once per set: from the k' x k'
+    matrix C for a tight input, from the rank of the survivors' columns
+    otherwise. ``what`` names the units in error messages.
     """
+    raw, rows, scales, bound = ff.basis_raw, np.array(ff.dims), ff.scales, ff.bound_A
     n_units = len(rows)
     spec = cfg.erasure
     _check_erasure(spec, n_units, what)
     phi = _analysis_map(raw, rows, scales)
     m = phi.shape[1]
-    tight, bound = tightness()
+    tight = bound is not None
     rank_deficit = (_erasure_deficit(raw, rows, scales, bound) if tight
                     else _spanning_deficit(raw, rows, m))
     spans: dict[bytes, int] = {}
@@ -460,12 +464,6 @@ def _simulate(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
     return acc.report(cfg, len(spans))
 
 
-def _send(ff: FusionFrame, what: str, cfg: ChannelConfig,
-          signal_source: SignalSource) -> SimReport:
-    return _simulate(ff.basis_raw, np.array(ff.dims), ff.scales,
-                     lambda: fusion_tight(ff), what, cfg, signal_source)
-
-
 def simulate_frame(
     f: ScaledFrame,
     cfg: ChannelConfig,
@@ -478,7 +476,7 @@ def simulate_frame(
     ``T^T``. A survivor set that does not span F^M counts as
     non-recoverable; its minimum-norm solution is still recorded.
     """
-    return _send(_lines(f), "coefficients", cfg, signal_source)
+    return _simulate(f.lines, "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(
@@ -494,7 +492,7 @@ def simulate_fusion(
     the channel as the frame of all its basis vectors. The noise model is in
     the module docstring.
     """
-    return _send(ff, "subspace pieces", cfg, signal_source)
+    return _simulate(ff, "subspace pieces", cfg, signal_source)
 
 
 # Entries call through the module names, so a simulator rebound on this module

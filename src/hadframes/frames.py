@@ -4,10 +4,13 @@ A frame of N unit vectors in F^M is stored as an integer matrix of
 unscaled columns plus one rational ``scale_sq``; frame vector e_i is
 column i times sqrt(scale_sq). Its lines span(e_i) are a fusion frame of N
 subspaces of dimension 1 with the same matrix and every scale
-``scale_sq`` (Kutyniok, Pezeshki, Calderbank & Liu, ACHA 2009), and every
-numeric function here calls its ``fusion.py`` twin on them:
+``scale_sq`` (Kutyniok, Pezeshki, Calderbank & Liu, ACHA 2009). The frame
+builds that fusion frame once, as ``ScaledFrame.lines``, and every numeric
+function here calls its ``fusion.py`` twin on it:
 
-- tightness, and the constructor's spanning shortcut, is ``fusion_tight``;
+- tightness is the lines' ``bound_A``, formed once by the constructor's
+  spanning shortcut and read again by ``is_tight``, the certificate, tight
+  reconstruction and the channel;
 - the squared correlations |<e_i, e_j>|^2 = tr(P_i P_j) are the lines'
   pairwise traces, which decide equiangularity, Welch equality and
   coherence;
@@ -29,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .fusion import (
     FusionFrame,
-    _analysis_map,
     _pairwise_traces,
     fusion_analyze,
     fusion_reconstruct_tight,
@@ -60,6 +63,16 @@ class ScaledFrame:
     count: int
     raw: np.ndarray
     scale_sq: Fraction
+
+    @cached_property
+    def lines(self) -> FusionFrame:
+        """The fusion frame of the frame's lines on its own matrix, built once.
+
+        The constructor has proved unit norm (each scaled column is an
+        orthonormal basis of its line) and spanning, so nothing is copied or
+        validated again, and the lines' ``bound_A`` is the frame's.
+        """
+        return FusionFrame(self.raw, (1,) * self.count, (self.scale_sq,) * self.count)
 
 
 @dataclass(frozen=True)
@@ -94,13 +107,6 @@ class FrameCertificate:
     grassmannian: bool
 
 
-def _lines(f: ScaledFrame) -> FusionFrame:
-    # The fusion frame of f's lines on f's own matrix. The constructor has
-    # proved unit norm (each scaled column is an orthonormal basis of its
-    # line) and spanning, so nothing is copied or validated again.
-    return FusionFrame(f.raw, (1,) * f.count, (f.scale_sq,) * f.count)
-
-
 def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
     """Validate and wrap integer columns as a unit-norm spanning frame."""
     a = as_int_matrix(raw, name="frame matrix")
@@ -118,7 +124,7 @@ def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
     f = ScaledFrame(ambient_dim=m, count=n, raw=a, scale_sq=scale)
     # A frame operator A * I of unit vectors has A = N / M > 0 and is
     # invertible, which proves spanning without the rank computation.
-    if not is_tight(f)[0] and (n < m or int_rank(a) < m):
+    if f.lines.bound_A is None and (n < m or int_rank(a) < m):
         raise ValidationError(
             f"vectors do not span: rank < ambient dimension {m} (count {n})"
         )
@@ -133,7 +139,7 @@ def gram(f: ScaledFrame) -> np.ndarray:
 def _line_traces(f: ScaledFrame) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
     # |<e_i, e_j>|^2 = tr(P_i P_j) = upper[k] / den for the pairs
     # i = iu[0][k] < j = iu[1][k], in row-major order.
-    traces, den = _pairwise_traces(_lines(f))
+    traces, den = _pairwise_traces(f.lines)
     iu = np.triu_indices(f.count, 1)
     return traces[iu], iu, den
 
@@ -160,8 +166,10 @@ def welch_bound_sq(count: int, dim: int) -> Fraction:
 
 
 def is_tight(f: ScaledFrame) -> tuple[bool, Fraction | None]:
-    """Decide sum_i e_i e_i^T == A * I exactly; return A when tight."""
-    return fusion_tight(_lines(f))
+    """Decide sum_i e_i e_i^T == A * I exactly; return A when tight.
+
+    The lines' ``bound_A``, formed once per frame."""
+    return fusion_tight(f.lines)
 
 
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
@@ -191,14 +199,15 @@ def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
     ``grassmannian`` (tight and equiangular) is the minimal-coherence claim;
     none is made when either verdict is false. The lines' pairwise traces
     come from one N x N Gram and are read by both the equiangularity and
-    the Welch check, which compares the largest of them to the bound.
+    the Welch check, which compares the largest of them to the bound. A
+    single vector has no pair: it is not equiangular, and the Welch bound,
+    which needs N >= 2, is not met.
     """
-    if f.count < 2:
-        raise ValidationError("certificate needs at least two frame vectors")
     tight, bound = is_tight(f)
     upper, _, den = _line_traces(f)
-    equi = bool((upper == upper[0]).all())
-    welch_eq = Fraction(int(upper.max()), den) == welch_bound_sq(f.count, f.ambient_dim)
+    equi = upper.size > 0 and bool((upper == upper[0]).all())
+    welch_eq = upper.size > 0 and (
+        Fraction(int(upper.max()), den) == welch_bound_sq(f.count, f.ambient_dim))
     return FrameCertificate(
         tight=tight,
         bound_A=bound,
@@ -209,13 +218,6 @@ def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
     )
 
 
-def synthesis_matrix(f: ScaledFrame) -> np.ndarray:
-    """Float M x N matrix whose columns are the scaled frame vectors: the
-    transpose of the lines' analysis map."""
-    lines = _lines(f)
-    return _analysis_map(lines.basis_raw, lines.dims, lines.scales).T
-
-
 def analyze(f: ScaledFrame, x, *, exact: bool = False) -> np.ndarray:
     """Frame coefficients of x: ``fusion_analyze`` of the lines, joined.
 
@@ -224,13 +226,13 @@ def analyze(f: ScaledFrame, x, *, exact: bool = False) -> np.ndarray:
     <x, e_i> = u_i * sqrt(scale_sq); reconstruct_tight(exact=True) expects
     exactly these units and the round trip is exact.
     """
-    return np.concatenate(fusion_analyze(_lines(f), x, exact=exact))
+    return np.concatenate(fusion_analyze(f.lines, x, exact=exact))
 
 
 def reconstruct_tight(f: ScaledFrame, coefficients, *, exact: bool = False) -> np.ndarray:
     """Reconstruct x = (1/A) * sum_i c_i e_i on a tight frame:
     ``fusion_reconstruct_tight`` of the lines, one coefficient per line."""
-    return fusion_reconstruct_tight(_lines(f), np.reshape(coefficients, (-1, 1)), exact=exact)
+    return fusion_reconstruct_tight(f.lines, np.reshape(coefficients, (-1, 1)), exact=exact)
 
 
 def float_coherence_sq(vectors) -> float:

@@ -10,8 +10,10 @@ each B_i as a column view of B. Every check reads B in place:
   dimension;
 - tightness, sum_i s_i B_i B_i^T = A I, is one integer product over the
   common denominator q of the scales, s_i = p_i / q: B diag(p) B^T, which
-  is B B^T when all scales agree. The row criterion (lemma_row_check) is
-  the same test read row by row;
+  is B B^T when all scales agree. ``FusionFrame.bound_A`` forms it once per
+  object and keeps the result, which the spanning proof, the certificate,
+  the row criterion (lemma_row_check), tight reconstruction and the
+  channel all read;
 - the pairwise traces tr(P_i P_j) = s_i s_j ||B_i^T B_j||_F^2 come from
   the one block Gram B^T B.
 
@@ -28,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +63,9 @@ class FusionFrame:
     ``basis_raw`` is M x sum(dims): subspace i is spanned by its next
     ``dims[i]`` columns, scaled by sqrt(``scales[i]``). The object records
     no property beyond spanning; every claim about it, including the
-    Grassmannian one, is proved by ``equidistance_certificate``.
+    Grassmannian one, is proved by ``equidistance_certificate``. The one
+    value it keeps is ``bound_A``, which it computes from its own read-only
+    matrix on first use; no caller can supply it.
     """
 
     basis_raw: np.ndarray
@@ -79,6 +84,19 @@ class FusionFrame:
             Subspace(self.ambient_dim, d, self.basis_raw[:, end - d:end], scale)
             for d, end, scale in zip(self.dims, ends, self.scales)
         )
+
+    @cached_property
+    def bound_A(self) -> Fraction | None:
+        """A if sum_i P_i == A * I exactly, else None; computed once.
+
+        q * sum_i P_i is the integer matrix B diag(p) B^T of the module
+        docstring, one product of the stored matrix.
+        """
+        p, q = _weights(self)
+        b = self.basis_raw
+        weighted = b if set(p) == {1} else b * np.repeat(np.array(p, dtype=object), self.dims)
+        c = identity_multiple(checked_matmul(weighted, b.T))
+        return None if c is None else Fraction(c, q)
 
 
 @dataclass(frozen=True)
@@ -164,7 +182,7 @@ def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
     rank computation.
     """
     ff = FusionFrame(*_orthonormal_columns(basis_raw, dims, scales))
-    if not fusion_tight(ff)[0] and int_rank(ff.basis_raw) < ff.ambient_dim:
+    if ff.bound_A is None and int_rank(ff.basis_raw) < ff.ambient_dim:
         raise ValidationError("subspaces do not jointly span the ambient space")
     return ff
 
@@ -208,14 +226,9 @@ def _weights(ff: FusionFrame) -> tuple[list[int], int]:
 def fusion_tight(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     """Decide sum_i P_i == A * I exactly; return A when tight.
 
-    q * sum_i P_i is the integer matrix B diag(p) B^T of the module
-    docstring, one product of the stored matrix.
+    Reads ``ff.bound_A``, so the product is formed at most once per object.
     """
-    p, q = _weights(ff)
-    b = ff.basis_raw
-    weighted = b if set(p) == {1} else b * np.repeat(np.array(p, dtype=object), ff.dims)
-    c = identity_multiple(checked_matmul(weighted, b.T))
-    return (c is not None), (None if c is None else Fraction(c, q))
+    return ff.bound_A is not None, ff.bound_A
 
 
 def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
@@ -225,7 +238,7 @@ def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     A * I, and stacked @ stacked.T is the sum of the projections, so the
     check holds exactly when the fusion frame is tight with bound A.
 
-    It computes the same product as fusion_tight, so the two always agree;
+    It reads the same ``bound_A`` as fusion_tight, so the two always agree;
     a failed row check proves non-tightness.
     """
     return fusion_tight(ff)
@@ -285,15 +298,15 @@ def equidistance_certificate(ff: FusionFrame) -> FusionCertificate:
     The distances m - tr(P_i P_j) of every pair come from one block Gram
     (see chordal_dist_sq for the single-pair definition). ``grassmannian``
     is proved from these verdicts, not from where ``ff`` came from; see
-    ``FusionCertificate`` for why they prove the simplex bound is met.
+    ``FusionCertificate`` for why they prove the simplex bound is met. A
+    single subspace has no pair: it is not equi-distance, and the simplex
+    bound, which needs L >= 2, is not met.
     """
-    if len(ff.dims) < 2:
-        raise ValidationError("certificate needs at least two subspaces")
     tight, bound = fusion_tight(ff)
     equal_dim = len(set(ff.dims)) == 1
     equi = False
     dist_sq: Fraction | None = None
-    if equal_dim:
+    if equal_dim and len(ff.dims) > 1:
         traces, den = _pairwise_traces(ff)
         upper = traces[np.triu_indices(len(ff.dims), 1)]
         equi = bool((upper == upper[0]).all())

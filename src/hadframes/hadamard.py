@@ -109,10 +109,9 @@ def _checked_order(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
         raise ValidationError(f"k must be a non-negative integer, got {k!r}")
     cap = max_order()
-    n = 1 << int(k)
-    if n > cap:
-        raise ResourceLimitError(f"order 2**{k} = {n} exceeds the configured cap {cap}")
-    return n
+    if k >= cap.bit_length():  # 2**k > cap, decided before 2**k is formed
+        raise ResourceLimitError(f"order 2**{k} exceeds the configured cap {cap}")
+    return 1 << int(k)
 
 
 def build_sylvester(k: int) -> SignMatrix:

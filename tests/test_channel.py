@@ -51,7 +51,6 @@ from hadframes.channel import (
     simulate,
 )
 from hadframes.cli import main
-from hadframes.frames import synthesis_matrix
 from hadframes.intlinalg import int_rank
 from hadframes.serialize import (
     canonical_dumps,
@@ -384,6 +383,8 @@ def test_report_aggregates_are_internally_consistent(etf4):
         ({"seed": 2.7}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"noise_std": True}, "noise_std must be a real number"),
+        ({"noise_std": 10**400}, "noise_std must be finite"),
+        ({"noise_std": Fraction(-(10**400), 3)}, "noise_std must be finite"),
     ],
 )
 def test_config_rejects_non_finite_parameters(kwargs, match):
@@ -529,10 +530,12 @@ def test_decoder_matches_lstsq_on_rank_deficient_and_ill_conditioned_survivors(b
     nearly_parallel = np.array([[21.0, 20.0], [20.0, 19.0], [1.0, -1.0]])
     etf64 = etf_from_hadamard(build_walsh(6).base)
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
+    phi3, _ = coordinate_map(basis3.raw, [1] * 3, [1] * 3)
+    phi64, _ = coordinate_map(etf64.raw, [1] * 64, [etf64.scale_sq] * 64)
     cases = [
-        (synthesis_matrix(basis3).T, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0),
+        (phi3, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0),
         (nearly_parallel, [(0, 1), (0, 1, 2)], 2),
-        (synthesis_matrix(etf64).T, [tuple(i for i in range(64) if i not in d) for d in drops], 1),
+        (phi64, [tuple(i for i in range(64) if i not in d) for d in drops], 1),
     ]
     for phi, sets, seed in cases:
         assert_decodes_like_lstsq(phi, np.ones(len(phi), dtype=int), sets, seed)
@@ -678,8 +681,8 @@ def channel_inputs(obj):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
         simulate(obj, ChannelConfig())
-    raw, rows, scales, tightness = captured[0][:4]
-    return *coordinate_map(raw, rows, scales), raw, scales, tightness()[1]
+    ff = captured[0][0]
+    return *coordinate_map(ff.basis_raw, ff.dims, ff.scales), ff.basis_raw, ff.scales, ff.bound_A
 
 
 def assert_downdate_matches_lstsq(obj, erased_sets, seed):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -313,6 +314,77 @@ def test_resource_limit_respects_environment(capsys, monkeypatch):
     code, _, err = run(capsys, "gen-walsh", "--k", "4")
     assert code == 2
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-hadamard", "--k", "100000000000"),
+    ("gen-walsh", "--k", "100000000000"),
+    ("gen-gff", "--n", "100000000000", "--m", "1"),
+])
+def test_a_huge_order_exits_2_before_it_is_formed(capsys, monkeypatch, argv):
+    monkeypatch.delenv(MAX_ORDER_ENV, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: order 2**100000000000 exceeds the configured cap 65536\n"
+
+
+@pytest.mark.parametrize("name,content", [
+    ("plane.csv", "# kind=fusion_frame scale_sq=1/1 subspace_dims=2\n1,0\n0,1\n"),
+    ("one.csv", "# kind=frame scale_sq=1/1\n1\n"),
+])
+def test_a_single_piece_is_certified(tmp_path, capsys, name, content):
+    # One subspace, or one vector of F^1: tight, but with no pair to be
+    # equi-distant or equiangular, so it is valid and tight, not Grassmannian.
+    path = tmp_path / name
+    path.write_text(content)
+    for require, want in (("valid", 0), ("tight", 0), ("grassmannian", 1)):
+        assert run(capsys, "verify", "--input", str(path), "--require", require)[0] == want
+    code, out, _ = run(capsys, "export", "--input", str(path), "--format", "json")
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["tight"] and cert["bound_A"] == {"num": 1, "den": 1}
+    assert not cert["grassmannian"]
+    if "dist_sq" in cert:
+        assert cert["equal_dim"] and not cert["equi_distance"] and cert["dist_sq"] is None
+    else:
+        assert not cert["equiangular"] and cert["alpha_sq"] is None and not cert["welch_equality"]
+
+
+def test_each_command_forms_the_frame_operator_once(tmp_path, capsys, monkeypatch):
+    # The M x M frame operator is the (M, N) @ (N, M) product of an object's
+    # integer matrix. The constructor's spanning proof forms it; the
+    # certificate and the channel read the object's bound_A instead.
+    from hadframes import intlinalg
+
+    shapes = []
+    real = intlinalg.checked_matmul
+
+    def counting(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hadframes") and getattr(module, "checked_matmul", None) is real:
+            monkeypatch.setattr(module, "checked_matmul", counting)
+
+    def operators(m, n, *argv):
+        shapes.clear()
+        assert main(list(argv)) == 0, argv
+        return shapes.count(((m, n), (n, m)))
+
+    # the order-16 ETF, 16 vectors in F^15, and GFF(4,1), 16 columns in F^14
+    for m, gen in ((15, ("gen-etf", "--order", "16")), (14, ("gen-gff", "--n", "4", "--m", "1"))):
+        obj, csv = tmp_path / f"{gen[0]}.json", tmp_path / f"{gen[0]}.csv"
+        assert operators(m, 16, *gen, "--output", str(obj)) == 1
+        assert main(["export", "--input", str(obj), "--format", "csv", "--output", str(csv)]) == 0
+        for argv in (
+            ("verify", "--input", str(obj)),
+            ("verify", "--input", str(csv), "--require", "grassmannian"),
+            ("simulate", "--input", str(obj), "--erase-random", "2", "--trials", "20"),
+            ("simulate", "--input", str(csv), "--mode", "naive", "--trials", "20"),
+        ):
+            assert operators(m, 16, *argv) == 1, argv
+    capsys.readouterr()
 
 
 def test_invalid_json_input(tmp_path, capsys):

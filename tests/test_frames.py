@@ -295,6 +295,40 @@ def test_certificate_of_fourth_roots(fourth_roots):
     assert not c.welch_equality and not c.grassmannian
 
 
+@pytest.mark.parametrize("column,scale", [([1], 1), ([-2], Fraction(1, 4))])
+def test_certificate_of_one_vector_proves_tightness_and_claims_no_pair(column, scale):
+    # One unit vector spans F^1 and is tight with A = 1, but it has no pair:
+    # no common angle, and the Welch bound, which needs N >= 2, is not met.
+    c = grassmannian_certificate(frame_from_integer_columns([column], scale))
+    assert c.tight and c.bound_A == 1
+    assert not c.equiangular and c.alpha_sq is None
+    assert not c.welch_equality and not c.grassmannian
+
+
+def test_the_frame_operator_is_formed_once_per_frame(monkeypatch):
+    # The constructor's spanning proof forms the (M, N) @ (N, M) product and
+    # the lines keep its bound; the certificate, is_tight and the round trip
+    # read it. A frame that is not tight keeps its None just the same.
+    import hadframes.fusion as fusion_module
+
+    shapes = []
+    real = fusion_module.checked_matmul
+
+    def counting(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(fusion_module, "checked_matmul", counting)
+    tight = etf_from_hadamard(build_walsh(3).base)
+    loose = frame_from_integer_columns([[1, 1, 1], [1, -1, 1]], Fraction(1, 2))
+    for f in (tight, loose):
+        grassmannian_certificate(f)
+        is_tight(f)
+        assert f.lines is f.lines
+    reconstruct_tight(tight, analyze(tight, np.ones(7)))
+    assert shapes.count(((7, 8), (8, 7))) == 1 and shapes.count(((2, 3), (3, 2))) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(equal_norm_frames())
 # At N = 4, M = 3 the Welch bound is 1/9: the first pair meets it, a repeated

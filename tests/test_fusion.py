@@ -346,11 +346,13 @@ def test_certificate_detects_unequal_distances():
     assert chordal_dist_sq(planes.subspaces[0], planes.subspaces[2]) == 1
 
 
-def test_certificate_needs_two_subspaces():
+def test_certificate_of_one_subspace_proves_tightness_and_claims_no_pair():
+    # F^2 as one plane is tight with A = 1, but it has no pair: no common
+    # distance, and the simplex bound, which needs L >= 2, is not met.
     whole = subspace_from_columns(np.eye(2, dtype=int), 1)
-    ff = make_fusion_frame([whole])
-    with pytest.raises(ValidationError, match="two subspaces"):
-        equidistance_certificate(ff)
+    c = equidistance_certificate(make_fusion_frame([whole]))
+    assert c.tight and c.bound_A == 1 and c.equal_dim
+    assert not c.equi_distance and c.dist_sq is None and not c.grassmannian
 
 
 def test_certificate_unequal_dims():

@@ -297,6 +297,18 @@ def test_order_cap_env_override(monkeypatch):
     assert max_order() == 1 << 16
 
 
+def test_order_cap_is_checked_before_the_order_is_formed(monkeypatch):
+    # 2**(10**11) would take 12.5 GB; the cap refuses k by its bit length first.
+    monkeypatch.delenv(MAX_ORDER_ENV, raising=False)
+    for build in (build_sylvester, build_walsh):
+        with pytest.raises(ResourceLimitError, match=r"^order 2\*\*100000000000 exceeds"):
+            build(10**11)
+    monkeypatch.setenv(MAX_ORDER_ENV, "100")
+    assert build_sylvester(6).order == 64
+    with pytest.raises(ResourceLimitError, match="configured cap 100"):
+        build_sylvester(7)
+
+
 def test_negative_k_rejected():
     with pytest.raises(ValidationError, match="non-negative"):
         build_sylvester(-1)
