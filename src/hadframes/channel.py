@@ -397,9 +397,10 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
 
     Unit i is subspace i of ``ff``, the next ``ff.dims[i]`` columns of its
     integer matrix, scaled by the square root of ``ff.scales[i]``; a frame
-    passes its lines, one column per unit. The scaled columns are T, and
-    ``phi = T^T`` is the one analysis map: unit i sends its columns'
-    coefficients, so it owns as many rows of ``phi`` as it has columns.
+    is the fusion frame of its lines, one column per unit. The scaled
+    columns are T, and ``phi = T^T`` is the one analysis map: unit i sends
+    its columns' coefficients, so it owns as many rows of ``phi`` as it has
+    columns.
     Tightness and A are ``ff.bound_A``, which the constructor's spanning
     proof has already formed. Trials are drawn and decoded ``BLOCK_TRIALS``
     at a time from the run's signal, noise and erasure streams, as the
@@ -471,12 +472,12 @@ def simulate_frame(
 ) -> SimReport:
     """Transmit frame coefficients of random signals; reconstruct; aggregate.
 
-    The frame goes down ``simulate_fusion``'s path as the fusion frame of
-    its lines: each of the ``count`` units is one coefficient, a row of
-    ``T^T``. A survivor set that does not span F^M counts as
-    non-recoverable; its minimum-norm solution is still recorded.
+    A frame is the fusion frame of its lines, so it goes down
+    ``simulate_fusion``'s path: each of the ``count`` units is one
+    coefficient, a row of ``T^T``. A survivor set that does not span F^M
+    counts as non-recoverable; its minimum-norm solution is still recorded.
     """
-    return _simulate(f.lines, "coefficients", cfg, signal_source)
+    return _simulate(f, "coefficients", cfg, signal_source)
 
 
 def simulate_fusion(

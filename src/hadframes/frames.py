@@ -1,16 +1,20 @@
-"""Unit-norm frames, read as the fusion frames of their lines.
+"""Unit-norm frames: the fusion frames of their lines.
 
 A frame of N unit vectors in F^M is stored as an integer matrix of
 unscaled columns plus one rational ``scale_sq``; frame vector e_i is
 column i times sqrt(scale_sq). Its lines span(e_i) are a fusion frame of N
 subspaces of dimension 1 with the same matrix and every scale
-``scale_sq`` (Kutyniok, Pezeshki, Calderbank & Liu, ACHA 2009). The frame
-builds that fusion frame once, as ``ScaledFrame.lines``, and every numeric
-function here calls its ``fusion.py`` twin on it:
+``scale_sq`` (Kutyniok, Pezeshki, Calderbank & Liu, ACHA 2009), and that
+is what a frame is here: ``ScaledFrame`` is a ``fusion.FusionFrame`` with
+no field of its own, whose ``raw``, ``count`` and ``scale_sq`` read its
+``basis_raw``, ``dims`` and ``scales``. Every numeric function here calls
+its ``fusion.py`` twin on the frame itself:
 
-- tightness is the lines' ``bound_A``, formed once by the constructor's
-  spanning shortcut and read again by ``is_tight``, the certificate, tight
-  reconstruction and the channel;
+- validity is the fusion constructor's two checks, one column per line:
+  unit norm is orthonormality of each line's basis, and spanning is its
+  spanning proof;
+- tightness is ``bound_A``, formed once by that proof and read again by
+  ``is_tight``, the certificate, tight reconstruction and the channel;
 - the squared correlations |<e_i, e_j>|^2 = tr(P_i P_j) are the lines'
   pairwise traces, which decide equiangularity, Welch equality and
   coherence;
@@ -21,58 +25,44 @@ function here calls its ``fusion.py`` twin on it:
 An equiangular tight frame is the equi-distance tight fusion frame of its
 lines, and the Welch bound is the simplex bound at d = 1.
 
-What stays here: the ``ScaledFrame`` type and its constructor's checks (unit
-norm, spanning), the certificate and coherence records, the signed Gram
-``gram``, ``welch_bound_sq``, the ETF of a Hadamard matrix and the float
-diagnostic ``float_coherence_sq``. Every verdict is decided by exact integer
-and Fraction arithmetic with no square roots.
+What stays here: the ``ScaledFrame`` type and its constructor, the
+certificate and coherence records, the signed Gram ``gram``,
+``welch_bound_sq``, the ETF of a Hadamard matrix and the float diagnostic
+``float_coherence_sq``. Every verdict is decided by exact integer and
+Fraction arithmetic with no square roots. A frame keeps its own kind
+wherever the package dispatches on the exact type: it is written, read,
+certified and simulated as a frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .fusion import (
     FusionFrame,
+    _orthonormal_columns,
     _pairwise_traces,
+    _spanning,
     fusion_analyze,
     fusion_reconstruct_tight,
     fusion_tight,
 )
 from .hadamard import SignMatrix, require_hadamard
-from .intlinalg import (
-    as_fraction,
-    as_int_matrix,
-    checked_matmul,
-    column_norms_sq,
-    int_rank,
-    scaled_fraction_matrix,
-)
+from .intlinalg import as_int_matrix, checked_matmul, scaled_fraction_matrix
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledFrame:
-    """N unit-norm vectors in F^M: integer columns sharing one rational scale."""
+class ScaledFrame(FusionFrame):
+    """N unit-norm vectors in F^M: integer columns sharing one rational
+    scale, stored as the fusion frame of their lines. ``raw`` is the
+    matrix, ``count`` the number N of lines and ``scale_sq`` their scale."""
 
-    ambient_dim: int
-    count: int
-    raw: np.ndarray
-    scale_sq: Fraction
-
-    @cached_property
-    def lines(self) -> FusionFrame:
-        """The fusion frame of the frame's lines on its own matrix, built once.
-
-        The constructor has proved unit norm (each scaled column is an
-        orthonormal basis of its line) and spanning, so nothing is copied or
-        validated again, and the lines' ``bound_A`` is the frame's.
-        """
-        return FusionFrame(self.raw, (1,) * self.count, (self.scale_sq,) * self.count)
+    raw = property(lambda self: self.basis_raw)
+    count = property(lambda self: len(self.dims))
+    scale_sq = property(lambda self: self.scales[0])
 
 
 @dataclass(frozen=True)
@@ -108,27 +98,11 @@ class FrameCertificate:
 
 
 def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
-    """Validate and wrap integer columns as a unit-norm spanning frame."""
+    """Validate and wrap integer columns as a unit-norm spanning frame: the
+    fusion constructor's checks on one column per line."""
     a = as_int_matrix(raw, name="frame matrix")
-    scale = as_fraction(scale_sq)
-    if scale <= 0:
-        raise ValidationError(f"scale_sq must be positive, got {scale}")
-    m, n = a.shape
-    for i, nrm in enumerate(column_norms_sq(a)):
-        if int(nrm) * scale != 1:
-            raise ValidationError(
-                f"column {i} has squared norm {int(nrm)} * {scale} != 1"
-            )
-    a = a.copy()
-    a.setflags(write=False)
-    f = ScaledFrame(ambient_dim=m, count=n, raw=a, scale_sq=scale)
-    # A frame operator A * I of unit vectors has A = N / M > 0 and is
-    # invertible, which proves spanning without the rank computation.
-    if f.lines.bound_A is None and (n < m or int_rank(a) < m):
-        raise ValidationError(
-            f"vectors do not span: rank < ambient dimension {m} (count {n})"
-        )
-    return f
+    n = a.shape[1]
+    return _spanning(ScaledFrame(*_orthonormal_columns(a, (1,) * n, (scale_sq,) * n)))
 
 
 def gram(f: ScaledFrame) -> np.ndarray:
@@ -139,7 +113,7 @@ def gram(f: ScaledFrame) -> np.ndarray:
 def _line_traces(f: ScaledFrame) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
     # |<e_i, e_j>|^2 = tr(P_i P_j) = upper[k] / den for the pairs
     # i = iu[0][k] < j = iu[1][k], in row-major order.
-    traces, den = _pairwise_traces(f.lines)
+    traces, den = _pairwise_traces(f)
     iu = np.triu_indices(f.count, 1)
     return traces[iu], iu, den
 
@@ -168,8 +142,8 @@ def welch_bound_sq(count: int, dim: int) -> Fraction:
 def is_tight(f: ScaledFrame) -> tuple[bool, Fraction | None]:
     """Decide sum_i e_i e_i^T == A * I exactly; return A when tight.
 
-    The lines' ``bound_A``, formed once per frame."""
-    return fusion_tight(f.lines)
+    The frame's ``bound_A``, formed once per frame."""
+    return fusion_tight(f)
 
 
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
@@ -226,13 +200,13 @@ def analyze(f: ScaledFrame, x, *, exact: bool = False) -> np.ndarray:
     <x, e_i> = u_i * sqrt(scale_sq); reconstruct_tight(exact=True) expects
     exactly these units and the round trip is exact.
     """
-    return np.concatenate(fusion_analyze(f.lines, x, exact=exact))
+    return np.concatenate(fusion_analyze(f, x, exact=exact))
 
 
 def reconstruct_tight(f: ScaledFrame, coefficients, *, exact: bool = False) -> np.ndarray:
     """Reconstruct x = (1/A) * sum_i c_i e_i on a tight frame:
     ``fusion_reconstruct_tight`` of the lines, one coefficient per line."""
-    return fusion_reconstruct_tight(f.lines, np.reshape(coefficients, (-1, 1)), exact=exact)
+    return fusion_reconstruct_tight(f, np.reshape(coefficients, (-1, 1)), exact=exact)
 
 
 def float_coherence_sq(vectors) -> float:

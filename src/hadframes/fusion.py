@@ -18,7 +18,8 @@ each B_i as a column view of B. Every check reads B in place:
   the one block Gram B^T B.
 
 Constructors check only what the types require: ``fusion_frame_from_columns``
-that every scaled basis is orthonormal and that the subspaces span F^M,
+that every scaled basis is orthonormal and that the subspaces span F^M (and
+``frames.frame_from_integer_columns`` the same two, one column per line),
 ``subspace_from_columns`` the first for one subspace. Tightness,
 equi-distance and optimality are proved by ``equidistance_certificate``,
 from the matrix alone, whichever constructor made it.
@@ -61,11 +62,15 @@ class FusionFrame:
     """Subspaces spanning F^M, as one read-only integer matrix.
 
     ``basis_raw`` is M x sum(dims): subspace i is spanned by its next
-    ``dims[i]`` columns, scaled by sqrt(``scales[i]``). The object records
-    no property beyond spanning; every claim about it, including the
-    Grassmannian one, is proved by ``equidistance_certificate``. The one
-    value it keeps is ``bound_A``, which it computes from its own read-only
-    matrix on first use; no caller can supply it.
+    ``dims[i]`` columns, scaled by sqrt(``scales[i]``). A frame of unit
+    vectors is the case where every dim is 1 and all subspaces share one
+    scale: ``frames.ScaledFrame`` is this type, the fusion frame of its
+    lines.
+
+    The object records no property beyond spanning; every claim about it,
+    including the Grassmannian one, is proved by ``equidistance_certificate``.
+    The one value it keeps is ``bound_A``, which it computes from its own
+    read-only matrix on first use; no caller can supply it.
     """
 
     basis_raw: np.ndarray
@@ -148,7 +153,9 @@ def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tu
     witnesses = []
     for d in set(dims):
         idx = np.flatnonzero(np.array(dims) == d)
-        blocks = b[:, starts[idx, None] + np.arange(d)].transpose(1, 0, 2)  # (L_d, M, d)
+        every = len(idx) == len(dims)  # then the blocks are a view: no column is gathered
+        cols = b.reshape(big_m, -1, d) if every else b[:, starts[idx, None] + np.arange(d)]
+        blocks = cols.transpose(1, 0, 2)  # (L_d, M, d)
         g = checked_matmul(blocks.transpose(0, 2, 1), blocks)
         bad = g != g[:, :1, :1] * np.eye(d, dtype=g.dtype)
         bad[:, 0, 0] = [int(c) * scales[i] != 1 for c, i in zip(g[:, 0, 0], idx)]
@@ -177,11 +184,17 @@ def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
     """Validate and wrap an integer matrix as subspaces spanning F^M.
 
     Subspace i is spanned by the next ``dims[i]`` columns, and scaled by
-    sqrt(``scales[i]``) they must be orthonormal. A tight frame's projection
-    sum A * I with A > 0 is invertible, which proves spanning without the
-    rank computation.
+    sqrt(``scales[i]``) they must be orthonormal.
     """
-    ff = FusionFrame(*_orthonormal_columns(basis_raw, dims, scales))
+    return _spanning(FusionFrame(*_orthonormal_columns(basis_raw, dims, scales)))
+
+
+def _spanning(ff: FusionFrame) -> FusionFrame:
+    """``ff``, once its subspaces are proved to span F^M.
+
+    A tight frame's projection sum A * I with A > 0 is invertible, which
+    proves spanning without the rank computation.
+    """
     if ff.bound_A is None and int_rank(ff.basis_raw) < ff.ambient_dim:
         raise ValidationError("subspaces do not jointly span the ambient space")
     return ff

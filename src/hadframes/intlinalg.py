@@ -121,16 +121,6 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def column_norms_sq(a: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean norm of every column of an integer matrix.
-
-    Computed in the dtype checked_matmul would use for a.T @ a, whose
-    diagonal these are, so large entries cannot wrap.
-    """
-    c = a.astype(_exact_dtype(a.T, a), copy=False)
-    return (c * c).sum(axis=0)
-
-
 def identity_multiple(s: np.ndarray) -> int | None:
     """Return c such that s == c * I, or None if s is not a multiple of I."""
     d = np.diagonal(s)

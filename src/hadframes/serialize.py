@@ -2,18 +2,26 @@
 
 JSON is emitted with sorted keys and fixed separators so identical objects
 serialize to identical bytes; rationals appear as {"num", "den"} pairs in
-lowest terms with positive denominator. CSV carries only the raw integer
-matrix plus one header line with the scale (and subspace dimensions for
-fusion frames).
+lowest terms with positive denominator.
 
-Integer arrays enter the program through one reader and leave it through
-one writer. ``loads`` is ``json.loads`` except that a JSON array of plain
+CSV carries the raw integer matrix, one row per line, under one header
+line ``# kind=<name> key=value ...``. Each key may appear once, and each
+kind reads only its own keys (``Kind.csv_header``):
+
+- ``sign_matrix`` and ``walsh_matrix``: ``scale_sq``, which may be omitted
+  and must be 1;
+- ``frame``: ``scale_sq``, 1 when omitted;
+- ``fusion_frame``: ``scale_sq``, 1 when omitted, and ``subspace_dims``.
+
+A CSV body is read by ``np.loadtxt``. JSON integer arrays are read by
+``loads``, which is ``json.loads`` except that a JSON array of plain
 integers comes back as a 1-D int64 array: its text is cut into slices at
 commas and each slice's cells are parsed over the whole slice at once, so
-no entry becomes a Python int or str on the way in. ``_int_text`` writes a
-JSON array or a CSV body as decimal text, computed digit by digit over the
-whole array, so the ``*_to_dict`` functions hand over flat numpy arrays and
-``canonical_dumps`` writes them. A CSV body is read by ``np.loadtxt``.
+no entry becomes a Python int or str on the way in. Every integer array
+leaves the program through one writer: ``_int_text`` writes a JSON array
+or a CSV body as decimal text, computed digit by digit over the whole
+array, so the ``*_to_dict`` functions hand over flat numpy arrays and
+``canonical_dumps`` writes them.
 
 ``KINDS`` is the one place where a kind's format is stated: JSON name and
 fields, CSV header and matrix, certificate, and the verdict per --require
@@ -352,7 +360,8 @@ def walsh_matrix_to_dict(w: hadamard.WalshMatrix) -> dict:
 
 
 def frame_to_dict(f: frames.ScaledFrame) -> dict:
-    return {"kind": "frame", **_jsonable(f)}
+    return {"kind": "frame", "ambient_dim": f.ambient_dim, "count": f.count,
+            "raw": f.raw.reshape(-1), "scale_sq": fraction_to_pair(f.scale_sq)}
 
 
 def _shared_scale(ff: fusion.FusionFrame) -> Fraction:
@@ -434,6 +443,10 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
 
     def bases(flats) -> list[np.ndarray]:
         flats = [_int_array(flat) for flat in _LIST(flats)]
+        for i, flat in enumerate(flats):
+            if len(flat) == 0 or len(flat) % m:
+                raise ValidationError(f"subspace {i} has {len(flat)} entries,"
+                                      f" not a positive multiple of ambient_dim {m}")
         dims = [len(flat) // m for flat in flats]
         _size("column count", sum(dims))
         return [_int_matrix(flat, m, dim) for flat, dim in zip(flats, dims)]
@@ -444,10 +457,17 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
     )
 
 
+def _unit_scale(text: str) -> Fraction:
+    """A sign matrix's CSV ``scale_sq``: its entries are read as they stand."""
+    scale = _ratio_token(text)
+    if scale != 1:
+        raise ValidationError(f"a sign matrix has scale_sq 1, got {scale}")
+    return scale
+
+
 def _fusion_from_csv(fields: dict, mat: np.ndarray) -> fusion.FusionFrame:
-    scale = _field(fields, "scale_sq", _ratio_token, Fraction(1))
-    dims = _field(fields, "subspace_dims", lambda text: [_int_token(x) for x in text.split(",")])
-    return fusion.fusion_frame_from_columns(mat, dims, [scale] * len(dims))
+    dims = _field(fields, "subspace_dims", list)
+    return fusion.fusion_frame_from_columns(mat, dims, [fields.get("scale_sq", 1)] * len(dims))
 
 
 def _scale_token(fr: Fraction) -> str:
@@ -471,7 +491,8 @@ class Kind(NamedTuple):
     to_dict: Callable[[Any], dict]
     from_dict: Callable[[dict], Any]
     to_csv: Callable[[Any], tuple[dict, np.ndarray]]  # header fields after kind, matrix
-    from_csv: Callable[[dict, np.ndarray], Any]
+    csv_header: dict[str, Callable[[str], Any]]  # header key after kind -> its reader
+    from_csv: Callable[[dict, np.ndarray], Any]  # (header values read, matrix) -> object
     csv_sizes: tuple[str, str]  # what a CSV's row and column counts are
     checks: Callable[[Any], dict]  # the JSON-ready certificate
     passes: Callable[[dict, str], bool]  # (checks, --require level) -> verdict
@@ -495,6 +516,7 @@ KINDS = (
         to_dict=lambda m: sign_matrix_to_dict(m),
         from_dict=_sign_from_dict,
         to_csv=lambda m: ({"scale_sq": "1/1"}, m.entries),
+        csv_header={"scale_sq": _unit_scale},
         from_csv=lambda fields, mat: hadamard.sign_matrix(mat),
         csv_sizes=("order", "order"),
         checks=lambda m: {"hadamard": matrix_certificate_to_dict(hadamard.validate_hadamard(m))},
@@ -505,6 +527,7 @@ KINDS = (
         to_dict=lambda w: walsh_matrix_to_dict(w),
         from_dict=lambda d: _walsh(_sign_from_dict(d), _field(d, "log_order", _INT, None)),
         to_csv=lambda w: ({"scale_sq": "1/1"}, w.base.entries),
+        csv_header={"scale_sq": _unit_scale},
         from_csv=lambda fields, mat: _walsh(hadamard.sign_matrix(mat), None),
         csv_sizes=("order", "order"),
         checks=lambda w: {
@@ -518,9 +541,9 @@ KINDS = (
         to_dict=lambda f: frame_to_dict(f),
         from_dict=_frame_from_dict,
         to_csv=lambda f: ({"scale_sq": _scale_token(f.scale_sq)}, f.raw),
+        csv_header={"scale_sq": _ratio_token},
         from_csv=lambda fields, mat: frames.frame_from_integer_columns(
-            mat, _field(fields, "scale_sq", _ratio_token, Fraction(1))
-        ),
+            mat, fields.get("scale_sq", 1)),
         csv_sizes=("ambient_dim", "count"),
         checks=lambda f: frame_certificate_to_dict(frames.grassmannian_certificate(f)),
         passes=_frame_passes,
@@ -530,6 +553,8 @@ KINDS = (
         to_dict=lambda ff: fusion_frame_to_dict(ff),
         from_dict=_fusion_from_dict,
         to_csv=_fusion_csv,
+        csv_header={"scale_sq": _ratio_token,
+                    "subspace_dims": lambda text: [_int_token(x) for x in text.split(",")]},
         from_csv=_fusion_from_csv,
         csv_sizes=("ambient_dim", "column count"),
         checks=lambda ff: fusion_certificate_to_dict(fusion.equidistance_certificate(ff)),
@@ -596,13 +621,18 @@ def object_from_csv(text: str):
     tokens = [t.partition("=") for t in head[1:].split()]
     if not head.startswith("#") or not all(eq for _, eq, _ in tokens):
         raise ValidationError("CSV must start with a '# key=value ...' header line")
-    fields = {key: value for key, _, value in tokens}
-    kind = _kind_named(fields.get("kind"))
+    fields: dict[str, str] = {}
+    for key, _, value in tokens:
+        if key in fields:
+            raise ValidationError(f"CSV header repeats key {key!r}")
+        fields[key] = value
+    kind = _kind_named(fields.pop("kind", None))
+    header = _fields(fields, kind.csv_header)
     lines = [ln for ln in body.splitlines() if ln.strip()]
     rows, cols = kind.csv_sizes
     _size(rows, len(lines))
     _size(cols, lines[0].count(",") + 1)
-    return kind.from_csv(fields, _csv_body(lines))
+    return kind.from_csv(header, _csv_body(lines))
 
 
 # ---------------------------------------------------------------------------

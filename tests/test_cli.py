@@ -433,6 +433,8 @@ _FRAME_1 = '{"kind":"frame","ambient_dim":1,"count":1,"scale_sq":{"num":1,"den":
         ("huge-entry.json", _FRAME_1.replace('"raw":[1]', '"raw":[100000000000000000000000]')),
         ("wrapping-norm.json", '{"kind":"frame","ambient_dim":1,"count":2,'
                                '"scale_sq":{"num":1,"den":1},"raw":[9223372036854775807,1]}'),
+        ("non-unit.csv", "# kind=frame scale_sq=1/1\n1,1\n0,1\n"),
+        ("non-spanning.csv", "# kind=frame scale_sq=1/1\n1,1\n0,0\n"),
         ("float-entry.csv", "# kind=sign_matrix scale_sq=1/1\n1.5,1\n1,-1\n"),
         ("exponent-entry.csv", "# kind=sign_matrix scale_sq=1/1\n1e0,1\n1,-1\n"),
         ("bad-scale.csv", "# kind=frame scale_sq=abc\n1\n"),
@@ -464,6 +466,47 @@ def test_missing_key_names_the_field(tmp_path, capsys):
     path.write_text('{"kind":"sign_matrix"}')
     code, err = run_malformed(capsys, "verify", "--input", str(path))
     assert code == 2 and "'order'" in err
+
+
+@pytest.mark.parametrize(
+    "content,key",
+    [
+        # The last of two kinds used to win, so this verified as a sign matrix.
+        ("# kind=frame kind=sign_matrix scale_sq=1/1\n1,1\n1,-1\n", "'kind'"),
+        ("# kind=sign_matrix scale_sq=1/1 scale_sq=1/1\n1,1\n1,-1\n", "'scale_sq'"),
+        ("# kind=sign_matrix scale_sq=5/7 foo=bar\n1,1\n1,-1\n", "'foo'"),
+        ("# kind=frame scale_sq=1/1 subspace_dims=1,1\n1,0\n0,1\n", "'subspace_dims'"),
+        ("# kind=sign_matrix scale_sq=5/7\n1,1\n1,-1\n", "'scale_sq'"),
+        ("# kind=walsh_matrix scale_sq=1/2\n1,1\n1,-1\n", "'scale_sq'"),
+    ],
+)
+def test_csv_header_keys_are_read_once_and_only_by_their_kind(tmp_path, capsys, content, key):
+    path = tmp_path / "h.csv"
+    path.write_text(content)
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert_diagnosed(code, err)
+    assert err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("header", ["# kind=sign_matrix", "# kind=sign_matrix scale_sq=2/2"])
+def test_a_sign_matrix_csv_may_omit_its_unit_scale(tmp_path, capsys, header):
+    path = tmp_path / "h.csv"
+    path.write_text(header + "\n1,1\n1,-1\n")
+    assert run(capsys, "verify", "--input", str(path))[0] == 0
+
+
+@pytest.mark.parametrize(
+    "subspaces,named",
+    [("[[1,0,0,1],[1]]", "subspace 1 has 1 entries"), ("[[1]]", "subspace 0 has 1 entries"),
+     ("[[1,0,0,1],[]]", "subspace 1 has 0 entries")],
+)
+def test_fusion_json_names_a_subspace_that_is_not_whole_columns(tmp_path, capsys, subspaces, named):
+    path = tmp_path / "ff.json"
+    path.write_text('{"kind":"fusion_frame","ambient_dim":2,"scale_sq":{"num":1,"den":1},'
+                    f'"subspaces":{subspaces}}}')
+    code, err = run_malformed(capsys, "verify", "--input", str(path))
+    assert_diagnosed(code, err)
+    assert named in err and "multiple of ambient_dim 2" in err
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from hadframes import (
     etf_from_hadamard,
     float_coherence_sq,
     frame_from_integer_columns,
+    fusion_frame_from_columns,
     gram,
     grassmannian_certificate,
     is_tight,
@@ -49,6 +50,42 @@ def frame_operator_oracle(f):
         [sum(Fraction(a) * Fraction(b) for a, b in zip(r, s)) * f.scale_sq for s in rows]
         for r in rows
     ]
+
+
+def rank_oracle(rows):
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(a[0])):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] / a[rank][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_columns(draw):
+    """Any small integer matrix (entries -2..2, M <= 4, N <= 6, repeated and
+    zero columns allowed) and a scale: one over the first column's squared
+    norm, or one of a few. Half the draws keep only the columns of the first
+    one's norm, so that many are accepted."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    column = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    pool = draw(st.lists(column, min_size=1, max_size=2 * n))
+    if draw(st.booleans()):
+        pool = [c for c in pool if sum(x * x for x in c) == sum(x * x for x in pool[0])]
+    raw = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.int64).T
+    first = int((raw[:, 0] ** 2).sum())
+    if first and draw(st.booleans()):
+        return raw, Fraction(1, first)
+    return raw, draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 3)]))
 
 
 @st.composite
@@ -106,12 +143,14 @@ def test_scaled_hadamard_columns_form_a_frame():
 
 
 def test_single_column_cannot_span_plane():
-    with pytest.raises(ValidationError, match="do not span"):
+    with pytest.raises(ValidationError, match="do not jointly span"):
         frame_from_integer_columns([[1], [0]], 1)
 
 
 def test_non_unit_column_reports_index():
-    with pytest.raises(ValidationError, match="column 1"):
+    # Column 1 is line 1, a subspace of dimension 1 whose one basis vector
+    # has squared norm 2.
+    with pytest.raises(ValidationError, match=r"^subspace 1: columns 0,0 have inner product 2 \* 1"):
         frame_from_integer_columns([[1, 1], [0, 1]], 1)
 
 
@@ -307,7 +346,7 @@ def test_certificate_of_one_vector_proves_tightness_and_claims_no_pair(column, s
 
 def test_the_frame_operator_is_formed_once_per_frame(monkeypatch):
     # The constructor's spanning proof forms the (M, N) @ (N, M) product and
-    # the lines keep its bound; the certificate, is_tight and the round trip
+    # the frame keeps its bound; the certificate, is_tight and the round trip
     # read it. A frame that is not tight keeps its None just the same.
     import hadframes.fusion as fusion_module
 
@@ -324,7 +363,6 @@ def test_the_frame_operator_is_formed_once_per_frame(monkeypatch):
     for f in (tight, loose):
         grassmannian_certificate(f)
         is_tight(f)
-        assert f.lines is f.lines
     reconstruct_tight(tight, analyze(tight, np.ones(7)))
     assert shapes.count(((7, 8), (8, 7))) == 1 and shapes.count(((2, 3), (3, 2))) == 1
 
@@ -351,6 +389,28 @@ def test_verdicts_match_the_fraction_oracles(f):
     rep = coherence(f)
     assert rep.max_corr_sq == peak
     assert rep.achieving_pairs == tuple(p for p, v in corr.items() if v == peak)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_columns())
+def test_a_frame_is_the_fusion_frame_of_its_lines(case):
+    # Refused exactly when some column is not a unit vector under the scale
+    # or the columns do not span; accepted, it is the fusion frame of its
+    # lines, with one column and the one scale per line.
+    raw, scale = case
+    m, n = raw.shape
+    unit = all(sum(Fraction(int(x)) ** 2 for x in col) * scale == 1 for col in raw.T)
+    valid = unit and rank_oracle(raw.tolist()) == m
+    if not valid:
+        with pytest.raises(ValidationError):
+            frame_from_integer_columns(raw, scale)
+        return
+    f = frame_from_integer_columns(raw, scale)
+    ff = fusion_frame_from_columns(raw, (1,) * n, (scale,) * n)
+    assert np.array_equal(f.basis_raw, ff.basis_raw) and np.array_equal(f.raw, raw)
+    assert f.dims == ff.dims == (1,) * n and f.scales == ff.scales == (scale,) * n
+    assert f.bound_A == ff.bound_A
+    assert (f.ambient_dim, f.count, f.scale_sq) == (m, n, scale)
 
 
 def test_certificate_flags_coincide_on_constructed_frames(etf4, etf8, basis2, fourth_roots):
@@ -422,16 +482,16 @@ def test_exact_frames_respect_welch_inequality(etf4, etf8, basis2, fourth_roots)
 
 @pytest.fixture()
 def rank_calls(monkeypatch):
-    import hadframes.frames as frames_module
+    import hadframes.fusion as fusion_module
 
     calls = []
-    real = frames_module.int_rank
+    real = fusion_module.int_rank
 
     def counting(a):
         calls.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(frames_module, "int_rank", counting)
+    monkeypatch.setattr(fusion_module, "int_rank", counting)
     return calls
 
 
@@ -452,7 +512,7 @@ def test_spanning_frame_that_is_not_tight_is_accepted_by_rank(rank_calls):
 def test_frame_that_does_not_span_is_rejected(rank_calls, columns):
     with pytest.raises(
         ValidationError,
-        match=r"^vectors do not span: rank < ambient dimension 2 \(count \d\)$",
+        match=r"^subspaces do not jointly span the ambient space$",
     ):
         frame_from_integer_columns(columns, 1)
 
@@ -460,5 +520,5 @@ def test_frame_that_does_not_span_is_rejected(rank_calls, columns):
 @pytest.mark.parametrize("big", [2**63 - 1, -(2**63)])
 def test_huge_entries_do_not_wrap_into_a_unit_norm(big):
     # (2**63 - 1)**2 + 1 is 0 modulo 2**64, so int64 squares would call it 0 + 1.
-    with pytest.raises(ValidationError, match="column 0"):
+    with pytest.raises(ValidationError, match="^subspace 0: columns 0,0 have inner product"):
         frame_from_integer_columns([[big, 1]], 1)
