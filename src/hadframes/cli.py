@@ -3,7 +3,8 @@
 Exit codes: 0 when every requested certificate passes, 1 when a
 certificate fails, 2 for anything malformed or out of bounds: a bad flag,
 an input file that is missing, not UTF-8, or not a well-formed object, a
-bad ``--config`` file, a bad HADFRAMES_MAX_ORDER, or a size over that cap.
+bad ``--config`` file, a bad HADFRAMES_MAX_ORDER, a size over that cap, or
+a size under it that still needs more memory than the process can get.
 Exit 2 comes with a one-line ``error:`` diagnostic naming what was wrong.
 """
 
@@ -101,13 +102,12 @@ def _cmd_gen_etf(args) -> int:
                 f"--order {n} is not a power of two >= 2; supply a Hadamard "
                 "matrix of that order via --input instead"
             )
-        base = hadamard.build_walsh(n.bit_length() - 1).base
+        h = hadamard.build_walsh(n.bit_length() - 1)
     else:
-        obj = _load_object(args.input)
-        base = getattr(obj, "base", obj)  # a WalshMatrix wraps its SignMatrix
-        if not isinstance(base, hadamard.SignMatrix):
+        h = _load_object(args.input)
+        if not isinstance(h, hadamard.SignMatrix):  # a WalshMatrix is one too
             raise ValidationError("--input must contain a sign matrix")
-    return _emit_certified(frames.etf_from_hadamard(hadamard.normalize_first_row(base)), args)
+    return _emit_certified(frames.etf_from_hadamard(hadamard.normalize_first_row(h)), args)
 
 
 def _cmd_gen_gff(args) -> int:
@@ -264,6 +264,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ValidationError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's allocation failures carry their size
+        print(f"error: memory ran out{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
 
 

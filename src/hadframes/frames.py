@@ -15,9 +15,11 @@ its ``fusion.py`` twin on the frame itself:
   spanning proof;
 - tightness is ``bound_A``, formed once by that proof and read again by
   ``is_tight``, the certificate, tight reconstruction and the channel;
-- the squared correlations |<e_i, e_j>|^2 = tr(P_i P_j) are the lines'
-  pairwise traces, which decide equiangularity, Welch equality and
-  coherence;
+- the certificate is the lines' ``equidistance_certificate`` under frame
+  names: equal angles are equal distances, and the squared correlation
+  |<e_i, e_j>|^2 = tr(P_i P_j) is 1 minus the lines' squared chordal
+  distance;
+- coherence reads the lines' pairwise traces tr(P_i P_j);
 - analysis and tight reconstruction are ``fusion_analyze`` and
   ``fusion_reconstruct_tight``, one coordinate per line;
 - the channel sends a frame as its lines.
@@ -25,10 +27,10 @@ its ``fusion.py`` twin on the frame itself:
 An equiangular tight frame is the equi-distance tight fusion frame of its
 lines, and the Welch bound is the simplex bound at d = 1.
 
-What stays here: the ``ScaledFrame`` type and its constructor, the
-certificate and coherence records, the signed Gram ``gram``,
-``welch_bound_sq``, the ETF of a Hadamard matrix and the float diagnostic
-``float_coherence_sq``. Every verdict is decided by exact integer and
+What stays here: the ``ScaledFrame`` type and its constructor (its sizes,
+like every fusion frame's, are read from its matrix), the certificate and
+coherence records, the signed Gram ``gram``, ``welch_bound_sq``, the ETF
+of a Hadamard matrix and the float diagnostic ``float_coherence_sq``. Every verdict is decided by exact integer and
 Fraction arithmetic with no square roots. A frame keeps its own kind
 wherever the package dispatches on the exact type: it is written, read,
 certified and simulated as a frame.
@@ -47,6 +49,7 @@ from .fusion import (
     _orthonormal_columns,
     _pairwise_traces,
     _spanning,
+    equidistance_certificate,
     fusion_analyze,
     fusion_reconstruct_tight,
     fusion_tight,
@@ -84,6 +87,15 @@ class FrameCertificate:
     which is the Welch bound. So the frame has the least coherence of any
     N unit vectors in F^M.
 
+    ``welch_equality`` says that the largest squared correlation equals the
+    Welch bound, and it holds exactly when the frame is equiangular with
+    ``alpha_sq`` equal to the bound. By the frame potential,
+    ||sum_i e_i e_i^T - (N/M) I||_F^2 >= 0 gives
+    sum_{i != j} |<e_i, e_j>|^2 >= N^2/M - N for any N unit vectors, so the
+    mean squared correlation over the ordered pairs is at least the bound;
+    the largest equals the bound only if it equals that mean, that is, only
+    if every squared correlation equals it.
+
     The Welch bound is the simplex bound of ``fusion.FusionCertificate`` at
     d = 1: the lines' squared chordal distance is 1 - |<e_i, e_j>|^2, and
     (M - 1)/M * N/(N - 1) = 1 - (N - M)/(M(N - 1)).
@@ -110,19 +122,14 @@ def gram(f: ScaledFrame) -> np.ndarray:
     return scaled_fraction_matrix(checked_matmul(f.raw.T, f.raw), f.scale_sq)
 
 
-def _line_traces(f: ScaledFrame) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
-    # |<e_i, e_j>|^2 = tr(P_i P_j) = upper[k] / den for the pairs
-    # i = iu[0][k] < j = iu[1][k], in row-major order.
-    traces, den = _pairwise_traces(f)
-    iu = np.triu_indices(f.count, 1)
-    return traces[iu], iu, den
-
-
 def coherence(f: ScaledFrame) -> CoherenceReport:
-    """Maximal squared frame correlation over all pairs, exact."""
+    """Maximal squared frame correlation over all pairs, exact: the largest
+    of the lines' pairwise traces |<e_i, e_j>|^2 = tr(P_i P_j)."""
     if f.count < 2:
         raise ValidationError("coherence needs at least two frame vectors")
-    upper, iu, den = _line_traces(f)
+    traces, den = _pairwise_traces(f)
+    iu = np.triu_indices(f.count, 1)
+    upper = traces[iu]
     peak = upper.max()
     at = np.flatnonzero(upper == peak)
     pairs = tuple(zip(iu[0][at].tolist(), iu[1][at].tolist()))
@@ -168,27 +175,27 @@ def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
 
 
 def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:
-    """Prove tightness, equiangularity, and Welch equality exactly on ``f``.
+    """Prove tightness, equiangularity, and Welch equality exactly on ``f``:
+    its lines' ``equidistance_certificate`` under frame names.
 
-    ``grassmannian`` (tight and equiangular) is the minimal-coherence claim;
-    none is made when either verdict is false. The lines' pairwise traces
-    come from one N x N Gram and are read by both the equiangularity and
-    the Welch check, which compares the largest of them to the bound. A
-    single vector has no pair: it is not equiangular, and the Welch bound,
-    which needs N >= 2, is not met.
+    The lines are equi-distant exactly when the frame is equiangular, with
+    ``alpha_sq`` = 1 - ``dist_sq``, and ``grassmannian`` (tight and
+    equiangular) is the lines' verdict; none is claimed when either is
+    false. Welch equality is ``alpha_sq`` equal to the Welch bound, exact by
+    the frame-potential argument in ``FrameCertificate``. A single vector
+    has no pair: it is not equiangular, and the Welch bound, which needs
+    N >= 2, is not met.
     """
-    tight, bound = is_tight(f)
-    upper, _, den = _line_traces(f)
-    equi = upper.size > 0 and bool((upper == upper[0]).all())
-    welch_eq = upper.size > 0 and (
-        Fraction(int(upper.max()), den) == welch_bound_sq(f.count, f.ambient_dim))
+    lines = equidistance_certificate(f)
+    alpha_sq = None if lines.dist_sq is None else 1 - lines.dist_sq
     return FrameCertificate(
-        tight=tight,
-        bound_A=bound,
-        equiangular=equi,
-        alpha_sq=Fraction(int(upper[0]), den) if equi else None,
-        welch_equality=welch_eq,
-        grassmannian=tight and equi,
+        tight=lines.tight,
+        bound_A=lines.bound_A,
+        equiangular=lines.equi_distance,
+        alpha_sq=alpha_sq,
+        welch_equality=alpha_sq is not None
+        and alpha_sq == welch_bound_sq(f.count, f.ambient_dim),
+        grassmannian=lines.grassmannian,
     )
 
 

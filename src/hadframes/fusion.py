@@ -3,7 +3,9 @@
 A fusion frame of L subspaces of F^M is stored as one read-only integer
 matrix B of size M x sum_i d_i, its ``dims`` d_i and one rational scale
 s_i per subspace: subspace i is spanned by the next d_i columns B_i of B,
-and sqrt(s_i) B_i is an orthonormal basis of it. ``subspaces`` hands out
+and sqrt(s_i) B_i is an orthonormal basis of it. Every size is read from
+the matrix: M is its row count. A ``Subspace`` is likewise only a basis
+and a scale, its dimensions the basis's shape, and ``subspaces`` hands out
 each B_i as a column view of B. Every check reads B in place:
 
 - orthonormality, B_i^T B_i = I / s_i, is one stacked product per distinct
@@ -49,12 +51,15 @@ from .intlinalg import (
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """m-dimensional subspace of F^M with an exactly orthonormal scaled basis."""
+    """m-dimensional subspace of F^M: an integer basis and its scale, with
+    sqrt(scale_sq) times the basis exactly orthonormal. The sizes are read
+    from the M x m basis."""
 
-    ambient_dim: int
-    dim: int
     basis_raw: np.ndarray
     scale_sq: Fraction
+
+    ambient_dim = property(lambda self: self.basis_raw.shape[0])
+    dim = property(lambda self: self.basis_raw.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +91,7 @@ class FusionFrame:
         """Every subspace, its basis a column view of ``basis_raw``."""
         ends = np.cumsum(self.dims).tolist()
         return tuple(
-            Subspace(self.ambient_dim, d, self.basis_raw[:, end - d:end], scale)
+            Subspace(self.basis_raw[:, end - d:end], scale)
             for d, end, scale in zip(self.dims, ends, self.scales)
         )
 
@@ -176,8 +181,8 @@ def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tu
 def subspace_from_columns(basis_raw, scale_sq) -> Subspace:
     """Validate exact orthonormality of the scaled columns and wrap them."""
     b = as_int_matrix(basis_raw, name="basis")
-    b, (m,), (scale,) = _orthonormal_columns(b, (b.shape[1],), (scale_sq,))
-    return Subspace(ambient_dim=b.shape[0], dim=m, basis_raw=b, scale_sq=scale)
+    b, _, (scale,) = _orthonormal_columns(b, (b.shape[1],), (scale_sq,))
+    return Subspace(b, scale)
 
 
 def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
@@ -277,7 +282,7 @@ def build_gff(n: int, m: int) -> FusionFrame:
     big_m = (1 << n) - (1 << m)
     n_sub = 1 << (n - m)
     # Column i + k * 2^(n-m) of the dropped rows becomes column i * 2^m + k.
-    dropped = w.base.entries[1 << m:, :].reshape(big_m, 1 << m, n_sub)
+    dropped = w.entries[1 << m:, :].reshape(big_m, 1 << m, n_sub)
     return fusion_frame_from_columns(
         dropped.transpose(0, 2, 1).reshape(big_m, -1),
         (1 << m,) * n_sub,

@@ -1,7 +1,10 @@
 """Hadamard matrices, sequency (Walsh) ordering, and the fast transform.
 
-Constructors build and certificates prove. ``SignMatrix`` checks only what
-the type requires: a square matrix of order at least 1 with entries +-1.
+Constructors build and certificates prove. ``SignMatrix`` holds only its
+matrix and checks only what the type requires: a square matrix of order at
+least 1 with entries +-1; its order is read from the matrix. A
+``WalshMatrix`` is a ``SignMatrix`` whose order is a power of two, with no
+field of its own: its ``log_order`` is read from the matrix too.
 ``build_sylvester`` and ``build_walsh`` return their matrices unproved, and
 no object records that it was once proved. A Hadamard claim is proved where
 it is made: in the ``hadamard`` certificate of ``validate_hadamard``, and by
@@ -54,12 +57,11 @@ def max_order() -> int:
 class SignMatrix:
     """Square matrix of order at least 1 over {+1, -1}, exact integer entries.
 
-    Construction checks only this shape and these entries. Whether the
-    matrix is Hadamard is proved by ``validate_hadamard`` each time it is
-    asked, never recorded on the object.
+    Construction checks only this shape and these entries; ``order`` is read
+    from the matrix. Whether the matrix is Hadamard is proved by
+    ``validate_hadamard`` each time it is asked, never recorded on the object.
     """
 
-    order: int
     entries: np.ndarray
 
     def __post_init__(self):
@@ -70,21 +72,29 @@ class SignMatrix:
             raise ValidationError("sign matrix must have order >= 1")
         if not ((a == 1) | (a == -1)).all():
             raise ValidationError("sign matrix entries must be +1 or -1")
-        if self.order != a.shape[0]:
-            raise ValidationError(
-                f"declared order {self.order} does not match shape {a.shape}"
-            )
         a = np.ascontiguousarray(a, dtype=np.int8)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    order = property(lambda self: self.entries.shape[0])
 
-@dataclass(frozen=True, eq=False)
-class WalshMatrix:
-    """Sequency-ordered Hadamard matrix of order 2**log_order."""
 
-    log_order: int
-    base: SignMatrix
+class WalshMatrix(SignMatrix):
+    """Sequency-ordered Hadamard matrix of order 2**log_order: a sign matrix
+    whose order is a power of two, with no field of its own.
+
+    ``log_order`` is read from the matrix, and ``base``, its sign matrix, is
+    the matrix itself: every check reads a Walsh matrix as it reads any
+    sign matrix.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.order & (self.order - 1):
+            raise ValidationError(f"walsh matrix order {self.order} is not a power of two")
+
+    log_order = property(lambda self: self.order.bit_length() - 1)
+    base = property(lambda self: self)
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ def sign_matrix(rows) -> SignMatrix:
     a = np.asarray(rows)
     if a.ndim != 2:
         raise ValidationError("sign matrix must be 2-D")
-    return SignMatrix(order=a.shape[0], entries=a)
+    return SignMatrix(a)
 
 
 def _checked_order(k: int) -> int:
@@ -125,7 +135,7 @@ def build_sylvester(k: int) -> SignMatrix:
     h = np.ones((1, 1), dtype=np.int8)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return SignMatrix(order=n, entries=h)
+    return SignMatrix(h)
 
 
 @lru_cache(maxsize=32)
@@ -152,7 +162,7 @@ def build_walsh(k: int) -> WalshMatrix:
     """
     syl = build_sylvester(k)
     perm = np.fromiter(_sequency_permutation(int(k)), dtype=np.int64, count=syl.order)
-    return WalshMatrix(log_order=int(k), base=sign_matrix(syl.entries[perm]))
+    return WalshMatrix(syl.entries[perm])
 
 
 def _sylvester_class(e: np.ndarray) -> bool:
@@ -224,19 +234,16 @@ def validate_hadamard(m: SignMatrix) -> MatrixCertificate:
 def sign_changes(m: SignMatrix) -> np.ndarray:
     """Per-row count of adjacent sign changes, left to right."""
     e = m.entries
-    if m.order == 1:
-        return np.zeros(1, dtype=np.int64)
     return (e[:, 1:] != e[:, :-1]).sum(axis=1, dtype=np.int64)
 
 
-def validate_walsh_order(w: WalshMatrix | SignMatrix) -> MatrixCertificate:
+def validate_walsh_order(m: SignMatrix) -> MatrixCertificate:
     """Check sequency ordering: row j has j sign changes and starts at +1.
 
     ``build_walsh`` orders the rows by an index permutation; this
     certificate re-verifies that order by counting sign changes on the
     matrix itself, so the ordering is checked, never assumed.
     """
-    m = w.base if isinstance(w, WalshMatrix) else w
     changes = sign_changes(m)
     expected = np.arange(m.order)
     if (m.entries[:, 0] != 1).any():

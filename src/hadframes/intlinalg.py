@@ -122,13 +122,13 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def identity_multiple(s: np.ndarray) -> int | None:
-    """Return c such that s == c * I, or None if s is not a multiple of I."""
+    """Return c such that s == c * I, or None if s is not a multiple of I.
+
+    The entries off the diagonal are all zero exactly when ``s`` has no more
+    nonzero entries than its diagonal.
+    """
     d = np.diagonal(s)
-    if not (d == d[0]).all():
-        return None
-    off = np.array(s, copy=True)
-    np.fill_diagonal(off, 0)
-    if off.any():
+    if not (d == d[0]).all() or np.count_nonzero(s) != np.count_nonzero(d):
         return None
     return int(d[0])
 

@@ -13,7 +13,10 @@ kind reads only its own keys (``Kind.csv_header``):
 - ``frame``: ``scale_sq``, 1 when omitted;
 - ``fusion_frame``: ``scale_sq``, 1 when omitted, and ``subspace_dims``.
 
-A CSV body is read by ``np.loadtxt``. JSON integer arrays are read by
+A CSV body is read by ``np.loadtxt`` once every row has the first row's
+cell count; a body it refuses is refused in the program's words, naming
+the first bad cell by row and column, both counted from 1 over the
+non-blank body rows. JSON integer arrays are read by
 ``loads``, which is ``json.loads`` except that a JSON array of plain
 integers comes back as a 1-D int64 array: its text is cut into slices at
 commas and each slice's cells are parsed over the whole slice at once, so
@@ -40,7 +43,6 @@ import json.decoder
 import json.scanner
 import re
 import warnings
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -54,15 +56,6 @@ from .errors import ResourceLimitError, ValidationError
 # ValidationError. Constructors run outside these steps and raise their own.
 _DECODE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError)
 _MISSING = object()
-
-
-@contextmanager
-def _blame(what: str):
-    """Re-raise a parsing failure inside the block as a ValidationError naming ``what``."""
-    try:
-        yield
-    except _DECODE_ERRORS as exc:
-        raise ValidationError(f"{what}: {exc}") from None
 
 
 def _plain(value):
@@ -96,13 +89,16 @@ def _float(value) -> float:
 
 
 def _field(d: dict, key: str, read: Callable, default=_MISSING):
-    """``read(d[key])``, or ``default`` when the key is absent."""
+    """``read(d[key])``, or ``default`` when the key is absent; a parsing
+    failure becomes a ValidationError naming the field."""
     if key not in d:
         if default is _MISSING:
             raise ValidationError(f"missing field {key!r}")
         return default
-    with _blame(f"field {key!r}"):
+    try:
         return read(d[key])
+    except _DECODE_ERRORS as exc:
+        raise ValidationError(f"field {key!r}: {exc}") from None
 
 
 def _fields(d, readers: dict) -> dict:
@@ -174,16 +170,13 @@ def pair_to_fraction(d) -> Fraction:
 
 
 def _jsonable(value):
-    """A dataclass as a dict of its JSON-ready fields, in declaration order;
-    an array stays a flat numpy array, for ``canonical_dumps`` to write."""
+    """A dataclass as a dict of its JSON-ready fields, in declaration order."""
     if dataclasses.is_dataclass(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Fraction):
         return fraction_to_pair(value)
     if isinstance(value, tuple):
         return list(value)
-    if isinstance(value, np.ndarray):
-        return value.reshape(-1)
     return value
 
 
@@ -356,7 +349,7 @@ def sign_matrix_to_dict(m: hadamard.SignMatrix) -> dict:
 
 
 def walsh_matrix_to_dict(w: hadamard.WalshMatrix) -> dict:
-    return {**sign_matrix_to_dict(w.base), "kind": "walsh_matrix", "log_order": w.log_order}
+    return {**sign_matrix_to_dict(w), "kind": "walsh_matrix", "log_order": w.log_order}
 
 
 def frame_to_dict(f: frames.ScaledFrame) -> dict:
@@ -416,17 +409,17 @@ def config_from_dict(d) -> ChannelConfig:
 # dict / CSV -> objects, per kind
 
 
-def _sign_from_dict(d: dict) -> hadamard.SignMatrix:
+def _sign_entries(d: dict) -> np.ndarray:
     order = _size("order", _field(d, "order", _INT))
-    return hadamard.sign_matrix(_field(d, "entries", lambda flat: _int_matrix(flat, order, order)))
+    return _field(d, "entries", lambda flat: _int_matrix(flat, order, order))
 
 
-def _walsh(m: hadamard.SignMatrix, log_order: int | None) -> hadamard.WalshMatrix:
-    k = m.order.bit_length() - 1
-    want = k if log_order is None else log_order
-    if m.order & (m.order - 1) or want != k:
-        raise ValidationError(f"walsh matrix order {m.order} is not 2**{want}")
-    return hadamard.WalshMatrix(log_order=k, base=m)
+def _walsh_from_dict(d: dict) -> hadamard.WalshMatrix:
+    w = hadamard.WalshMatrix(_sign_entries(d))
+    log_order = _field(d, "log_order", _INT, w.log_order)
+    if log_order != w.log_order:
+        raise ValidationError(f"walsh matrix order {w.order} is not 2**{log_order}")
+    return w
 
 
 def _frame_from_dict(d: dict) -> frames.ScaledFrame:
@@ -514,7 +507,7 @@ KINDS = (
     Kind(
         "sign_matrix", hadamard.SignMatrix,
         to_dict=lambda m: sign_matrix_to_dict(m),
-        from_dict=_sign_from_dict,
+        from_dict=lambda d: hadamard.sign_matrix(_sign_entries(d)),
         to_csv=lambda m: ({"scale_sq": "1/1"}, m.entries),
         csv_header={"scale_sq": _unit_scale},
         from_csv=lambda fields, mat: hadamard.sign_matrix(mat),
@@ -525,13 +518,13 @@ KINDS = (
     Kind(
         "walsh_matrix", hadamard.WalshMatrix,
         to_dict=lambda w: walsh_matrix_to_dict(w),
-        from_dict=lambda d: _walsh(_sign_from_dict(d), _field(d, "log_order", _INT, None)),
-        to_csv=lambda w: ({"scale_sq": "1/1"}, w.base.entries),
+        from_dict=_walsh_from_dict,
+        to_csv=lambda w: ({"scale_sq": "1/1"}, w.entries),
         csv_header={"scale_sq": _unit_scale},
-        from_csv=lambda fields, mat: _walsh(hadamard.sign_matrix(mat), None),
+        from_csv=lambda fields, mat: hadamard.WalshMatrix(mat),
         csv_sizes=("order", "order"),
         checks=lambda w: {
-            "hadamard": matrix_certificate_to_dict(hadamard.validate_hadamard(w.base)),
+            "hadamard": matrix_certificate_to_dict(hadamard.validate_hadamard(w)),
             "walsh_order": matrix_certificate_to_dict(hadamard.validate_walsh_order(w)),
         },
         passes=_all_ok,
@@ -602,18 +595,37 @@ def object_to_csv(obj) -> str:
     return f"# {header}\n" + _int_text(mat, ",", "\n")
 
 
+# A CSV cell that np.loadtxt reads as int64, if its value fits.
+_INT_CELL = re.compile(r"[ \t]*[-+]?[0-9]+[ \t]*")
+
+
 def _csv_body(lines: list[str]) -> np.ndarray:
-    """The body rows as an int64 matrix; a cell that is not an integer is refused."""
+    """The body rows as an int64 matrix. A row whose cell count is not the
+    first row's, or a cell that is not an integer, is refused by its row and
+    column, both counted from 1 over the non-blank body rows."""
     # An integer body is ASCII. numpy 2.4's loadtxt can also crash the
     # interpreter on lines holding characters beyond U+FFFF.
     if not all(map(str.isascii, lines)):
         raise ValidationError("CSV body is not an integer matrix: it holds non-ASCII text")
-    with _blame("CSV body is not an integer matrix"), warnings.catch_warnings():
-        # numpy releases that still read an int64 cell such as "1.5" through
-        # float only warn before they truncate it; as an error, loadtxt
-        # reports the cell in a ValueError.
-        warnings.simplefilter("error", DeprecationWarning)
-        return np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+    width = lines[0].count(",")
+    for i, line in enumerate(lines, 1):
+        if line.count(",") != width:
+            raise ValidationError(f"CSV body is not an integer matrix: rows 1 and {i} have"
+                                  f" {width + 1} and {line.count(',') + 1} cells")
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that still read an int64 cell such as "1.5"
+            # through float only warn before they truncate it; as an error,
+            # loadtxt reports the cell in a ValueError.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        cells = ((i, j, c) for i, line in enumerate(lines, 1)
+                 for j, c in enumerate(line.split(","), 1))
+        bad = next(((i, j, c) for i, j, c in cells
+                    if not (_INT_CELL.fullmatch(c) and -(1 << 63) <= int(c) < 1 << 63)), None)
+        detail = exc if bad is None else "row {}, column {} holds {!r}".format(*bad)
+        raise ValidationError(f"CSV body is not an integer matrix: {detail}") from None
 
 
 def object_from_csv(text: str):

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ import pytest
 from hadframes import build_gff, build_walsh, etf_from_hadamard
 from hadframes.cli import main
 from hadframes.hadamard import MAX_ORDER_ENV
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -253,6 +258,31 @@ def test_compare_table(tmp_path, capsys):
     assert rows["basis"]["non_recoverable_count"] == 40
 
 
+def test_compare_text_table(tmp_path, capsys):
+    a, b = tmp_path / "etf.json", tmp_path / "lines.json"
+    run(capsys, "gen-etf", "--order", "4", "--output", str(a))
+    run(capsys, "gen-gff", "--n", "2", "--m", "0", "--output", str(b))
+    flags = ("--trials", "40", "--seed", "3", "--erase-random", "1")
+    code, out, _ = run(capsys, "compare", "--inputs", str(a), str(b), *flags, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out, _ = run(capsys, "compare", "--inputs", str(a), str(b), *flags)
+    assert code == 0
+    head, *lines = out.splitlines()
+    assert head.split() == ["name", "mean_mse", "max_mse", "exact", "nonrec"]
+    for line, row in zip(lines, rows, strict=True):
+        r = row["report"]
+        assert line.split() == [row["name"], f"{r['mean_mse']:.6e}", f"{r['max_mse']:.6e}",
+                                str(r["exact_recovery_count"]), str(r["non_recoverable_count"])]
+
+
+def test_gen_text_format_lists_the_certificate(capsys):
+    code, out, _ = run(capsys, "gen-gff", "--n", "3", "--m", "1", "--format", "text")
+    assert code == 0
+    assert out == ("kind = fusion_frame\ntight = True\nbound_A = 4/3\nequal_dim = True\n"
+                   "equi_distance = True\ndist_sq = 16/9\ngrassmannian = True\n")
+
+
 # ---------------------------------------------------------------------------
 # failure modes -> exit 2 with diagnostics
 
@@ -443,6 +473,10 @@ _FRAME_1 = '{"kind":"frame","ambient_dim":1,"count":1,"scale_sq":{"num":1,"den":
         ("ragged.csv", "# kind=frame scale_sq=1/1\n1,0\n0\n"),
         ("empty-body.csv", "# kind=sign_matrix scale_sq=1/1\n"),
         ("deep.json", "[" * 100000 + "]" * 100000),
+        ("walsh-log-order.json",
+         '{"kind":"walsh_matrix","order":8,"log_order":5,"entries":' + str([1] * 64) + "}"),
+        ("walsh-order-3.csv", "# kind=walsh_matrix\n1,1,1\n1,-1,1\n1,1,-1\n"),
+        ("long-row.csv", "# kind=sign_matrix scale_sq=1/1\n1,1\n1,-1,1\n"),
     ],
 )
 def test_malformed_object_file_exits_2(tmp_path, capsys, name, content):
@@ -451,6 +485,25 @@ def test_malformed_object_file_exits_2(tmp_path, capsys, name, content):
     code, err = run_malformed(capsys, "verify", "--input", str(path))
     assert_diagnosed(code, err)
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with RLIMIT_AS")
+@pytest.mark.parametrize("argv", [("gen-gff", "--n", "13", "--m", "1"),
+                                  ("gen-etf", "--order", "8192"), ("gen-hadamard", "--k", "16")])
+def test_running_out_of_memory_exits_2(argv):
+    """Each command is under the default order cap but needs more than
+    768 MiB; only the child's address space is capped."""
+    import resource
+
+    limit = 768 << 20
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    env.pop(MAX_ORDER_ENV, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "hadframes.cli", *argv], env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)), timeout=300)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: memory ran out") and done.stderr.count("\n") == 1
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):
@@ -539,7 +592,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, etf4, config):
 @pytest.mark.parametrize(
     "flags", [("--noise-std", "nan"), ("--noise-std", "inf"), ("--erase-fixed", "a"),
               ("--erase-fixed", "0", "--erase-random", "2"), ("--erase-fixed", ""),
-              ("--trials", "10000000000000000000000")],
+              ("--trials", "10000000000000000000000"), ("--erase-random", "0")],
 )
 def test_bad_channel_flags_exit_2(capsys, etf4, flags):
     assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))

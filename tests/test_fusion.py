@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadframes import (
+    Subspace,
     ValidationError,
     build_gff,
     build_sylvester,
@@ -153,6 +154,17 @@ def test_constructor_checks_dims_and_scales(dims, scales):
 def test_chordal_distance_to_self_is_zero():
     s = subspace_from_columns([[1, 1], [1, -1], [1, 1], [1, -1]], Fraction(1, 4))
     assert chordal_dist_sq(s, s) == 0
+
+
+def test_a_subspace_reads_its_sizes_from_its_basis():
+    s = Subspace(np.eye(2, dtype=np.int64)[:, :1], Fraction(1))
+    assert (s.ambient_dim, s.dim) == (2, 1)
+    assert chordal_dist_sq(s, s) == 0
+
+
+def test_make_fusion_frame_refuses_subspaces_of_different_ambient_spaces():
+    with pytest.raises(ValidationError, match="subspace 1 lives in F\\^3, expected F\\^2"):
+        make_fusion_frame([line(2, 0), line(3, 1)])
 
 
 def test_orthogonal_lines_at_distance_one():
@@ -411,6 +423,15 @@ def test_reconstruct_requires_tight_fusion_frame():
         fusion_reconstruct_tight(ff, fusion_analyze(ff, [1.0, 2.0]))
 
 
+@pytest.mark.parametrize("pieces,message", [
+    ([[1.0, 2.0]] * 3, "expected 4 pieces, got 3"),
+    ([[1.0, 2.0]] * 3 + [[1.0]], "piece 3 must have 2 coordinates, got 1"),
+])
+def test_reconstruct_checks_the_piece_count_and_lengths(pieces, message):
+    with pytest.raises(ValidationError, match=message):
+        fusion_reconstruct_tight(build_gff(3, 1), pieces)
+
+
 def test_analyze_checks_ambient_dimension():
     ff = build_gff(3, 1)
     with pytest.raises(ValidationError, match="length 6"):
@@ -501,8 +522,13 @@ def _fixed_fusion_frames():
     diag_plus = subspace_from_columns([[1], [1]], Fraction(1, 2))
     diag_minus = subspace_from_columns([[1], [-1]], Fraction(1, 2))
     whole = subspace_from_columns(np.eye(2, dtype=int), 1)
+    gff31 = build_gff(3, 1)
     return {
-        "gff31": build_gff(3, 1),
+        "gff31": gff31,
+        # Squared block-Gram entries past int64: the pairwise traces take
+        # Python integers and must give gff31's certificate.
+        "gff31-entries-times-2^16": fusion_frame_from_columns(
+            gff31.basis_raw << 16, gff31.dims, [s / (1 << 32) for s in gff31.scales]),
         "gff42": build_gff(4, 2),
         "gff21-coincident": build_gff(2, 1),
         "mixed-scales-not-equidistant": make_fusion_frame(

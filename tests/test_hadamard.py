@@ -8,6 +8,7 @@ against a plain matrix-vector product.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from hadframes import (
     ResourceLimitError,
+    SignMatrix,
     ValidationError,
+    WalshMatrix,
     build_sylvester,
     build_walsh,
     etf_from_hadamard,
@@ -173,6 +176,26 @@ def test_validate_walsh_order_rejects_sylvester_order():
     cert = validate_walsh_order(build_sylvester(2))
     assert not cert.ok
     assert "row 1" in cert.detail  # natural-order row 1 alternates: 3 changes
+
+
+def test_validate_walsh_order_names_a_row_that_starts_at_minus_one():
+    flipped = build_walsh(2).entries * np.array([[1], [1], [-1], [1]])
+    cert = validate_walsh_order(sign_matrix(flipped))
+    assert not cert.ok and cert.detail == "row 2 starts at -1"
+
+
+def test_a_sign_matrix_holds_only_its_matrix_and_reads_its_sizes_from_it():
+    assert [f.name for f in dataclasses.fields(SignMatrix)] == ["entries"]
+    assert [f.name for f in dataclasses.fields(WalshMatrix)] == ["entries"]
+    w = WalshMatrix(build_sylvester(3).entries)
+    assert (w.order, w.log_order) == (8, 3) and w.base is w
+    assert validate_hadamard(w).ok and not validate_walsh_order(w).ok
+
+
+@pytest.mark.parametrize("order", [3, 6, 12])
+def test_a_walsh_matrix_whose_order_is_not_a_power_of_two_is_refused(order):
+    with pytest.raises(ValidationError, match=f"walsh matrix order {order} is not a power of two"):
+        WalshMatrix(np.ones((order, order), dtype=int))
 
 
 def test_sylvester_k2_sign_change_counts():

@@ -100,6 +100,52 @@ def test_csv_round_trips():
         assert type(back).__name__ == type(obj).__name__
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda k: st.lists(
+    st.sampled_from([-1, 1]), min_size=4 ** k, max_size=4 ** k)))
+def test_every_walsh_matrix_exports_json_and_csv_its_reader_accepts(signs):
+    n = int(np.sqrt(len(signs)))
+    for w in (WalshMatrix(np.reshape(signs, (n, n))), build_walsh(n.bit_length() - 1)):
+        for back in (ser.object_from_dict(via_json(ser.walsh_matrix_to_dict(w))),
+                     ser.object_from_csv(ser.object_to_csv(w))):
+            assert type(back) is WalshMatrix and back.log_order == w.log_order
+            assert np.array_equal(back.entries, w.entries)
+
+
+def _from_json(text: str):
+    return ser.object_from_dict(json.loads(text))
+
+
+@pytest.mark.parametrize("read,text,message", [
+    (_from_json, '{"kind":"walsh_matrix","order":2,"log_order":5,"entries":[1,1,1,-1]}',
+     "walsh matrix order 2 is not 2\\*\\*5"),
+    (_from_json, '{"kind":"walsh_matrix","order":1,"log_order":1,"entries":[1]}',
+     "walsh matrix order 1 is not 2\\*\\*1"),
+    (_from_json, '{"kind":"walsh_matrix","order":3,"entries":[1,1,1,1,-1,1,1,1,-1]}',
+     "walsh matrix order 3 is not a power of two"),
+    (ser.object_from_csv, "# kind=walsh_matrix\n1,1,1\n1,-1,1\n1,1,-1\n",
+     "walsh matrix order 3 is not a power of two"),
+])
+def test_walsh_imports_refuse_a_wrong_log_order_or_order(read, text, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        read(text)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,1\n1,-1,1\n", "rows 1 and 2 have 2 and 3 cells"),
+    ("1\n1\n1,1\n", "rows 1 and 3 have 1 and 2 cells"),
+    ("1,1\n\n1\n", "rows 1 and 2 have 2 and 1 cells"),
+    ("1e0,1\n1,-1\n", "row 1, column 1 holds '1e0'"),
+    ("1,1\n\n1,1.5\n", "row 2, column 2 holds '1.5'"),
+    ("1,1\n1,\n", "row 2, column 2 holds ''"),
+    ("1,1\n99999999999999999999,1\n", "row 2, column 1 holds '99999999999999999999'"),
+])
+def test_csv_body_refusals_name_the_row_and_column_from_1(body, message):
+    with pytest.raises(ValidationError) as refused:
+        ser.object_from_csv(f"# kind=sign_matrix scale_sq=1/1\n{body}")
+    assert str(refused.value) == f"CSV body is not an integer matrix: {message}"
+
+
 def test_csv_frame_preserves_scale():
     f = etf_from_hadamard(build_walsh(2).base)
     text = ser.object_to_csv(f)
