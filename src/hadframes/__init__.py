@@ -3,7 +3,22 @@
 Constructions from sign matrices with exact rational certificates
 (tightness, equiangularity, Welch equality, equal chordal distances) and
 a seeded Monte-Carlo channel for noise/erasure robustness experiments.
+
+Importing the package sets ``OPENBLAS_THREAD_TIMEOUT`` to 4, OpenBLAS's
+minimum, unless it is already set. Every CLI command is a short process,
+and by default OpenBLAS's idle worker threads spin for about 2^28 cycles
+once the library loads and after every threaded call before they sleep,
+burning roughly 0.1 s of CPU per extra thread for no work. With the
+minimum they sleep at once; waking one for a large product costs nothing
+measurable. The number of threads is not touched: ``OPENBLAS_NUM_THREADS``
+still decides it. A value of ``OPENBLAS_THREAD_TIMEOUT`` set by the user is
+kept. OpenBLAS reads the variable when it loads, so the default takes
+effect only if numpy has not been imported before this package.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .channel import (
     ChannelConfig,

@@ -46,9 +46,7 @@ import numpy as np
 from .errors import ValidationError
 from .fusion import (
     FusionFrame,
-    _orthonormal_columns,
     _pairwise_traces,
-    _spanning,
     equidistance_certificate,
     fusion_analyze,
     fusion_reconstruct_tight,
@@ -113,8 +111,7 @@ def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
     """Validate and wrap integer columns as a unit-norm spanning frame: the
     fusion constructor's checks on one column per line."""
     a = as_int_matrix(raw, name="frame matrix")
-    n = a.shape[1]
-    return _spanning(ScaledFrame(*_orthonormal_columns(a, (1,) * n, (scale_sq,) * n)))
+    return ScaledFrame(a, (1,) * a.shape[1], (scale_sq,) * a.shape[1])
 
 
 def gram(f: ScaledFrame) -> np.ndarray:

@@ -19,12 +19,16 @@ each B_i as a column view of B. Every check reads B in place:
 - the pairwise traces tr(P_i P_j) = s_i s_j ||B_i^T B_j||_F^2 come from
   the one block Gram B^T B.
 
-Constructors check only what the types require: ``fusion_frame_from_columns``
-that every scaled basis is orthonormal and that the subspaces span F^M (and
-``frames.frame_from_integer_columns`` the same two, one column per line),
-``subspace_from_columns`` the first for one subspace. Tightness,
-equi-distance and optimality are proved by ``equidistance_certificate``,
-from the matrix alone, whichever constructor made it.
+Each type proves its own invariants when it is built, as
+``hadamard.SignMatrix`` does: a ``FusionFrame`` (and so a
+``frames.ScaledFrame``) that every scaled basis is orthonormal and that the
+subspaces span F^M, a ``Subspace`` the first for its one basis.
+``fusion_frame_from_columns``, ``subspace_from_columns`` and
+``frames.frame_from_integer_columns`` are these constructor calls. The
+subspaces a fusion frame hands out are views of its proved matrix and are
+not proved again. Tightness, equi-distance and optimality are proved by
+``equidistance_certificate``, from the matrix alone, whichever constructor
+made it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .intlinalg import (
     as_fraction,
     as_int_matrix,
     checked_matmul,
+    column_norms_sq,
     identity_multiple,
     int_rank,
 )
@@ -52,11 +57,17 @@ from .intlinalg import (
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """m-dimensional subspace of F^M: an integer basis and its scale, with
-    sqrt(scale_sq) times the basis exactly orthonormal. The sizes are read
-    from the M x m basis."""
+    sqrt(scale_sq) times the basis exactly orthonormal, which construction
+    proves. The sizes are read from the M x m basis."""
 
     basis_raw: np.ndarray
     scale_sq: Fraction
+
+    def __post_init__(self):
+        b = as_int_matrix(self.basis_raw, name="basis")
+        b, _, (scale,) = _orthonormal_columns(b, (b.shape[1],), (self.scale_sq,))
+        object.__setattr__(self, "basis_raw", b)
+        object.__setattr__(self, "scale_sq", scale)
 
     ambient_dim = property(lambda self: self.basis_raw.shape[0])
     dim = property(lambda self: self.basis_raw.shape[1])
@@ -72,7 +83,9 @@ class FusionFrame:
     scale: ``frames.ScaledFrame`` is this type, the fusion frame of its
     lines.
 
-    The object records no property beyond spanning; every claim about it,
+    Construction proves that every scaled basis is orthonormal and that the
+    subspaces span F^M, and stores a read-only int64 copy of the matrix.
+    The object records no property beyond these; every claim about it,
     including the Grassmannian one, is proved by ``equidistance_certificate``.
     The one value it keeps is ``bound_A``, which it computes from its own
     read-only matrix on first use; no caller can supply it.
@@ -82,16 +95,26 @@ class FusionFrame:
     dims: tuple[int, ...]
     scales: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        for name, value in zip(("basis_raw", "dims", "scales"),
+                               _orthonormal_columns(self.basis_raw, self.dims, self.scales)):
+            object.__setattr__(self, name, value)
+        # A tight frame's projection sum A * I with A > 0 is invertible, which
+        # proves spanning without the rank computation.
+        if self.bound_A is None and int_rank(self.basis_raw) < self.ambient_dim:
+            raise ValidationError("subspaces do not jointly span the ambient space")
+
     @property
     def ambient_dim(self) -> int:
         return self.basis_raw.shape[0]
 
     @property
     def subspaces(self) -> tuple[Subspace, ...]:
-        """Every subspace, its basis a column view of ``basis_raw``."""
+        """Every subspace, its basis a column view of ``basis_raw``; the
+        frame's proof covers them, so they are not proved again."""
         ends = np.cumsum(self.dims).tolist()
         return tuple(
-            Subspace(self.basis_raw[:, end - d:end], scale)
+            _proved(Subspace, basis_raw=self.basis_raw[:, end - d:end], scale_sq=scale)
             for d, end, scale in zip(self.dims, ends, self.scales)
         )
 
@@ -135,12 +158,21 @@ class FusionCertificate:
     grassmannian: bool
 
 
+def _proved(cls, **fields):
+    # An instance of ``cls`` holding ``fields`` without running its
+    # constructor's proofs: for views of an object that is already proved.
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tuple]:
     """The read-only int64 matrix, dims and scales of subspaces whose scaled
     bases are exactly orthonormal.
 
     The Grams B_i^T B_i of all subspaces of one dimension d come from one
-    stacked product. Each must be c_i I with c_i s_i = 1; the first entry
+    stacked product; for d = 1 they are the squared column norms, summed
+    down each column. Each must be c_i I with c_i s_i = 1; the first entry
     off it, in subspace order, is the witness.
     """
     b = as_int_matrix(basis_raw, name="basis")
@@ -159,11 +191,15 @@ def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tu
     for d in set(dims):
         idx = np.flatnonzero(np.array(dims) == d)
         every = len(idx) == len(dims)  # then the blocks are a view: no column is gathered
-        cols = b.reshape(big_m, -1, d) if every else b[:, starts[idx, None] + np.arange(d)]
-        blocks = cols.transpose(1, 0, 2)  # (L_d, M, d)
-        g = checked_matmul(blocks.transpose(0, 2, 1), blocks)
+        if d == 1:
+            g = column_norms_sq(b if every else b[:, starts[idx]]).reshape(-1, 1, 1)
+        else:
+            cols = b.reshape(big_m, -1, d) if every else b[:, starts[idx, None] + np.arange(d)]
+            blocks = cols.transpose(1, 0, 2)  # (L_d, M, d)
+            g = checked_matmul(blocks.transpose(0, 2, 1), blocks)
         bad = g != g[:, :1, :1] * np.eye(d, dtype=g.dtype)
-        bad[:, 0, 0] = [int(c) * scales[i] != 1 for c, i in zip(g[:, 0, 0], idx)]
+        bad[:, 0, 0] = [c * scales[i].numerator != scales[i].denominator
+                        for c, i in zip(g[:, 0, 0].tolist(), idx)]
         if bad.any():
             t, j, k = np.argwhere(bad)[0]
             witnesses.append((idx[t], j, k, int(g[t, j, k])))
@@ -180,9 +216,7 @@ def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tu
 
 def subspace_from_columns(basis_raw, scale_sq) -> Subspace:
     """Validate exact orthonormality of the scaled columns and wrap them."""
-    b = as_int_matrix(basis_raw, name="basis")
-    b, _, (scale,) = _orthonormal_columns(b, (b.shape[1],), (scale_sq,))
-    return Subspace(b, scale)
+    return Subspace(basis_raw, scale_sq)
 
 
 def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
@@ -191,18 +225,7 @@ def fusion_frame_from_columns(basis_raw, dims, scales) -> FusionFrame:
     Subspace i is spanned by the next ``dims[i]`` columns, and scaled by
     sqrt(``scales[i]``) they must be orthonormal.
     """
-    return _spanning(FusionFrame(*_orthonormal_columns(basis_raw, dims, scales)))
-
-
-def _spanning(ff: FusionFrame) -> FusionFrame:
-    """``ff``, once its subspaces are proved to span F^M.
-
-    A tight frame's projection sum A * I with A > 0 is invertible, which
-    proves spanning without the rank computation.
-    """
-    if ff.bound_A is None and int_rank(ff.basis_raw) < ff.ambient_dim:
-        raise ValidationError("subspaces do not jointly span the ambient space")
-    return ff
+    return FusionFrame(basis_raw, dims, scales)
 
 
 def make_fusion_frame(subspaces: Sequence[Subspace]) -> FusionFrame:

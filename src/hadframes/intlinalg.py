@@ -5,7 +5,8 @@ overflow bounds and fall back to arbitrary-precision Python integers when
 they would not. checked_matmul is the one exact product kernel: the Gram
 of a +-1 matrix, a frame's Gram and frame operator, and a fusion frame's
 block Gram, frame operator and stacked per-subspace Grams all go through
-it.
+it. The one exception is a Gram of 1 x 1 blocks, a squared column norm,
+which column_norms_sq sums down each column instead.
 
 checked_matmul computes in one of four tiers, chosen from the bound
 max|a| * max|b| * k on every partial sum of the product:
@@ -119,6 +120,20 @@ def checked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if dtype in (np.float32, np.float64):
         return out.astype(np.int64)
     return np.asarray(out)
+
+
+def column_norms_sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of every column of an integer matrix, exact for any
+    magnitude.
+
+    The sum streams down the columns in int64 when max|a|^2 times the row
+    count bounds every partial sum below 2**62, and in Python integers
+    otherwise; no square is ever formed in a dtype it could wrap in.
+    """
+    if _max_abs(a) ** 2 * a.shape[0] < _INT64_EXACT_BOUND:
+        return np.einsum("ij,ij->j", a, a)
+    big = a.astype(object)
+    return (big * big).sum(axis=0)
 
 
 def identity_multiple(s: np.ndarray) -> int | None:

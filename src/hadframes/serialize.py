@@ -369,7 +369,7 @@ def fusion_frame_to_dict(ff: fusion.FusionFrame) -> dict:
         "kind": "fusion_frame",
         "ambient_dim": ff.ambient_dim,
         "scale_sq": fraction_to_pair(_shared_scale(ff)),
-        "subspaces": [s.basis_raw.reshape(-1) for s in ff.subspaces],
+        "subspaces": [b.reshape(-1) for b in np.split(ff.basis_raw, np.cumsum(ff.dims)[:-1], axis=1)],
     }
 
 

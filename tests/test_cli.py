@@ -670,3 +670,43 @@ def test_import_at_the_order_cap_is_accepted(tmp_path, capsys, monkeypatch):
     assert main(["gen-walsh", "--k", "3", "--format", "csv", "--output", str(path)]) == 0
     monkeypatch.setenv(MAX_ORDER_ENV, "8")
     assert run(capsys, "verify", "--input", str(path))[0] == 0
+
+
+# Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported, then
+# imports hadframes or runs ``python -m hadframes.cli --help`` as runpy does,
+# and prints the recorded values on its last line.
+NUMPY_IMPORT_PROBE = """
+import os, runpy, sys
+
+class Probe:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+if sys.argv[1] == "cli":
+    sys.argv = ["hadframes", "--help"]
+    try:
+        runpy.run_module("hadframes.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+else:
+    import hadframes
+print(Probe.seen)
+"""
+
+
+@pytest.mark.parametrize("entry", ["import", "cli"])
+@pytest.mark.parametrize("given,seen", [(None, "4"), ("9", "9")])
+def test_numpy_loads_with_idle_blas_workers_asleep_unless_the_user_chose(entry, given, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    done = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE, entry], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == repr([seen])

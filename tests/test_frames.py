@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadframes import (
+    ScaledFrame,
     ValidationError,
     analyze,
     build_walsh,
@@ -152,6 +153,12 @@ def test_non_unit_column_reports_index():
     # has squared norm 2.
     with pytest.raises(ValidationError, match=r"^subspace 1: columns 0,0 have inner product 2 \* 1"):
         frame_from_integer_columns([[1, 1], [0, 1]], 1)
+
+
+def test_a_frame_proves_its_unit_norms_when_it_is_built():
+    # Unproved, 3 I with a zero column was certified grassmannian=True with bound 9.
+    with pytest.raises(ValidationError, match=r"^subspace 0: columns 0,0 have inner product 9 \* 1"):
+        ScaledFrame(3 * np.eye(2, 3, dtype=int), (1, 1, 1), (1, 1, 1))
 
 
 def test_nonpositive_scale_rejected():

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hadframes import fusion as fusion_module
+
 from hadframes import (
+    FusionFrame,
     Subspace,
     ValidationError,
     build_gff,
@@ -160,6 +163,52 @@ def test_a_subspace_reads_its_sizes_from_its_basis():
     s = Subspace(np.eye(2, dtype=np.int64)[:, :1], Fraction(1))
     assert (s.ambient_dim, s.dim) == (2, 1)
     assert chordal_dist_sq(s, s) == 0
+
+
+def test_a_subspace_proves_its_basis_when_it_is_built():
+    # Unproved, this basis of scaled norm 4 gave chordal_dist_sq(s, s) == -15.
+    with pytest.raises(ValidationError, match="^subspace 0: columns 0,0 have inner product 4 \\* 1 != 1"):
+        Subspace(np.array([[2]]), Fraction(1))
+
+
+def test_a_fusion_frame_proves_its_bases_when_it_is_built():
+    # Unproved, these two vectors of norm 2 were certified grassmannian=True.
+    with pytest.raises(ValidationError, match="^subspace 0: columns 0,0 have inner product 4 \\* 1 != 1"):
+        FusionFrame(np.array([[2, 0], [0, 2]]), (1, 1), (1, 1))
+
+
+def test_a_fusion_frame_proves_spanning_when_it_is_built():
+    with pytest.raises(ValidationError, match="^subspaces do not jointly span the ambient space$"):
+        FusionFrame(np.array([[1, 0], [0, 0], [0, 1]]), (1, 1), (1, 1))
+
+
+def test_each_object_is_proved_once_and_its_views_are_not(monkeypatch):
+    calls = []
+    real = fusion_module._orthonormal_columns
+
+    def counting(basis_raw, dims, scales):
+        calls.append(tuple(dims))
+        return real(basis_raw, dims, scales)
+
+    monkeypatch.setattr(fusion_module, "_orthonormal_columns", counting)
+    ff = build_gff(4, 1)
+    assert calls == [(2,) * 8]
+    subs = ff.subspaces
+    assert calls == [(2,) * 8]
+    assert all(s.basis_raw.base is not None for s in subs)  # views of the proved matrix
+    subspace_from_columns(subs[0].basis_raw, subs[0].scale_sq)
+    make_fusion_frame(subs)
+    assert calls == [(2,) * 8, (2,), (2,) * 8]
+
+
+def test_unit_norms_of_mixed_dimensions_are_summed_down_each_column():
+    # Lines and planes together: the lines' norms come from their own columns.
+    e = np.eye(3, dtype=np.int64)
+    ff = fusion_frame_from_columns(e[:, [0, 1, 2, 0, 1, 2]], (1, 2, 2, 1), (1,) * 4)
+    assert fusion_tight(ff) == (True, 2)
+    bad = e[:, [0, 1, 2, 0, 1, 2]] * np.array([1, 1, 1, 1, 1, 3])
+    with pytest.raises(ValidationError, match="^subspace 3: columns 0,0 have inner product 9 \\* 1 != 1"):
+        fusion_frame_from_columns(bad, (1, 2, 2, 1), (1,) * 4)
 
 
 def test_make_fusion_frame_refuses_subspaces_of_different_ambient_spaces():

@@ -15,6 +15,7 @@ from hadframes.intlinalg import (
     as_fraction,
     as_int_matrix,
     checked_matmul,
+    column_norms_sq,
     identity_multiple,
     int_rank,
     _exact_dtype,
@@ -232,3 +233,16 @@ def test_int64_minimum_entry_takes_the_exact_path():
     want = [[sum(x * y for x, y in zip(r, c)) for c in rows] for r in rows]
     assert _exact_dtype(a, a.T) is object
     assert checked_matmul(a, a.T).tolist() == want
+
+
+@pytest.mark.parametrize("big", [2**31, 2**63 - 1, -(2**63)])
+def test_column_norms_sq_is_exact_for_any_magnitude(big):
+    a = np.array([[big, 1, 0], [1, -3, 0]], dtype=np.int64)
+    assert column_norms_sq(a).tolist() == [big * big + 1, 10, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-2**40, 2**40), min_size=3, max_size=3), min_size=1, max_size=5))
+def test_column_norms_sq_matches_python_integers(rows):
+    want = [sum(r[j] * r[j] for r in rows) for j in range(3)]
+    assert column_norms_sq(np.array(rows, dtype=np.int64)).tolist() == want
