@@ -175,10 +175,11 @@ def _add_format(p: argparse.ArgumentParser, default: str, choices=("json", "csv"
 
 
 def _index_list(text: str) -> tuple[int, ...]:
+    """``--erase-fixed``: integers as every input writes them (``serialize.int_list``)."""
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+        return tuple(serialize.int_list(text))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_channel_flags(p: argparse.ArgumentParser) -> None:

@@ -53,7 +53,7 @@ from .fusion import (
     fusion_tight,
 )
 from .hadamard import SignMatrix, require_hadamard
-from .intlinalg import as_int_matrix, checked_matmul, scaled_fraction_matrix
+from .intlinalg import checked_matmul
 
 
 class ScaledFrame(FusionFrame):
@@ -110,13 +110,14 @@ class FrameCertificate:
 def frame_from_integer_columns(raw, scale_sq) -> ScaledFrame:
     """Validate and wrap integer columns as a unit-norm spanning frame: the
     fusion constructor's checks on one column per line."""
-    a = as_int_matrix(raw, name="frame matrix")
-    return ScaledFrame(a, (1,) * a.shape[1], (scale_sq,) * a.shape[1])
+    shape = np.shape(raw)
+    count = shape[1] if len(shape) == 2 else 0  # the constructor refuses any other shape
+    return ScaledFrame(raw, (1,) * count, (scale_sq,) * count)
 
 
 def gram(f: ScaledFrame) -> np.ndarray:
     """N x N matrix of exact pairwise inner products, as Fractions."""
-    return scaled_fraction_matrix(checked_matmul(f.raw.T, f.raw), f.scale_sq)
+    return checked_matmul(f.raw.T, f.raw).astype(object) * f.scale_sq
 
 
 def coherence(f: ScaledFrame) -> CoherenceReport:
@@ -167,8 +168,7 @@ def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:
         raise ValidationError(
             "first row is not all ones; apply normalize_first_row first"
         )
-    raw = h.entries[1:, :].astype(np.int64)
-    return frame_from_integer_columns(raw, Fraction(1, n - 1))
+    return frame_from_integer_columns(h.entries[1:, :], Fraction(1, n - 1))
 
 
 def grassmannian_certificate(f: ScaledFrame) -> FrameCertificate:

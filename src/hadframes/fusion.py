@@ -64,8 +64,9 @@ class Subspace:
     scale_sq: Fraction
 
     def __post_init__(self):
-        b = as_int_matrix(self.basis_raw, name="basis")
-        b, _, (scale,) = _orthonormal_columns(b, (b.shape[1],), (self.scale_sq,))
+        # One subspace of every column; a basis that is not 2-D is refused.
+        width = np.shape(self.basis_raw)[1:]
+        b, _, (scale,) = _orthonormal_columns(self.basis_raw, width, (self.scale_sq,))
         object.__setattr__(self, "basis_raw", b)
         object.__setattr__(self, "scale_sq", scale)
 
@@ -84,7 +85,8 @@ class FusionFrame:
     lines.
 
     Construction proves that every scaled basis is orthonormal and that the
-    subspaces span F^M, and stores a read-only int64 copy of the matrix.
+    subspaces span F^M, and stores the matrix as read-only int64, copied
+    unless the conversion to int64 already made a private copy.
     The object records no property beyond these; every claim about it,
     including the Grassmannian one, is proved by ``equidistance_certificate``.
     The one value it keeps is ``bound_A``, which it computes from its own
@@ -209,7 +211,8 @@ def _orthonormal_columns(basis_raw, dims, scales) -> tuple[np.ndarray, tuple, tu
             f"subspace {i}: columns {j},{k} have inner product {inner} * {scales[i]}"
             f" != {int(j == k)}: basis is not orthonormal under the scale"
         )
-    b = b.copy()
+    if b is basis_raw or b.base is not None:  # memory the caller can still reach
+        b = b.copy()
     b.setflags(write=False)
     return b, dims, scales
 

@@ -148,13 +148,6 @@ def identity_multiple(s: np.ndarray) -> int | None:
     return int(d[0])
 
 
-def scaled_fraction_matrix(a: np.ndarray, scale: Fraction) -> np.ndarray:
-    """Integer matrix times a rational scalar, as an object array of Fractions."""
-    return np.array(
-        [[int(x) * scale for x in row] for row in a], dtype=object
-    )
-
-
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     a = a % p
     rows, cols = a.shape

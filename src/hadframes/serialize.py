@@ -13,12 +13,18 @@ kind reads only its own keys (``Kind.csv_header``):
 - ``frame``: ``scale_sq``, 1 when omitted;
 - ``fusion_frame``: ``scale_sq``, 1 when omitted, and ``subspace_dims``.
 
-A CSV body is read by ``np.loadtxt`` once every row has the first row's
-cell count; a body it refuses is refused in the program's words, naming
-the first bad cell by row and column, both counted from 1 over the
-non-blank body rows. JSON integer arrays are read by
-``loads``, which is ``json.loads`` except that a JSON array of plain
-integers comes back as a 1-D int64 array: its text is cut into slices at
+Every integer of an input is a JSON integer (RFC 8259), so a number means
+the same in every format. Integer lists are read by one reader,
+``_int_cells``: comma-separated JSON integers in the int64 range, with JSON
+whitespace around them and nothing else (``_INT_CHARS``). It reads JSON
+integer arrays, CSV bodies, a CSV header's ``subspace_dims`` and the
+``--erase-fixed`` list. A single integer, a JSON field or a half of a CSV
+header's ``scale_sq``, is read by ``loads`` at any size.
+``loads`` is ``json.loads`` except that a JSON array of such integers comes
+back as a 1-D int64 array. A CSV body's rows end at a line feed only; its
+non-blank rows, joined by commas, are read as one such array's text, and a
+body it refuses is refused by the first bad cell's row and column, both
+counted from 1 over the non-blank body rows. The text is cut into slices at
 commas and each slice's cells are parsed over the whole slice at once, so
 no entry becomes a Python int or str on the way in. Every integer array
 leaves the program through one writer: ``_int_text`` writes a JSON array
@@ -29,7 +35,7 @@ array, so the ``*_to_dict`` functions hand over flat numpy arrays and
 ``KINDS`` is the one place where a kind's format is stated: JSON name and
 fields, CSV header and matrix, certificate, and the verdict per --require
 level. Decoding coerces nothing: a JSON integer is not a bool, float or
-string, a CSV number is ASCII digits and a sign, and a size over
+string, a CSV number is written as a JSON integer, and a size over
 ``max_order()`` is refused before any array is built. A parsing step turns
 a malformed input into a ValidationError that names the field (or a
 ResourceLimitError); the constructors it feeds raise their own errors.
@@ -42,7 +48,6 @@ import json
 import json.decoder
 import json.scanner
 import re
-import warnings
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -54,7 +59,8 @@ from .errors import ResourceLimitError, ValidationError
 
 # What malformed input can make a parsing step raise; each becomes a
 # ValidationError. Constructors run outside these steps and raise their own.
-_DECODE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError)
+_DECODE_ERRORS = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError,
+                  RecursionError)
 _MISSING = object()
 
 
@@ -109,19 +115,6 @@ def _fields(d, readers: dict) -> dict:
     if unknown:
         raise ValidationError(f"unknown field {unknown[0]!r}")
     return {key: _field(d, key, read) for key, read in readers.items() if key in d}
-
-
-def _int_token(text: str) -> int:
-    """A CSV header integer: an optional minus sign and ASCII digits, nothing else."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValidationError(f"not an integer: {text!r}")
-    return int(text)
-
-
-def _ratio_token(text: str) -> Fraction:
-    """A CSV header rational, written ``num/den`` or ``num``."""
-    num, slash, den = text.partition("/")
-    return Fraction(_int_token(num), _int_token(den) if slash else 1)
 
 
 def _size(name: str, n: int) -> int:
@@ -243,16 +236,24 @@ def canonical_dumps(payload: dict) -> str:
 # RSS of exporting the order-2048 Walsh matrix from JSON above the list
 # reader's, at 1 << 18 it sits 20 MiB below.
 _SLICE_CHARS = 1 << 18
-_INT_DIGITS = 18  # every integer of at most 18 digits fits int64
-_INT_ARRAY = re.compile(r"[-0-9,\t\n\r ]*\]")  # an array's rest, if it holds nothing else
+_INT_CHARS = b"-0123456789, \t\n\r"  # all that the text of integers may hold: JSON whitespace too
+# An array's rest, if it holds nothing else.
+_INT_ARRAY = re.compile(f"[{re.escape(_INT_CHARS.decode())}]*\\]")
+_INT_DIGITS = 19  # the most digits of an int64; 18 digits always fit
 _COMMA, _MINUS, _ZERO = b",-0"
 
 
 def _int_cells(chunk: bytes) -> np.ndarray | None:
-    """The comma-separated cells of ``chunk``, text of minus signs, digits,
-    commas and JSON whitespace only, as int64; None unless every cell is a
-    JSON integer of at most ``_INT_DIGITS`` digits with whitespace, if any,
-    only around it."""
+    """The comma-separated cells of ``chunk`` as int64; None unless every
+    byte is one of ``_INT_CHARS`` and every cell is a JSON integer in the
+    int64 range with whitespace, if any, only around it.
+
+    This is the one reader of integer lists in an input: JSON arrays, CSV
+    bodies, a CSV header's ``subspace_dims`` and ``--erase-fixed`` all reach
+    it through ``_int_array_text``.
+    """
+    if chunk.translate(None, _INT_CHARS):  # a byte that no integer text holds
+        return None
     c = np.frombuffer(chunk, np.uint8)
     space = c <= ord(" ")  # every other byte is ',', '-' or a digit
     if space.any():
@@ -269,26 +270,34 @@ def _int_cells(chunk: bytes) -> np.ndarray | None:
     neg = c[starts] == _MINUS
     first = starts + neg
     digits = ends - first
+    longest = int(digits.max())
     if (np.count_nonzero(c == _MINUS) > np.count_nonzero(neg)  # a '-' inside a cell
-            or not 1 <= digits.min() <= digits.max() <= _INT_DIGITS
-            or ((c[first] == _ZERO) & (digits > 1)).any()):
+            or not 1 <= digits.min() <= longest <= _INT_DIGITS
+            or longest > 1 and ((c[first] == _ZERO) & (digits > 1)).any()):
         return None
-    value = np.zeros(len(starts), np.int64)
-    for place in range(int(digits.max()), 0, -1):  # the digit `place` from each cell's end
-        at = ends - place
-        value = value * 10 + np.where(at >= first, c[np.maximum(at, 0)] - np.int64(_ZERO), 0)
-    return np.negative(value, out=value, where=neg)
+    # 19 digits can pass int64, so they are summed in uint64 and range-checked.
+    dtype = np.uint64 if longest == _INT_DIGITS else np.int64
+    value = (c[ends - 1] - _ZERO).astype(dtype)  # the units digit, which every cell has
+    for place in range(1, longest):  # the digit worth 10**place, where a cell has one
+        at = ends - 1 - place  # masked where before the cell, and never below -len(c)
+        value += np.where(at >= first, c[at] - _ZERO, 0).astype(dtype) * dtype(10**place)
+    if dtype is np.uint64 and (value > np.uint64(2**63 - 1) + neg).any():  # -2**63 may pass it
+        return None
+    # Negation wraps modulo 2**64, so a uint64 magnitude 2**63 views as -2**63.
+    return np.negative(value, out=value, where=neg).view(np.int64)
 
 
-def _int_array_text(s: str, start: int, stop: int) -> np.ndarray | None:
+def _int_array_text(s: str, start: int = 0, stop: int | None = None) -> np.ndarray | None:
     """``_int_cells`` of ``s[start:stop]``, parsed a slice of about
     ``_SLICE_CHARS`` at a time into one preallocated array."""
+    stop = len(s) if stop is None else stop
     out = np.empty(s.count(",", start, stop) + 1, np.int64)
     done = 0
     while True:
         cut = s.find(",", min(start + _SLICE_CHARS, stop), stop)
         cut = stop if cut < 0 else cut
-        cells = _int_cells(s[start:cut].encode("ascii"))
+        # A character outside ASCII becomes '?', which _int_cells refuses.
+        cells = _int_cells(s[start:cut].encode("ascii", "replace"))
         if cells is None:
             return None
         out[done:done + len(cells)] = cells
@@ -298,10 +307,18 @@ def _int_array_text(s: str, start: int, stop: int) -> np.ndarray | None:
         start = cut + 1
 
 
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers, each read as in a JSON array."""
+    cells = _int_array_text(text)
+    if cells is None:
+        raise ValidationError(f"not comma-separated integers: {text!r}")
+    return cells.tolist()
+
+
 def _parse_array(s_and_end: tuple[str, int], scan_once):
-    """The JSON array starting at ``s_and_end``: an int64 array if it holds
-    only JSON integers of at most ``_INT_DIGITS`` digits, otherwise what
-    ``json.loads`` makes of it."""
+    """The JSON array starting at ``s_and_end``: an int64 array if
+    ``_int_cells`` reads all of it, otherwise what ``json.loads`` makes of
+    it."""
     s, start = s_and_end
     rest = _INT_ARRAY.match(s, start)
     if rest:
@@ -323,8 +340,8 @@ def _ascii_number(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
 
 def loads(text: str):
-    """``json.loads(text)``, except that each array of JSON integers of at
-    most ``_INT_DIGITS`` digits is a 1-D int64 array instead of a list.
+    """``json.loads(text)``, except that each array of JSON integers in the
+    int64 range is a 1-D int64 array instead of a list.
 
     Text the reader refuses goes to ``json.loads`` itself, so a malformed
     document raises exactly the error ``json.loads`` raises.
@@ -450,6 +467,13 @@ def _fusion_from_dict(d: dict) -> fusion.FusionFrame:
     )
 
 
+def _ratio_token(text: str) -> Fraction:
+    """A CSV header rational, written ``num/den`` or ``num``: each side one
+    JSON integer of any size, read by ``loads`` as a JSON ``scale_sq``
+    pair's integers are."""
+    return Fraction(*(_INT(loads(half)) for half in text.split("/", 1)))
+
+
 def _unit_scale(text: str) -> Fraction:
     """A sign matrix's CSV ``scale_sq``: its entries are read as they stand."""
     scale = _ratio_token(text)
@@ -547,7 +571,7 @@ KINDS = (
         from_dict=_fusion_from_dict,
         to_csv=_fusion_csv,
         csv_header={"scale_sq": _ratio_token,
-                    "subspace_dims": lambda text: [_int_token(x) for x in text.split(",")]},
+                    "subspace_dims": int_list},
         from_csv=_fusion_from_csv,
         csv_sizes=("ambient_dim", "column count"),
         checks=lambda ff: fusion_certificate_to_dict(fusion.equidistance_certificate(ff)),
@@ -595,41 +619,29 @@ def object_to_csv(obj) -> str:
     return f"# {header}\n" + _int_text(mat, ",", "\n")
 
 
-# A CSV cell that np.loadtxt reads as int64, if its value fits.
-_INT_CELL = re.compile(r"[ \t]*[-+]?[0-9]+[ \t]*")
-
-
-def _csv_body(lines: list[str]) -> np.ndarray:
-    """The body rows as an int64 matrix. A row whose cell count is not the
-    first row's, or a cell that is not an integer, is refused by its row and
-    column, both counted from 1 over the non-blank body rows."""
-    # An integer body is ASCII. numpy 2.4's loadtxt can also crash the
-    # interpreter on lines holding characters beyond U+FFFF.
-    if not all(map(str.isascii, lines)):
-        raise ValidationError("CSV body is not an integer matrix: it holds non-ASCII text")
-    width = lines[0].count(",")
-    for i, line in enumerate(lines, 1):
-        if line.count(",") != width:
+def _csv_body(rows: list[str]) -> np.ndarray:
+    """The body rows as an int64 matrix, read as one JSON array's text. A
+    row whose cell count is not the first row's, or a cell that is not an
+    integer, is refused by its row and column, both counted from 1 over the
+    non-blank body rows."""
+    width = rows[0].count(",")
+    for i, row in enumerate(rows, 1):
+        if row.count(",") != width:
             raise ValidationError(f"CSV body is not an integer matrix: rows 1 and {i} have"
-                                  f" {width + 1} and {line.count(',') + 1} cells")
-    try:
-        with warnings.catch_warnings():
-            # numpy releases that still read an int64 cell such as "1.5"
-            # through float only warn before they truncate it; as an error,
-            # loadtxt reports the cell in a ValueError.
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        cells = ((i, j, c) for i, line in enumerate(lines, 1)
-                 for j, c in enumerate(line.split(","), 1))
-        bad = next(((i, j, c) for i, j, c in cells
-                    if not (_INT_CELL.fullmatch(c) and -(1 << 63) <= int(c) < 1 << 63)), None)
-        detail = exc if bad is None else "row {}, column {} holds {!r}".format(*bad)
-        raise ValidationError(f"CSV body is not an integer matrix: {detail}") from None
+                                  f" {width + 1} and {row.count(',') + 1} cells")
+    cells = _int_array_text(",".join(rows))
+    if cells is None:  # the same reader, row by row and then cell by cell, finds the witness
+        i, j, cell = next((i, j, cell) for i, row in enumerate(rows, 1) if _int_array_text(row) is None
+                          for j, cell in enumerate(row.split(","), 1) if _int_array_text(cell) is None)
+        raise ValidationError(f"CSV body is not an integer matrix: row {i}, column {j} holds {cell!r}")
+    return cells.reshape(len(rows), width + 1)
 
 
 def object_from_csv(text: str):
-    head, _, body = text.lstrip().partition("\n")
+    """The object of a CSV text. Rows end at a line feed only, so the
+    carriage return of a CRLF row is whitespace; a row of whitespace alone
+    is blank and skipped."""
+    head, *rows = text.lstrip().split("\n")
     tokens = [t.partition("=") for t in head[1:].split()]
     if not head.startswith("#") or not all(eq for _, eq, _ in tokens):
         raise ValidationError("CSV must start with a '# key=value ...' header line")
@@ -640,11 +652,10 @@ def object_from_csv(text: str):
         fields[key] = value
     kind = _kind_named(fields.pop("kind", None))
     header = _fields(fields, kind.csv_header)
-    lines = [ln for ln in body.splitlines() if ln.strip()]
-    rows, cols = kind.csv_sizes
-    _size(rows, len(lines))
-    _size(cols, lines[0].count(",") + 1)
-    return kind.from_csv(header, _csv_body(lines))
+    rows = [row for row in rows if row.strip()]
+    _size(kind.csv_sizes[0], len(rows))
+    _size(kind.csv_sizes[1], rows[0].count(",") + 1)
+    return kind.from_csv(header, _csv_body(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,38 @@ def test_bad_channel_flags_exit_2(capsys, etf4, flags):
     assert_diagnosed(*run_malformed(capsys, "simulate", "--input", str(etf4), *flags))
 
 
+def assert_one_error(code, err):
+    assert_diagnosed(code, err)
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name,content", [
+    ("signs.csv", "# kind=sign_matrix\n+1,01\n 1,-0001\n"),
+    ("signs.json", '{"kind":"sign_matrix","order":2,"entries":[+1,01, 1,-0001]}'),
+    ("scale.csv", "# kind=fusion_frame scale_sq=01/1 subspace_dims=1,1\n1,0\n0,1\n"),
+    ("dims.csv", "# kind=fusion_frame scale_sq=1/1 subspace_dims=01,1\n1,0\n0,1\n"),
+    ("form-feed.csv", "# kind=sign_matrix\n1,1\x0c1,-1\n"),
+])
+def test_csv_and_json_refuse_the_same_integer_spellings(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    assert_one_error(*run_malformed(capsys, "verify", "--input", str(path)))
+
+
+def test_a_crlf_csv_verifies(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_bytes(b"# kind=walsh_matrix scale_sq=1/1\r\n1,1\r\n1,-1\r\n")
+    assert run(capsys, "verify", "--input", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("indices", ["1_0", "\u0661", "+1", "01", "1,,2", "1,"])
+def test_erase_fixed_reads_integers_as_every_input_does(capsys, etf4, indices):
+    code, err = run_malformed(capsys, "simulate", "--input", str(etf4), "--erase-fixed", indices,
+                              "--trials", "2")
+    assert_one_error(code, err)
+    assert "not comma-separated integers" in err
+
+
 # 1e308 overflows every trial's squared error.
 @pytest.mark.parametrize("noise,mode", [("1e308", "lstsq"), ("1e308", "naive")])
 def test_overflowing_noise_exits_2_and_writes_no_nan(capsys, etf4, noise, mode):

@@ -7,6 +7,7 @@ Frobenius-norm shortcut.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,41 @@ def test_fusion_frame_stores_one_read_only_matrix_with_views():
         assert np.shares_memory(s.basis_raw, ff.basis_raw)
         assert np.array_equal(s.basis_raw, dropped[:, [i, i + 8]])
         assert (s.ambient_dim, s.dim, s.scale_sq) == (14, 2, Fraction(1, 14))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+@pytest.mark.parametrize("make", [
+    lambda a: fusion_frame_from_columns(a, (2, 2), (Fraction(1, 2),) * 2),
+    lambda a: frame_from_integer_columns(a, Fraction(1, 2)),
+    lambda a: subspace_from_columns(a[:, :2], Fraction(1, 2)),
+])
+def test_the_stored_matrix_is_read_only_and_not_the_callers(make, dtype):
+    caller = np.array([[1, 1, 1, 1], [1, -1, -1, 1]], dtype=dtype)
+    obj = make(caller)
+    kept = obj.basis_raw.copy()
+    assert obj.basis_raw.dtype == np.int64 and not obj.basis_raw.flags.writeable
+    caller[:] = 7
+    assert np.array_equal(obj.basis_raw, kept)
+
+
+def test_a_matrix_the_constructor_converted_is_stored_without_a_second_copy():
+    signs = build_walsh(8).base.entries[1:]  # int8, 255 x 256
+    tracemalloc.start()
+    try:
+        fusion_module._orthonormal_columns(signs, (1,) * 256, (Fraction(1, 255),) * 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * signs.size * np.dtype(np.int64).itemsize
+
+
+def test_etf_from_hadamard_hands_over_its_int8_rows(monkeypatch):
+    handed = []
+    check = fusion_module._orthonormal_columns
+    monkeypatch.setattr(fusion_module, "_orthonormal_columns",
+                        lambda b, *rest: handed.append(b.dtype) or check(b, *rest))
+    etf_from_hadamard(build_walsh(3).base)
+    assert handed == [np.int8]
 
 
 def test_make_fusion_frame_adapts_the_matrix_constructor():

@@ -25,6 +25,7 @@ from hadframes import (
     build_sylvester,
     build_walsh,
     etf_from_hadamard,
+    frame_from_integer_columns,
     make_fusion_frame,
     simulate_frame,
     subspace_from_columns,
@@ -139,6 +140,11 @@ def test_walsh_imports_refuse_a_wrong_log_order_or_order(read, text, message):
     ("1,1\n\n1,1.5\n", "row 2, column 2 holds '1.5'"),
     ("1,1\n1,\n", "row 2, column 2 holds ''"),
     ("1,1\n99999999999999999999,1\n", "row 2, column 1 holds '99999999999999999999'"),
+    ("1,1\n1,-9223372036854775809\n", "row 2, column 2 holds '-9223372036854775809'"),
+    ("+1,01\n 1,-0001\n", "row 1, column 1 holds '+1'"),
+    ("1,1\n1,01\n", "row 2, column 2 holds '01'"),
+    ("1,1\x0c1,-1\n", "row 1, column 2 holds '1\\x0c1'"),
+    ("1,1\x0b\n1,-1\n", "row 1, column 2 holds '1\\x0b'"),
 ])
 def test_csv_body_refusals_name_the_row_and_column_from_1(body, message):
     with pytest.raises(ValidationError) as refused:
@@ -358,7 +364,8 @@ def test_decode_errors_name_the_field():
         ser.config_from_dict({"erasure": {"mode": "random", "k": 1, "indeces": [0]}})
 
 
-@pytest.mark.parametrize("scale", ["1.0", "1e0", "1_0/10", "\u0661", "1/1.0", "0x1"])
+@pytest.mark.parametrize("scale", ["1.0", "1e0", "1_0/10", "\u0661", "1/1.0", "0x1", "01/1", "1/+1",
+                                   "1/1/1", "1,1/1"])
 def test_csv_header_numbers_are_plain_integers(scale):
     with pytest.raises(ValidationError, match="'scale_sq'"):
         ser.object_from_csv(f"# kind=frame scale_sq={scale}\n1\n")
@@ -559,10 +566,75 @@ def test_reader_hands_its_array_to_the_matrix_without_a_copy():
     flat = ser.loads("[1, -1, -1, 1]")
     assert type(flat) is np.ndarray and flat.dtype == np.int64
     assert np.shares_memory(ser._int_matrix(flat, 2, 2), flat)
+    nineteen = ser.loads("[1234567890123456789, -9223372036854775808]")
+    assert nineteen.dtype == np.int64
+    assert nineteen.tolist() == [1234567890123456789, -(2**63)]
     for text, value in [("[]", []), ("[ ]", []), ("[1.0, 1]", [1.0, 1]),
-                        ("[1234567890123456789]", [1234567890123456789])]:  # 19 digits
+                        ("[12345678901234567890]", [12345678901234567890])]:  # 20 digits
         got = ser.loads(text)
         assert type(got) is list and got == value
+
+
+# ---------------------------------------------------------------------------
+# one integer grammar: CSV bodies, CSV headers and JSON arrays
+
+
+CELL_PIECES = ["+", "-", *"0123456789", " ", "\t", "\r", "\x0b", "\x0c", "_", ".", "e", "\u0661"]
+near_int64_limits = st.integers(-3, 3).flatmap(
+    lambda d: st.sampled_from([2**63 - 1 + d, -(2**63) + d])).map(str)
+cell_texts = st.lists(st.sampled_from(CELL_PIECES) | near_int64_limits, max_size=5).map("".join)
+
+
+def read_cell(read, text: str):
+    """The integers ``read`` makes of one cell's text, or None if it refuses it."""
+    try:
+        with mock.patch.object(ser.hadamard, "sign_matrix", lambda m: m):  # any integers pass
+            return np.ravel(read(text)).tolist()
+    except (ValueError, ArithmeticError):  # ValidationError and JSONDecodeError are ValueErrors
+        return None
+
+
+def json_integer(text: str):
+    """``text`` as json.loads reads it, if that is one integer."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return None
+    return [value] if type(value) is int else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell_texts)
+def test_csv_bodies_csv_headers_and_json_arrays_read_the_same_integers(text):
+    """Integer lists and arrays hold int64; a scale_sq half, in JSON or in a
+    CSV header, is a JSON integer of any size."""
+    csv_body = read_cell(lambda t: ser.object_from_csv(f"# kind=sign_matrix\n{t}\n"), text)
+    header_list = read_cell(ser.int_list, text)
+    json_array = read_cell(lambda t: ser.object_from_dict(ser.loads(
+        f'{{"kind":"sign_matrix","order":1,"entries":[{t}]}}')), text)
+    scale_half = read_cell(lambda t: [ser._ratio_token(f"1/{t}")], text)
+    want = json_integer(text)
+    assert scale_half == (None if want in (None, [0]) else [Fraction(1, want[0])])
+    if want and not -(2**63) <= want[0] < 2**63:
+        want = None
+    assert csv_body == header_list == json_array == want
+
+
+@pytest.mark.parametrize("rows", [[[2**63 - 1, -(2**63 - 1)]], [[-(2**63)]]])
+def test_a_frame_at_the_int64_limits_round_trips_through_csv_and_json(rows):
+    f = frame_from_integer_columns(np.array(rows, dtype=np.int64), Fraction(1, rows[0][0] ** 2))
+    loaded = ser.loads(ser.canonical_dumps(ser.frame_to_dict(f)))
+    assert type(loaded["raw"]) is np.ndarray  # the one reader, not the list fallback
+    for back in (ser.object_from_dict(loaded), ser.object_from_csv(ser.object_to_csv(f))):
+        assert type(back) is ScaledFrame and back.scale_sq == f.scale_sq
+        assert back.raw.tolist() == rows
+
+
+@pytest.mark.parametrize("dims", ["01,1", "+1,1", "1,,1", "1,"])
+def test_csv_subspace_dims_are_json_integers(dims):
+    ser.object_from_csv("# kind=fusion_frame subspace_dims=1,1\n1,0\n0,1\n")
+    with pytest.raises(ValidationError, match="^field 'subspace_dims': not comma-separated integers"):
+        ser.object_from_csv(f"# kind=fusion_frame subspace_dims={dims}\n1,0\n0,1\n")
 
 
 def test_decoding_reader_output_gives_the_same_objects_and_errors_as_json_loads():
