@@ -46,21 +46,33 @@ by k'. Each trial's T_E^T T_E is read from the float Gram phi phi^T, built
 once per run, and each group runs one batched k' x k' eigenproblem; no
 survivor set's rows are factored. Which lam_j equal A is never decided by
 a float cutoff: they come out within about eps * A of A, and 1 / (A - lam_j)
-would then blow rounding error up by 1/eps. Their number is k' - rank(C)
-for the integer k' x k' matrix C = diag(q) (A D^-1 - raw_E^T raw_E), where
-D holds the erased columns' scales and q clears the denominators; for a
-frame, C = c I - raw_E^T raw_E with c = A / scale_sq. C's entries are read
-from the exact integer Gram raw^T raw of all columns, which checked_matmul
-computes once per run and which is held as Python ints. C is tiny and
-mostly singular, so its rank comes from fraction-free elimination,
-exactly. The same count is the dimension the survivors fail to span, so it
-also decides recoverability, once per survivor set and in both modes.
+would then blow rounding error up by 1/eps. Their number is the exact
+deficit below, the dimension of the null space of N.
 
 Decoding an input that is not tight. Such an input can only come from an
 import. Each block groups its trials by survivor set, and each set's trials
 are solved together by one np.linalg.lstsq call on the surviving rows, with
-one right-hand side per trial. The exact rank of the survivors' integer
-columns decides their spanning.
+one right-hand side per trial.
+
+Recoverability. A trial is recoverable when its survivors span F^M, and
+one rule decides it for every input, in both modes. Let raw be the input's
+integer M x N matrix, E its k' erased columns, and C_E the k' rows at E of
+an integer matrix whose columns span the null space of raw (of dimension
+N - M, since every input spans). The survivors fail to span k' - rank(C_E)
+dimensions, the deficit: their null vectors are the null vectors of raw
+that vanish on E, a space of dimension N - M - rank(C_E), so the N - k'
+survivors span M - k' + rank(C_E). An input that is not tight reads C_E
+from an integer null-space basis Z of raw (``int_kernel``), computed once
+per run. A tight input reads it from C = diag(q) (A D^-1 - raw^T raw),
+where D holds the columns' scales and q clears the denominators (for a
+frame, C = c I - raw^T raw with c = A / scale_sq): A I - T^T T is A times
+the projection onto the null space of T, so C is that projection with its
+rows and columns scaled by positive factors, and C's k' x k' block at E,
+which serves as C_E, has the rank of C's rows at E. C's entries come from
+the exact integer Gram raw^T raw, which checked_matmul computes once per
+run and which is held as Python ints. Each distinct C_E is eliminated
+once, exactly, by fraction-free elimination, and the deficit is decided
+once per survivor set.
 
 Fusion noise model. Piece i is sent as its m_i coordinates B_i^T x in
 the scaled orthonormal basis B_i of W_i, as in the paper above, so noise
@@ -73,6 +85,7 @@ N sigma^2 / A^2.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -84,7 +97,7 @@ import numpy as np
 from .errors import ValidationError
 from .frames import ScaledFrame
 from .fusion import FusionFrame, _analysis_map
-from .intlinalg import _rank_fraction_free, checked_matmul, int_rank
+from .intlinalg import _rank_fraction_free, checked_matmul, int_kernel
 
 # ``source(rng, n, dim)``: n signals of F^dim as the rows of an (n, dim)
 # array. The channel calls it once per block, in trial order, with the run's
@@ -351,44 +364,37 @@ def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction):
 
 
 def _erasure_deficit(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
-                     bound: Fraction):
-    """``deficit(keep)``: the dimension the survivors of a tight input fail
-    to span, k' - rank(C) for the integer matrix C of the module docstring.
+                     bound: Fraction | None):
+    """``deficit(keep)``: the dimension the survivors fail to span,
+    k' - rank(C_E) for the integer matrix C_E of the module docstring.
 
     ``raw`` holds the input's integer columns, unit i owns the next
-    ``rows[i]`` of them, and their scale is ``scales[i]``; the input is
-    tight with ``bound``. Row j of C is q_j (A/s_j e_j - G_j), where
+    ``rows[i]`` of them, and their scale is ``scales[i]``; ``bound`` is A
+    for a tight input and None for any other. For a tight input, row j of
+    C_E is q_j (A/s_j e_j - G_j) over the erased columns, where
     G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator of
-    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction.
-    G is read from the exact Gram of all columns, computed once. Distinct
-    survivor sets often share C (on an ETF, C only depends on the signs of
-    the erased vectors' inner products), so each C is eliminated once.
+    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction;
+    G is read from the exact Gram of all columns, computed once. For any
+    other input, C_E is the erased rows of the integer kernel basis Z of
+    ``raw``, computed once. Distinct survivor sets often share C_E (on an
+    ETF, C_E only depends on the signs of the erased vectors' inner
+    products), so each C_E is eliminated once.
     """
-    gram = checked_matmul(raw.T, raw).tolist()
-    ratios = [bound / scale for scale, r in zip(scales, rows) for _ in range(r)]
-    num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
-    ranks: dict[tuple[tuple[int, ...], ...], int] = {}
+    if bound is None:  # the erased rows of a null-space basis
+        z = int_kernel(raw).tolist()
+        erased_rows = lambda e: [z[i] for i in e]  # noqa: E731
+    else:  # C's block at the erased rows and columns
+        gram = checked_matmul(raw.T, raw).tolist()
+        ratios = [bound / scale for scale, r in zip(scales, rows) for _ in range(r)]
+        num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
+        erased_rows = lambda e: [[num[i] * (i == j) - den[i] * gram[i][j] for j in e] for i in e]  # noqa: E731
+    rank = functools.cache(_rank_fraction_free)
 
     def deficit(keep: np.ndarray) -> int:
-        erased = np.flatnonzero(~np.repeat(keep, rows)).tolist()
-        if not erased:
-            return 0
-        c = [[-den[i] * gram[i][j] for j in erased] for i in erased]
-        for j, i in enumerate(erased):
-            c[j][j] += num[i]
-        key = tuple(map(tuple, c))
-        rank = ranks.get(key)
-        if rank is None:
-            rank = ranks[key] = _rank_fraction_free(c)
-        return len(c) - rank
+        c = tuple(map(tuple, erased_rows(np.flatnonzero(~np.repeat(keep, rows)).tolist())))
+        return len(c) - rank(c) if c else 0
 
     return deficit
-
-
-def _spanning_deficit(raw: np.ndarray, rows: np.ndarray, m: int):
-    """``deficit(keep)`` for any input: M minus the exact rank of the
-    survivors' integer columns, ``raw`` laid out as for ``_erasure_deficit``."""
-    return lambda keep: m - int_rank(raw[:, np.repeat(keep, rows)])
 
 
 def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
@@ -407,10 +413,12 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     module docstring says. Naive mode needs a tight input and returns
     ``(y * mask) phi / A``; otherwise a tight input decodes through
     ``_downdate_decoder`` and any other through ``_lstsq_decoder``, one
-    lstsq call per survivor set and block. How far each survivor set falls
-    short of spanning F^M is decided exactly once per set: from the k' x k'
-    matrix C for a tight input, from the rank of the survivors' columns
-    otherwise. ``what`` names the units in error messages.
+    lstsq call per survivor set and block. Every input decides
+    recoverability by one rule, once per survivor set: the survivors fail
+    to span F^M by k' - rank(C_E), since their null vectors are the null
+    vectors of the input's integer matrix that vanish on the erased
+    columns (``_erasure_deficit``). ``what`` names the units in error
+    messages.
     """
     raw, rows, scales, bound = ff.basis_raw, np.array(ff.dims), ff.scales, ff.bound_A
     n_units = len(rows)
@@ -419,16 +427,8 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     phi = _analysis_map(raw, rows, scales)
     m = phi.shape[1]
     tight = bound is not None
-    rank_deficit = (_erasure_deficit(raw, rows, scales, bound) if tight
-                    else _spanning_deficit(raw, rows, m))
-    spans: dict[bytes, int] = {}
-
-    def deficit(keep: np.ndarray) -> int:
-        key = keep.tobytes()
-        d = spans.get(key)
-        if d is None:
-            d = spans[key] = rank_deficit(keep)
-        return d
+    rank_deficit = _erasure_deficit(raw, rows, scales, bound)
+    deficit = functools.cache(lambda key: rank_deficit(np.frombuffer(key, dtype=bool)))
 
     if cfg.mode == "naive":
         if not tight:
@@ -456,13 +456,13 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
             if spec.mode == "random":  # the k smallest of one uniform per unit
                 erased = np.argpartition(erasures.random((n, n_units)), spec.k - 1, axis=1)
                 np.put_along_axis(keeps, erased[:, :spec.k], False, axis=1)
-            deficits = np.array([deficit(keep) for keep in keeps])
+            deficits = np.array([deficit(keep.tobytes()) for keep in keeps])
             mse = ((decode(y, keeps, deficits) - x) ** 2).sum(axis=1)
             if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
             for err, d in zip(mse.tolist(), deficits.tolist()):
                 acc.add(err, d == 0)
-    return acc.report(cfg, len(spans))
+    return acc.report(cfg, deficit.cache_info().currsize)
 
 
 def simulate_frame(

@@ -108,7 +108,9 @@ class MatrixCertificate:
 
 
 def sign_matrix(rows) -> SignMatrix:
-    """Build an (unvalidated) SignMatrix from any square +-1 array."""
+    """Build a SignMatrix from any square +-1 array; its constructor checks
+    the shape and the entries, and whether it is Hadamard is left to
+    ``validate_hadamard``."""
     a = np.asarray(rows)
     if a.ndim != 2:
         raise ValidationError("sign matrix must be 2-D")
@@ -221,8 +223,9 @@ def validate_hadamard(m: SignMatrix) -> MatrixCertificate:
     c = identity_multiple(g)
     if c == m.order:
         return MatrixCertificate(ok=True, order=m.order, check="hadamard")
-    bad = np.argwhere(g != m.order * np.eye(m.order, dtype=np.int64))
-    i, j = (int(v) for v in bad[0])
+    bad = g != 0
+    np.fill_diagonal(bad, np.diagonal(g) != m.order)
+    i, j = divmod(int(np.argmax(bad)), m.order)
     return MatrixCertificate(
         ok=False,
         order=m.order,

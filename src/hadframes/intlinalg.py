@@ -20,10 +20,16 @@ max|a| * max|b| * k on every partial sum of the product:
 
 Each float tier keeps a factor 8 of headroom under its limit, and both
 return int64.
+
+One fraction-free (Bareiss) Gauss-Jordan elimination over Python integers,
+_gauss_jordan, gives both the exact rank (int_rank's fallback, the count of
+its pivots) and an exact integer null-space basis (int_kernel, read off its
+reduced rows).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -149,7 +155,7 @@ def identity_multiple(s: np.ndarray) -> int | None:
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    a = a % p
+    a = np.asarray(a % p, dtype=np.int64)
     rows, cols = a.shape
     rank = 0
     for c in range(cols):
@@ -170,46 +176,73 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     return rank
 
 
-def _rank_fraction_free(a) -> int:
-    # Bareiss elimination over Python integers; divisions are exact. Takes an
-    # integer array or a list of rows of ints.
+def _gauss_jordan(a) -> tuple[list[list[int]], list[int], int]:
+    # Fraction-free Gauss-Jordan elimination over Python integers: Bareiss's
+    # update, applied to the rows above each pivot as well as below, keeps
+    # every entry a minor of ``a``, so every division is exact. Takes an
+    # integer array or a list of rows of ints; returns the reduced rows, the
+    # pivot columns and the last pivot d (1 if there is none). Pivot row i
+    # then holds d at column pivots[i] and 0 at every other pivot column,
+    # and the rows below the pivot rows are zero.
     m = [[int(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c] != 0), None)
+    pivots, prev = [], 1
+    for c in range(len(m[0])):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][c]
-        for r in range(rank + 1, rows):
-            factor = m[r][c]
-            row_r, row_p = m[r], m[rank]
-            for cc in range(c, cols):
-                row_r[cc] = (pivot * row_r[cc] - factor * row_p[cc]) // prev
+        row_p, pivot = m[rank], m[rank][c]
+        for r in range(len(m)):
+            if r != rank:
+                factor = m[r][c]
+                m[r] = [(pivot * x - factor * y) // prev for x, y in zip(m[r], row_p)]
         prev = pivot
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+        pivots.append(c)
+    return m, pivots, prev
 
 
-def int_rank(a: np.ndarray) -> int:
+def _rank_fraction_free(a) -> int:
+    # The pivot count of _gauss_jordan: exact for every integer matrix.
+    return len(_gauss_jordan(a)[1])
+
+
+def int_rank(a) -> int:
     """Rank of an integer matrix over the rationals, computed exactly.
 
     Fast path: elimination modulo a large prime. A full modular rank
     certifies full rational rank (a unimodular minor survives reduction);
     anything less falls back to fraction-free elimination over Python
-    integers, which is exact for every matrix.
+    integers, which is exact for every matrix. Entries may be int64 or
+    Python ints of any size in an object array.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
+    a = np.asarray(a)
     if min(a.shape) == 0:
         return 0
-    r = _rank_mod_p(a.copy(), _RANK_PRIME)
+    r = _rank_mod_p(a, _RANK_PRIME)
     if r == min(a.shape):
         return r
     return _rank_fraction_free(a)
+
+
+def int_kernel(a) -> np.ndarray:
+    """An integer basis of the null space of an integer M x N matrix ``a``:
+    an N x (N - rank) object array of Python ints whose columns z satisfy
+    a z = 0 exactly, each divided by the gcd of its entries.
+
+    The basis is read off ``_gauss_jordan``'s reduced rows, whose pivot rows
+    hold the last pivot d at their own pivot column and 0 at the others: for
+    each free column f, z_f = d, z_p = -(the row's entry at f) at each pivot
+    row's column p, and every other entry is 0.
+    """
+    m, pivots, d = _gauss_jordan(a)
+    free = [f for f in range(len(m[0])) if f not in pivots]
+    z = np.zeros((len(m[0]), len(free)), dtype=object)
+    for j, f in enumerate(free):
+        z[f, j] = d
+        z[pivots, j] = [-row[f] for row in m[:len(pivots)]]
+        z[:, j] //= math.gcd(*z[:, j])
+    return z
 
 
 def as_fraction(value) -> Fraction:

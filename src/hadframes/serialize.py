@@ -47,7 +47,6 @@ import dataclasses
 import json
 import json.decoder
 import json.scanner
-import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -237,8 +236,6 @@ def canonical_dumps(payload: dict) -> str:
 # reader's, at 1 << 18 it sits 20 MiB below.
 _SLICE_CHARS = 1 << 18
 _INT_CHARS = b"-0123456789, \t\n\r"  # all that the text of integers may hold: JSON whitespace too
-# An array's rest, if it holds nothing else.
-_INT_ARRAY = re.compile(f"[{re.escape(_INT_CHARS.decode())}]*\\]")
 _INT_DIGITS = 19  # the most digits of an int64; 18 digits always fit
 _COMMA, _MINUS, _ZERO = b",-0"
 
@@ -289,10 +286,11 @@ def _int_cells(chunk: bytes) -> np.ndarray | None:
 
 def _int_array_text(s: str, start: int = 0, stop: int | None = None) -> np.ndarray | None:
     """``_int_cells`` of ``s[start:stop]``, parsed a slice of about
-    ``_SLICE_CHARS`` at a time into one preallocated array."""
+    ``_SLICE_CHARS`` at a time into one preallocated array. The array is
+    sized and allocated only once the first slice has parsed, so text that
+    the first slice refuses costs no more than that slice."""
     stop = len(s) if stop is None else stop
-    out = np.empty(s.count(",", start, stop) + 1, np.int64)
-    done = 0
+    out, done = None, 0
     while True:
         cut = s.find(",", min(start + _SLICE_CHARS, stop), stop)
         cut = stop if cut < 0 else cut
@@ -300,6 +298,8 @@ def _int_array_text(s: str, start: int = 0, stop: int | None = None) -> np.ndarr
         cells = _int_cells(s[start:cut].encode("ascii", "replace"))
         if cells is None:
             return None
+        if out is None:  # the first slice's cells, then one per comma after it
+            out = np.empty(len(cells) + s.count(",", cut, stop), np.int64)
         out[done:done + len(cells)] = cells
         done += len(cells)
         if cut == stop:
@@ -317,14 +317,14 @@ def int_list(text: str) -> list[int]:
 
 def _parse_array(s_and_end: tuple[str, int], scan_once):
     """The JSON array starting at ``s_and_end``: an int64 array if
-    ``_int_cells`` reads all of it, otherwise what ``json.loads`` makes of
-    it."""
+    ``_int_cells`` reads all of the text up to the next ``]``, otherwise
+    what ``json.loads`` makes of it."""
     s, start = s_and_end
-    rest = _INT_ARRAY.match(s, start)
-    if rest:
-        cells = _int_array_text(s, start, rest.end() - 1)
+    end = s.find("]", start)
+    if end >= 0:
+        cells = _int_array_text(s, start, end)
         if cells is not None:
-            return cells, rest.end()
+            return cells, end + 1
     return json.decoder.JSONArray(s_and_end, scan_once)
 
 

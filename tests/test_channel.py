@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadframes import (
@@ -46,7 +46,6 @@ from hadframes.channel import (
     _downdate_decoder,
     _erasure_deficit,
     _lstsq_decoder,
-    _spanning_deficit,
     default_signal_source,
     simulate,
 )
@@ -693,14 +692,13 @@ def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     phi, rows, raw, scales, bound = channel_inputs(obj)
     m = phi.shape[1]
     exact = _erasure_deficit(raw, rows, scales, bound)
-    by_rank = _spanning_deficit(raw, rows, m)
     keeps = np.array([~survivor_mask(len(rows), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
     got = _downdate_decoder(phi, rows, bound)(y, keeps, np.array([exact(keep) for keep in keeps]))
     for erased, keep, y_t, x in zip(erased_sets, keeps, y, got):
-        assert exact(keep) == by_rank(keep), erased
         idx = np.repeat(keep, rows)
+        assert exact(keep) == m - int_rank(raw[:, idx]), erased
         want = np.linalg.lstsq(phi[idx], y_t[idx], rcond=None)[0]
         assert np.abs(x - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
 
@@ -807,6 +805,72 @@ def test_downdate_clears_fractional_ratios_of_bound_to_scale():
     assert fusion_tight(ff) == (True, Fraction(7, 3))
     erased = [set(c) for r in range(6) for c in itertools.combinations(range(6), r)]
     assert_downdate_matches_lstsq(ff, erased, 4)
+
+
+# ---------------------------------------------------------------------------
+# one recoverability rule for tight and non-tight inputs
+
+
+def spanning(raw) -> np.ndarray:
+    """``raw`` as an int64 matrix, if its columns span; otherwise the draw is discarded."""
+    raw = np.asarray(raw, dtype=np.int64)
+    assume(int_rank(raw) == len(raw))
+    return raw
+
+
+@st.composite
+def pm1_frames(draw):
+    """A +-1 frame of F^M at scale 1/M: the columns of a Sylvester matrix of
+    order M (a basis, N = M), perhaps with repeated and random +-1 columns
+    added, in random order."""
+    k = draw(st.integers(0, 3))
+    h = build_sylvester(k).entries.astype(np.int64)
+    m = len(h)
+    repeats = draw(st.lists(st.integers(0, m - 1), max_size=4))
+    extra = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m), max_size=2))
+    raw = np.hstack([h, h[:, repeats], np.array(extra, dtype=np.int64).reshape(-1, m).T])
+    return frame_from_integer_columns(raw[:, draw(st.permutations(range(raw.shape[1])))],
+                                      Fraction(1, m))
+
+
+@st.composite
+def root_frames(draw):
+    """Roots e_i +- e_j of D_n in F^n at scale 1/2: all of them (tight), or
+    a spanning choice of them, repeats allowed."""
+    n = draw(st.integers(2, 5))
+    roots = [np.eye(n, dtype=np.int64)[i] + s * np.eye(n, dtype=np.int64)[j]
+             for i, j in itertools.combinations(range(n), 2) for s in (1, -1)]
+    chosen = draw(st.just(range(len(roots))) | st.lists(st.integers(0, len(roots) - 1),
+                                                        min_size=n, max_size=len(roots) + 2))
+    return frame_from_integer_columns(spanning([roots[c] for c in chosen]).T, Fraction(1, 2))
+
+
+@st.composite
+def lines_and_axes(draw):
+    """Fusion frames of F^3 with unequal dimensions and mixed scales: lines of
+    the order-4 ETF (scale 1/3) and coordinate planes and lines (scale 1).
+    All four lines, and the lines with a plane and its complementary line,
+    are tight; most other spanning choices are not."""
+    lines = etf_from_hadamard(build_walsh(2).base).raw
+    e = np.eye(3, dtype=int)
+    pieces = ([(lines[:, j:j + 1], Fraction(1, 3)) for j in range(4)]
+              + [(e[:, cols], 1) for cols in ([0, 1], [2], [0], [1, 2], [0, 2], [1])])
+    chosen = draw(st.sampled_from([[0, 1, 2, 3], [0, 1, 2, 3, 4, 5]])
+                  | st.lists(st.integers(0, len(pieces) - 1), min_size=1, max_size=7))
+    spanning(np.hstack([pieces[c][0] for c in chosen]))
+    return make_fusion_frame([subspace_from_columns(*pieces[c]) for c in chosen])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pm1_frames() | root_frames() | lines_and_axes(), st.data())
+def test_erasure_deficit_is_what_the_survivors_fail_to_span(obj, data):
+    _, rows, raw, scales, bound = channel_inputs(obj)
+    m = raw.shape[0]
+    deficit = _erasure_deficit(raw, rows, scales, bound)
+    unit_masks = st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+    for keep in data.draw(st.lists(unit_masks, min_size=1, max_size=6)):
+        keep = np.array(keep, dtype=bool)
+        assert deficit(keep) == m - int_rank(raw[:, np.repeat(keep, rows)]), keep
 
 
 def test_bench_simulate_commands_call_no_lstsq_qr_or_svd(tmp_path, capsys, monkeypatch):

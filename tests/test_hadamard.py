@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadframes import (
@@ -451,6 +451,16 @@ def test_row_group_proof_is_sound_and_certificates_match_the_gram(paley_matrices
     if _sylvester_class(m.entries):
         assert direct.ok
     assert validate_hadamard(m) == direct
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_witness_of_a_random_sign_matrix_is_the_gram_oracles(rows):
+    m = sign_matrix(np.array(rows))
+    want = gram_certificate(m.entries)
+    assume(not want.ok)
+    assert validate_hadamard(m) == want
 
 
 def test_paley_orders_4_and_8_are_sylvester_class(paley_matrices):

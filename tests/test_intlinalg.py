@@ -17,6 +17,7 @@ from hadframes.intlinalg import (
     checked_matmul,
     column_norms_sq,
     identity_multiple,
+    int_kernel,
     int_rank,
     _exact_dtype,
     _is_transpose,
@@ -52,6 +53,59 @@ def test_rank_is_invariant_under_scaling_a_prime_multiple():
     p = 2_147_483_647
     a = np.array([[1, 0], [0, 1]], dtype=np.int64) * p
     assert int_rank(a) == 2
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fractions, written out here."""
+    m = [[Fraction(int(x)) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+near_2_62 = st.integers(-3, 3).flatmap(lambda d: st.sampled_from([2**62 + d, -(2**62) + d]))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Integer matrices with entries -3..3 and a few near 2**62, perhaps with
+    a zero row or column and a repeated row or column."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-3, 3) | near_2_62 if draw(st.booleans()) else st.integers(-3, 3)
+    a = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)), dtype=np.int64)
+    for axis in (0, 1):
+        if draw(st.booleans()):
+            a = np.insert(a, draw(st.integers(0, a.shape[axis])), 0, axis=axis)
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, a.shape[axis] - 1)), draw(st.integers(0, a.shape[axis]))
+            a = np.insert(a, j, np.take(a, i, axis=axis), axis=axis)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_int_kernel_is_an_exact_null_space_basis(a):
+    rank = fraction_rank(a)
+    assert _rank_fraction_free(a) == int_rank(a) == rank
+    z = int_kernel(a)
+    assert z.shape == (a.shape[1], a.shape[1] - rank)
+    assert not (a.astype(object) @ z).any()
+    assert int_rank(z) == z.shape[1]
+    assert all(math.gcd(*col) == 1 for col in z.T)
+
+
+def test_int_kernel_of_a_full_column_rank_matrix_is_empty():
+    assert int_kernel(np.eye(3, dtype=np.int64)).shape == (3, 0)
+    assert int_kernel(np.array([[0, 0]])).tolist() == [[1, 0], [0, 1]]
 
 
 def test_checked_matmul_falls_back_to_python_ints():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -573,6 +574,44 @@ def test_reader_hands_its_array_to_the_matrix_without_a_copy():
                         ("[12345678901234567890]", [12345678901234567890])]:  # 20 digits
         got = ser.loads(text)
         assert type(got) is list and got == value
+
+
+def test_reader_ends_an_array_at_its_own_bracket():
+    # The text up to the next ']' is an integer array only if every cell in
+    # it is an integer; a ']' inside a string, or the end of an inner array,
+    # leaves the array to json.loads' reader, which reads the inner arrays.
+    for text, value in [('["a]b", 1]', ["a]b", 1]), ('[1, "]", 2]', [1, "]", 2]),
+                        ('[{"raw": [1, 2]}, "]"]', [{"raw": [1, 2]}, "]"])]:
+        assert plain(ser.loads(text)) == value == json.loads(text)
+    nested = ser.loads("[[1, 2], [], [-3], [[4]]]")
+    assert [type(v) for v in nested] == [np.ndarray, list, np.ndarray, list]
+    assert type(nested[3][0]) is np.ndarray
+    assert plain(nested) == [[1, 2], [], [-3], [[4]]]
+
+
+@pytest.mark.parametrize("text", ['[1, 2, [3', '[[1, 2], [3', '["a]b"', '{"raw": [1, 2',
+                                  '{"subspaces": [[1, 0], [0, 1]'])
+def test_reader_raises_what_json_loads_raises_on_a_truncated_document(text):
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        ser.loads(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_refused_array_costs_no_more_than_its_first_slice():
+    # A million strings: the first slice refuses them, so the rest is neither
+    # comma-counted nor given an output array.
+    text = "[" + ",".join(['"ab"'] * 10**6) + "]"
+    tracemalloc.start()
+    try:
+        assert ser._int_array_text(text, 1, len(text) - 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (ser._SLICE_CHARS // 2 + 1)  # one slice's int64 cells
+    small = "[" + ",".join(['"ab"'] * 1000) + "]"
+    assert ser.loads(small) == json.loads(small)
 
 
 # ---------------------------------------------------------------------------
