@@ -63,9 +63,10 @@ dimensions, the deficit: their null vectors are the null vectors of raw
 that vanish on E, a space of dimension N - M - rank(C_E), so the N - k'
 survivors span M - k' + rank(C_E). An input that is not tight reads C_E
 from an integer null-space basis Z of raw (``int_kernel``), computed once
-per run. A tight input reads it from C = diag(q) (A D^-1 - raw^T raw),
-where D holds the columns' scales and q clears the denominators (for a
-frame, C = c I - raw^T raw with c = A / scale_sq): A I - T^T T is A times
+per run, at the first erasure. A tight input reads it from
+C = diag(q) (A D^-1 - raw^T raw), where D holds the columns' scales and q
+clears the denominators (for a frame, C = c I - raw^T raw with
+c = A / scale_sq): A I - T^T T is A times
 the projection onto the null space of T, so C is that projection with its
 rows and columns scaled by positive factors, and C's k' x k' block at E,
 which serves as C_E, has the rank of C's rows at E. C's entries come from
@@ -376,13 +377,14 @@ def _erasure_deficit(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fractio
     A/s_j, so scaling rows by q_j keeps the rank and clears every fraction;
     G is read from the exact Gram of all columns, computed once. For any
     other input, C_E is the erased rows of the integer kernel basis Z of
-    ``raw``, computed once. Distinct survivor sets often share C_E (on an
-    ETF, C_E only depends on the signs of the erased vectors' inner
-    products), so each C_E is eliminated once.
+    ``raw``, computed once, when the first trial erases a column; a run
+    that erases nothing never builds it. Distinct survivor sets often share
+    C_E (on an ETF, C_E only depends on the signs of the erased vectors'
+    inner products), so each C_E is eliminated once.
     """
     if bound is None:  # the erased rows of a null-space basis
-        z = int_kernel(raw).tolist()
-        erased_rows = lambda e: [z[i] for i in e]  # noqa: E731
+        kernel = functools.cache(lambda: int_kernel(raw).tolist())
+        erased_rows = lambda e: [kernel()[i] for i in e]  # noqa: E731
     else:  # C's block at the erased rows and columns
         gram = checked_matmul(raw.T, raw).tolist()
         ratios = [bound / scale for scale, r in zip(scales, rows) for _ in range(r)]

@@ -155,7 +155,7 @@ def identity_multiple(s: np.ndarray) -> int | None:
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    a = np.asarray(a % p, dtype=np.int64)
+    a = a % p
     rows, cols = a.shape
     rank = 0
     for c in range(cols):
@@ -207,19 +207,18 @@ def _rank_fraction_free(a) -> int:
     return len(_gauss_jordan(a)[1])
 
 
-def int_rank(a) -> int:
+def int_rank(a: np.ndarray) -> int:
     """Rank of an integer matrix over the rationals, computed exactly.
 
     Fast path: elimination modulo a large prime. A full modular rank
     certifies full rational rank (a unimodular minor survives reduction);
     anything less falls back to fraction-free elimination over Python
-    integers, which is exact for every matrix. Entries may be int64 or
-    Python ints of any size in an object array.
+    integers, which is exact for every matrix.
     """
-    a = np.asarray(a)
+    a = np.ascontiguousarray(a, dtype=np.int64)
     if min(a.shape) == 0:
         return 0
-    r = _rank_mod_p(a, _RANK_PRIME)
+    r = _rank_mod_p(a.copy(), _RANK_PRIME)
     if r == min(a.shape):
         return r
     return _rank_fraction_free(a)

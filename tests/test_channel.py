@@ -50,7 +50,7 @@ from hadframes.channel import (
     simulate,
 )
 from hadframes.cli import main
-from hadframes.intlinalg import int_rank
+from hadframes.intlinalg import int_kernel, int_rank
 from hadframes.serialize import (
     canonical_dumps,
     config_from_dict,
@@ -902,6 +902,16 @@ def test_non_tight_import_decodes_through_the_lstsq_decoder(monkeypatch):
     assert 0 < rep.non_recoverable_count < 40
     assert rep.exact_recovery_count == 40 - rep.non_recoverable_count
     assert rep.survivor_sets == 3
+
+
+def test_non_tight_import_builds_its_kernel_only_when_a_trial_erases(monkeypatch):
+    lop = frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1)
+    calls = []
+    monkeypatch.setattr(channel, "int_kernel", lambda a: calls.append(1) or int_kernel(a))
+    rep = simulate_frame(lop, ChannelConfig(erasure=ErasureSpec.none(), trials=40, seed=6))
+    assert calls == [] and rep.non_recoverable_count == 0
+    rep = simulate_frame(lop, ChannelConfig(erasure=ErasureSpec.fixed([1]), trials=40, seed=6))
+    assert calls == [1] and rep.non_recoverable_count == 40
 
 
 

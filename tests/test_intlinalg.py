@@ -99,7 +99,7 @@ def test_int_kernel_is_an_exact_null_space_basis(a):
     z = int_kernel(a)
     assert z.shape == (a.shape[1], a.shape[1] - rank)
     assert not (a.astype(object) @ z).any()
-    assert int_rank(z) == z.shape[1]
+    assert fraction_rank(z) == z.shape[1]
     assert all(math.gcd(*col) == 1 for col in z.T)
 
 
