@@ -23,16 +23,18 @@ stream whether it is asked for them in one call or in many, so the draws
 do not depend on ``BLOCK_TRIALS``, and the first T trials of a longer run
 draw what a T-trial run draws. The signal stream depends only on the seed
 and M, so every input of the same ambient dimension sees the same signals
-trial by trial. Each block decodes the received coefficients
-y = x phi^T + noise under its survivor masks with a few matrix products
-over all its rows, b = (y * mask) phi first. The errors are then
+trial by trial. Each block groups its trials by k', the number of
+columns they erase, and holds one array e of erased columns per group; the
+rest of the block reads the erasures from e alone. It zeroes the received
+coefficients y = x phi^T + noise at e and decodes with a few matrix
+products over all its rows, b = y phi first. The errors are then
 aggregated in trial order. How the trials are blocked moves a report's
 floats in their last bits at most, and its counts not at all.
 
 Decoding a tight input. Every object the package builds is tight: the
 scaled columns T of its units (a frame's vectors, or each subspace's
 orthonormal basis) satisfy T T^T = A I. Least squares on the survivors then
-solves N x = b, with b = phi^T (y * mask) and N = A I - T_E T_E^T, where
+solves N x = b, with b = phi^T y (y zero at E) and N = A I - T_E T_E^T, where
 T_E holds only the k' erased columns (k for a frame, the sum of the erased
 m_i for a fusion frame). Write T_E^T T_E = W diag(lam) W^T, every lam_j in
 [0, A]. The minimum-norm solution that np.linalg.lstsq would return is
@@ -41,18 +43,19 @@ m_i for a fusion frame). Write T_E^T T_E = W diag(lam) W^T, every lam_j in
 
 with h_j = 1 / (A (A - lam_j)) (the Woodbury identity), except
 h_j = -1 / A^2 where lam_j = A: those directions span the null space of N,
-and -1/A^2 gives the pseudo-inverse's 0 there. A block's trials are grouped
-by k'. Each trial's T_E^T T_E is read from the float Gram phi phi^T, built
-once per run, and each group runs one batched k' x k' eigenproblem; no
-survivor set's rows are factored. Which lam_j equal A is never decided by
-a float cutoff: they come out within about eps * A of A, and 1 / (A - lam_j)
-would then blow rounding error up by 1/eps. Their number is the exact
-deficit below, the dimension of the null space of N.
+and -1/A^2 gives the pseudo-inverse's 0 there. Each group reads its
+trials' k' rows phi[e] of phi and forms T_E^T T_E, T_E^T b and T_E v from
+them, one batched product each, and runs one batched k' x k' eigenproblem;
+no N x N matrix is formed and no survivor set's rows are factored. Which
+lam_j equal A is never decided by a float cutoff: they come out within
+about eps * A of A, and 1 / (A - lam_j) would then blow rounding error up
+by 1/eps. Their number is the exact deficit below, the dimension of the
+null space of N.
 
 Decoding an input that is not tight. Such an input can only come from an
-import. Each block groups its trials by survivor set, and each set's trials
-are solved together by one np.linalg.lstsq call on the surviving rows, with
-one right-hand side per trial.
+import. Each group of a block splits its trials by erased set, and each
+set's trials are solved together by one np.linalg.lstsq call on the
+surviving rows, with one right-hand side per trial.
 
 Recoverability. A trial is recoverable when its survivors span F^M, and
 one rule decides it for every input, in both modes. Let raw be the input's
@@ -63,25 +66,27 @@ dimensions, the deficit: their null vectors are the null vectors of raw
 that vanish on E, a space of dimension N - M - rank(C_E), so the N - k'
 survivors span M - k' + rank(C_E). An input that is not tight reads C_E
 from an integer null-space basis Z of raw (``int_kernel``), computed once
-per run, at the first erasure. A tight input reads it from
+per run, when the first erased set is decided. A tight input reads it from
 C = diag(q) (A D^-1 - raw^T raw), where D holds the columns' scales and q
 clears the denominators (for a frame, C = c I - raw^T raw with
 c = A / scale_sq): A I - T^T T is A times
 the projection onto the null space of T, so C is that projection with its
 rows and columns scaled by positive factors, and C's k' x k' block at E,
-which serves as C_E, has the rank of C's rows at E. C's entries come from
-the exact integer Gram raw^T raw, which checked_matmul computes once per
-run and which is held as Python ints. Each distinct C_E is eliminated
-once, exactly, by fraction-free elimination, and the deficit is decided
-once per survivor set.
+which serves as C_E, has the rank of C's rows at E. That block needs only
+the exact k' x k' Gram block raw_E^T raw_E, which one batched checked_matmul
+forms for a whole group of trials; no N x N Gram is formed. One memo maps
+what fixes C_E exactly to the deficit: the Gram block for a tight input
+(the scales follow from its diagonal), the erased columns for any other.
+C_E is built from Python ints and eliminated by fraction-free elimination
+only on a miss, so each distinct key is eliminated once.
 
 Fusion noise model. Piece i is sent as its m_i coordinates B_i^T x in
 the scaled orthonormal basis B_i of W_i, as in the paper above, so noise
 stays inside the subspace and an erasure drops m_i numbers. The naive
-receiver phi^T (y * mask) / A is the tight-frame sum (1/A) sum_i B_i y_i
-over the pieces received; with no erasures its mean squared error is
-sigma^2 * sum_i m_i / A^2, which for a frame of N unit vectors reads
-N sigma^2 / A^2.
+receiver phi^T y / A, with y zero at the erased rows, is the tight-frame
+sum (1/A) sum_i B_i y_i over the pieces received; with no erasures its
+mean squared error is sigma^2 * sum_i m_i / A^2, which for a frame of N
+unit vectors reads N sigma^2 / A^2.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ from .intlinalg import _rank_fraction_free, checked_matmul, int_kernel
 # ``source(rng, n, dim)``: n signals of F^dim as the rows of an (n, dim)
 # array. The channel calls it once per block, in trial order, with the run's
 # signal stream, so one source sees the same stream however trials are blocked.
-SignalSource = Callable[[np.random.Generator, int, int], np.ndarray]
+SignalSource = Callable[["np.random.Generator", int, int], np.ndarray]
 
 # A million trials take minutes and put the standard error of mean_mse at
 # a thousandth of the per-trial standard deviation; more is refused.
@@ -300,101 +305,137 @@ class _Accumulator:
         )
 
 
-def _lstsq_decoder(phi: np.ndarray, rows: np.ndarray):
+def _erased_columns(units: np.ndarray, rows: np.ndarray, starts: np.ndarray):
+    """A block's erased columns, one group per count k'.
+
+    Row t of ``units`` holds trial t's erased units in ascending order, and
+    unit i owns the ``rows[i]`` columns from ``starts[i]``. Returns, for each
+    k', the indices of its trials and a (trials, k') array of their erased
+    columns in ascending order; trials that erase nothing form the group
+    k' = 0.
+    """
+    counts = rows[units].sum(axis=1)
+    groups = []
+    for k in sorted(set(counts.tolist())):  # np.unique would import numpy.ma
+        trials = np.flatnonzero(counts == k)
+        erased = units[trials].ravel()
+        lens = rows[erased]
+        # each unit's columns are starts[u] + 0, 1, ...; first: where its run begins in the row
+        first = np.cumsum(lens) - lens
+        cols = np.repeat(starts[erased] - first, lens) + np.arange(k * len(trials))
+        groups.append((trials, cols.reshape(len(trials), k)))
+    return groups
+
+
+def _lstsq_decoder(phi: np.ndarray):
     """Least-squares decoder for the analysis map ``phi`` of an input that
     is not tight, which only an import can give.
 
-    Unit i owns the next ``rows[i]`` rows of ``phi``. The returned
-    ``decode(y, keeps, deficits)`` takes one trial per row, as
-    ``_downdate_decoder``'s does, and ignores ``deficits``. Row t of the
-    result is ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's
-    survivors S, or 0 where every unit is erased. Each distinct survivor set
-    of the block is solved once, with its trials as the right-hand sides.
+    The returned ``decode(y, groups)`` takes one trial per row of ``y`` and
+    the groups of ``_simulate``: each a triple of trial indices, their
+    erased columns (rows of ``phi``) and their deficits, which it ignores.
+    Row t of the result is ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)``
+    for trial t's surviving rows S, or 0 where every row is erased. Each
+    distinct erased set of a group is solved once, with its trials as the
+    right-hand sides.
     """
 
-    def decode(y: np.ndarray, keeps: np.ndarray, deficits: np.ndarray) -> np.ndarray:
+    def decode(y: np.ndarray, groups) -> np.ndarray:
         x = np.zeros((len(y), phi.shape[1]))
-        groups: dict[bytes, list[int]] = {}
-        for t, keep in enumerate(keeps):
-            groups.setdefault(keep.tobytes(), []).append(t)
-        for group in groups.values():
-            mask = np.repeat(keeps[group[0]], rows)
-            if mask.any():
-                x[group] = np.linalg.lstsq(phi[mask], y[group][:, mask].T, rcond=None)[0].T
+        for trials, e, _ in groups:
+            sets: dict[tuple, list[int]] = {}
+            for t, erased in zip(trials.tolist(), map(tuple, e.tolist())):
+                sets.setdefault(erased, []).append(t)
+            for erased, t in sets.items():
+                keep = np.ones(len(phi), dtype=bool)
+                keep[list(erased)] = False
+                if keep.any():
+                    x[t] = np.linalg.lstsq(phi[keep], y[t][:, keep].T, rcond=None)[0].T
         return x
 
     return decode
 
 
-def _downdate_decoder(phi: np.ndarray, rows: np.ndarray, bound: Fraction):
+def _downdate_decoder(phi: np.ndarray, bound: Fraction):
     """Least-squares decoder for a tight input: the rank-k' downdate of the
     module docstring, run on a block of trials.
 
-    Unit i owns the next ``rows[i]`` rows of ``phi``, and ``phi^T phi`` =
-    ``bound`` * I. The returned ``decode(y, keeps, deficits)`` takes one
-    trial per row: its received coefficients in ``y``, its survivor mask in
-    ``keeps``, and in ``deficits`` the exact dimension of the null space of
-    its survivors' normal matrix. Row t of the result is
+    ``phi^T phi`` = ``bound`` * I. The returned ``decode(y, groups)`` takes
+    one trial per row of ``y``, zero at its erased rows, and the groups of
+    ``_simulate``: each a triple of trial indices, their erased rows of
+    ``phi`` as a (trials, k') array ``e``, and the exact dimension of the
+    null space of each trial's normal matrix. Everything a trial needs
+    beyond b = y phi comes from its k' rows ``phi[e]``: one batched product
+    each gives T_E^T T_E, T_E^T b and T_E v. Row t of the result is
     ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's survivors
     S, computed without factoring phi_S.
     """
     a = float(bound)
-    gram = phi @ phi.T
 
-    def decode(y: np.ndarray, keeps: np.ndarray, deficits: np.ndarray) -> np.ndarray:
-        erased = ~np.repeat(keeps, rows, axis=1)
-        b = (y * ~erased) @ phi
+    def decode(y: np.ndarray, groups) -> np.ndarray:
+        b = y @ phi
         x = b / a
-        counts = erased.sum(axis=1)
-        for k in set(counts.tolist()) - {0}:
-            group = np.flatnonzero(counts == k)
-            e = erased[group].nonzero()[1].reshape(-1, k)  # each trial's erased rows
-            lam, w = np.linalg.eigh(gram[e[:, :, None], e[:, None, :]])
+        for trials, e, deficits in groups:
+            k = e.shape[1]
+            if not k:
+                continue
+            t_e = phi[e]  # (trials, k', M): each trial's T_E^T
+            lam, w = np.linalg.eigh(t_e @ t_e.transpose(0, 2, 1))
             # lam <= A in ascending order, so each trial's null directions come last
-            live = np.arange(k) < k - deficits[group][:, None]
+            live = np.arange(k) < k - deficits[:, None]
             h = np.full(lam.shape, -1.0 / a**2)
             h[live] = 1.0 / (a * (a - lam[live]))
-            z = np.take_along_axis(b[group] @ phi.T, e, axis=1)  # T_E^T b
-            v = (w @ (h * (z[:, None, :] @ w)[:, 0])[:, :, None])[:, :, 0]
-            s = np.zeros((len(group), len(phi)))
-            np.put_along_axis(s, e, v, axis=1)
-            x[group] += s @ phi  # T_E v
+            z = t_e @ b[trials][:, :, None]  # T_E^T b
+            v = w @ (h[:, :, None] * (w.transpose(0, 2, 1) @ z))
+            x[trials] += (v.transpose(0, 2, 1) @ t_e)[:, 0]  # T_E v
         return x
 
     return decode
 
 
-def _erasure_deficit(raw: np.ndarray, rows: np.ndarray, scales: Sequence[Fraction],
-                     bound: Fraction | None):
-    """``deficit(keep)``: the dimension the survivors fail to span,
+def _erasure_deficit(raw: np.ndarray, bound: Fraction | None):
+    """``deficit(e)``: for each row of ``e``, one trial's k' erased columns
+    of the integer matrix ``raw``, the dimension its survivors fail to span,
     k' - rank(C_E) for the integer matrix C_E of the module docstring.
 
-    ``raw`` holds the input's integer columns, unit i owns the next
-    ``rows[i]`` of them, and their scale is ``scales[i]``; ``bound`` is A
-    for a tight input and None for any other. For a tight input, row j of
-    C_E is q_j (A/s_j e_j - G_j) over the erased columns, where
-    G = raw_E^T raw_E, s_j is column j's scale and q_j the denominator of
-    A/s_j, so scaling rows by q_j keeps the rank and clears every fraction;
-    G is read from the exact Gram of all columns, computed once. For any
-    other input, C_E is the erased rows of the integer kernel basis Z of
-    ``raw``, computed once, when the first trial erases a column; a run
-    that erases nothing never builds it. Distinct survivor sets often share
-    C_E (on an ETF, C_E only depends on the signs of the erased vectors'
-    inner products), so each C_E is eliminated once.
+    ``bound`` is A for a tight input and None for any other. One memo maps
+    what fixes C_E exactly to the deficit, and C_E is built from Python ints
+    and eliminated only on a miss. For a tight input the key is the exact
+    Gram block G = raw_E^T raw_E, one batched checked_matmul per call: row j
+    of C_E is q_j (A/s_j e_j - G_j), where s_j is column j's scale and q_j
+    the denominator of A/s_j, so scaling rows by q_j keeps the rank and
+    clears every fraction. G fixes the scales too, since every scaled basis
+    is orthonormal: s_j G_jj = 1, so A/s_j = A G_jj. Distinct erased sets
+    often share G (on an ETF, G only depends on the signs of the erased
+    vectors' inner products), so each G is eliminated once. For any other
+    input the key is the erased columns, and C_E their rows of the integer
+    kernel basis Z of ``raw``, computed once, on the first miss; a run that
+    erases nothing never builds it.
     """
     if bound is None:  # the erased rows of a null-space basis
         kernel = functools.cache(lambda: int_kernel(raw).tolist())
-        erased_rows = lambda e: [kernel()[i] for i in e]  # noqa: E731
+        keys = lambda e: e  # noqa: E731
+        c_block = lambda key: [kernel()[i] for i in key]  # noqa: E731
     else:  # C's block at the erased rows and columns
-        gram = checked_matmul(raw.T, raw).tolist()
-        ratios = [bound / scale for scale, r in zip(scales, rows) for _ in range(r)]
-        num, den = [r.numerator for r in ratios], [r.denominator for r in ratios]
-        erased_rows = lambda e: [[num[i] * (i == j) - den[i] * gram[i][j] for j in e] for i in e]  # noqa: E731
-    rank = functools.cache(_rank_fraction_free)
+        def keys(e):
+            cols = raw.T[e]
+            return checked_matmul(cols, np.swapaxes(cols, -1, -2)).reshape(len(e), -1)
 
-    def deficit(keep: np.ndarray) -> int:
-        c = tuple(map(tuple, erased_rows(np.flatnonzero(~np.repeat(keep, rows)).tolist())))
-        return len(c) - rank(c) if c else 0
+        def c_block(key):
+            k = math.isqrt(len(key))
+            gram = [key[i * k:(i + 1) * k] for i in range(k)]
+            ratios = [bound * row[i] for i, row in enumerate(gram)]
+            return [[r.numerator * (i == j) - r.denominator * g for j, g in enumerate(row)]
+                    for i, (r, row) in enumerate(zip(ratios, gram))]
+    memo: dict[tuple, int] = {}
+
+    def deficit(e: np.ndarray) -> np.ndarray:
+        if not e.shape[1]:
+            return np.zeros(len(e), dtype=int)
+        found = list(map(tuple, keys(e).tolist()))
+        for key in set(found).difference(memo):
+            memo[key] = e.shape[1] - _rank_fraction_free(c_block(key))
+        return np.array([memo[key] for key in found])
 
     return deficit
 
@@ -412,38 +453,43 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     Tightness and A are ``ff.bound_A``, which the constructor's spanning
     proof has already formed. Trials are drawn and decoded ``BLOCK_TRIALS``
     at a time from the run's signal, noise and erasure streams, as the
-    module docstring says. Naive mode needs a tight input and returns
-    ``(y * mask) phi / A``; otherwise a tight input decodes through
-    ``_downdate_decoder`` and any other through ``_lstsq_decoder``, one
-    lstsq call per survivor set and block. Every input decides
-    recoverability by one rule, once per survivor set: the survivors fail
-    to span F^M by k' - rank(C_E), since their null vectors are the null
-    vectors of the input's integer matrix that vanish on the erased
-    columns (``_erasure_deficit``). ``what`` names the units in error
-    messages.
+    module docstring says. Each block's trials are grouped by k', and each
+    group's erased columns ``e`` are all that the rest of the block reads of
+    the erasures: the received rows there are zeroed, the deficits come from
+    ``_erasure_deficit``, and the decoder reads its blocks from ``phi[e]``.
+    Naive mode needs a tight input and returns ``y phi / A``; otherwise a
+    tight input decodes through ``_downdate_decoder`` and any other through
+    ``_lstsq_decoder``, one lstsq call per erased set and block. Every input
+    decides recoverability by one rule: the survivors fail to span F^M by
+    k' - rank(C_E), since their null vectors are the null vectors of the
+    input's integer matrix that vanish on the erased columns. A run with no
+    erasures forms no Gram block and decides no deficit. ``survivor_sets``
+    counts the distinct rows of erased unit indices, kept as bytes. ``what``
+    names the units in error messages.
     """
-    raw, rows, scales, bound = ff.basis_raw, np.array(ff.dims), ff.scales, ff.bound_A
+    raw, rows, bound = ff.basis_raw, np.array(ff.dims), ff.bound_A
+    starts = np.cumsum(rows) - rows
     n_units = len(rows)
     spec = cfg.erasure
     _check_erasure(spec, n_units, what)
-    phi = _analysis_map(raw, rows, scales)
+    phi = _analysis_map(raw, rows, ff.scales)
     m = phi.shape[1]
-    tight = bound is not None
-    rank_deficit = _erasure_deficit(raw, rows, scales, bound)
-    deficit = functools.cache(lambda key: rank_deficit(np.frombuffer(key, dtype=bool)))
+    deficit = _erasure_deficit(raw, bound)
 
     if cfg.mode == "naive":
-        if not tight:
+        if bound is None:
             raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
         a = float(bound)
-        decode = lambda y, keeps, _: (y * np.repeat(keeps, rows, axis=1)) @ phi / a  # noqa: E731
-    elif tight:
-        decode = _downdate_decoder(phi, rows, bound)
+        decode = lambda y, _: y @ phi / a  # noqa: E731
+    elif bound is not None:
+        decode = _downdate_decoder(phi, bound)
     else:
-        decode = _lstsq_decoder(phi, rows)
+        decode = _lstsq_decoder(phi)
+    fixed = np.array(spec.indices, dtype=np.intp)  # empty unless the mode is fixed
     streams = np.random.SeedSequence(int(cfg.seed)).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)
     acc = _Accumulator()
+    survivor_sets: set[bytes] = set()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
         for start in range(0, cfg.trials, BLOCK_TRIALS):
             n = min(BLOCK_TRIALS, cfg.trials - start)
@@ -453,18 +499,25 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
             y = x @ phi.T
             if cfg.noise_std > 0:
                 y += noises.normal(0.0, cfg.noise_std, (n, len(phi)))
-            keeps = np.ones((n, n_units), dtype=bool)
-            keeps[:, list(spec.indices)] = False  # empty unless the mode is fixed
             if spec.mode == "random":  # the k smallest of one uniform per unit
                 erased = np.argpartition(erasures.random((n, n_units)), spec.k - 1, axis=1)
-                np.put_along_axis(keeps, erased[:, :spec.k], False, axis=1)
-            deficits = np.array([deficit(keep.tobytes()) for keep in keeps])
-            mse = ((decode(y, keeps, deficits) - x) ** 2).sum(axis=1)
+                units = np.sort(erased[:, :spec.k], axis=1)
+                survivor_sets.update(units.view(f"V{units.itemsize * spec.k}").ravel().tolist())
+            else:
+                units = np.broadcast_to(fixed, (n, len(fixed)))
+            deficits = np.zeros(n, dtype=int)
+            groups = []
+            for trials, e in _erased_columns(units, rows, starts):
+                y[trials[:, None], e] = 0.0  # nothing is received there
+                deficits[trials] = d = deficit(e)
+                groups.append((trials, e, d))
+            mse = ((decode(y, groups) - x) ** 2).sum(axis=1)
             if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
             for err, d in zip(mse.tolist(), deficits.tolist()):
                 acc.add(err, d == 0)
-    return acc.report(cfg, deficit.cache_info().currsize)
+    # a fixed erasure, or none, leaves one survivor set
+    return acc.report(cfg, len(survivor_sets) if spec.mode == "random" else 1)
 
 
 def simulate_frame(

@@ -370,8 +370,9 @@ def _analysis_map(raw: np.ndarray, dims, scales) -> np.ndarray:
     """Float analysis map phi = T^T of the matrix form: T is ``raw`` with the
     next ``dims[i]`` columns scaled by sqrt(``scales[i]``), so row r of phi is
     the scaled basis vector r and phi @ x holds every subspace's coordinates."""
-    col_scale = np.repeat([math.sqrt(float(s)) for s in scales], dims)
-    return (raw.astype(np.float64) * col_scale).T
+    t = raw.astype(np.float64)
+    t *= np.repeat([math.sqrt(float(s)) for s in scales], dims)  # in place: one M x N array
+    return t.T
 
 
 def _vector(x, length: int, what: str, exact: bool) -> np.ndarray:

@@ -44,13 +44,14 @@ from hadframes.channel import (
     MAX_TRIALS,
     SimReport,
     _downdate_decoder,
+    _erased_columns,
     _erasure_deficit,
     _lstsq_decoder,
     default_signal_source,
     simulate,
 )
 from hadframes.cli import main
-from hadframes.intlinalg import int_kernel, int_rank
+from hadframes.intlinalg import checked_matmul, int_kernel, int_rank
 from hadframes.serialize import (
     canonical_dumps,
     config_from_dict,
@@ -462,6 +463,30 @@ def survivor_mask(units, surv):
     return keep
 
 
+def erased_groups(rows, keeps):
+    """The groups that ``_simulate`` forms for one block of survivor masks,
+    read off the masks: for each count k' of erased columns, the trials and
+    a (trials, k') array of their erased columns, ascending."""
+    erased = [np.flatnonzero(~np.repeat(keep, rows)) for keep in keeps]
+    trials = collections.defaultdict(list)
+    for t, e in enumerate(erased):
+        trials[len(e)].append(t)
+    return [(np.array(ts), np.array([erased[t] for t in ts]).reshape(len(ts), k))
+            for k, ts in trials.items()]
+
+
+def decode_block(decode, deficit, rows, keeps, y):
+    """Hand one block to ``decode`` as ``_simulate`` does: the received rows
+    zeroed where erased, and each group with its deficits. Returns the
+    decoded rows and each trial's deficit."""
+    y, deficits, groups = y.copy(), np.zeros(len(keeps), dtype=int), []
+    for trials, e in erased_groups(rows, keeps):
+        y[trials[:, None], e] = 0.0
+        deficits[trials] = d = deficit(e)
+        groups.append((trials, e, d))
+    return decode(y, groups), deficits
+
+
 def assert_decodes_like_lstsq(phi, rows, sets, seed):
     """Decode one block that sends every set of surviving units twice; unit
     i owns the next ``rows[i]`` rows of ``phi``. Each row must match
@@ -470,7 +495,7 @@ def assert_decodes_like_lstsq(phi, rows, sets, seed):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), phi.shape[1])) @ phi.T
     y += rng.normal(0.0, 0.1, y.shape)
-    got = _lstsq_decoder(phi, rows)(y, keeps, np.zeros(len(keeps), dtype=int))
+    got, _ = decode_block(_lstsq_decoder(phi), lambda e: np.zeros(len(e), dtype=int), rows, keeps, y)
     for surv, keep, y_t, x in zip(list(sets) * 2, keeps, y, got):
         idx = np.repeat(keep, rows)
         want = np.linalg.lstsq(phi[idx], y_t[idx], rcond=None)[0]
@@ -674,14 +699,14 @@ def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
 
 def channel_inputs(obj):
     """What ``simulate`` hands the trial loop for ``obj``: its coordinate
-    map and row table, its integer matrix and unit scales, and the tight
-    bound (None when ``obj`` is not tight)."""
+    map and row table, its integer matrix, and the tight bound (None when
+    ``obj`` is not tight)."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
         simulate(obj, ChannelConfig())
     ff = captured[0][0]
-    return *coordinate_map(ff.basis_raw, ff.dims, ff.scales), ff.basis_raw, ff.scales, ff.bound_A
+    return *coordinate_map(ff.basis_raw, ff.dims, ff.scales), ff.basis_raw, ff.bound_A
 
 
 def assert_downdate_matches_lstsq(obj, erased_sets, seed):
@@ -689,16 +714,16 @@ def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     match x = np.linalg.lstsq's solution within 1e-12 * (1 + |x|), and the
     exact count k' - rank(C) must be the dimension the survivors' integer
     columns fail to span."""
-    phi, rows, raw, scales, bound = channel_inputs(obj)
+    phi, rows, raw, bound = channel_inputs(obj)
     m = phi.shape[1]
-    exact = _erasure_deficit(raw, rows, scales, bound)
     keeps = np.array([~survivor_mask(len(rows), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
-    got = _downdate_decoder(phi, rows, bound)(y, keeps, np.array([exact(keep) for keep in keeps]))
-    for erased, keep, y_t, x in zip(erased_sets, keeps, y, got):
+    got, deficits = decode_block(_downdate_decoder(phi, bound), _erasure_deficit(raw, bound),
+                                 rows, keeps, y)
+    for erased, keep, y_t, x, d in zip(erased_sets, keeps, y, got, deficits):
         idx = np.repeat(keep, rows)
-        assert exact(keep) == m - int_rank(raw[:, idx]), erased
+        assert d == m - int_rank(raw[:, idx]), erased
         want = np.linalg.lstsq(phi[idx], y_t[idx], rcond=None)[0]
         assert np.abs(x - want).max() <= 1e-12 * (1 + np.linalg.norm(want)), erased
 
@@ -771,9 +796,8 @@ def test_downdate_matches_lstsq_on_rank_deficient_etf64_sets():
     # 61 of the 64 vectors in F^63: C has rank 1, so two null directions
     etf64 = etf_from_hadamard(build_walsh(6).base)
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
-    _, rows, raw, scales, bound = channel_inputs(etf64)
-    deficit = _erasure_deficit(raw, rows, scales, bound)
-    assert [deficit(~survivor_mask(64, d)) for d in drops] == [2] * 3
+    _, _, raw, bound = channel_inputs(etf64)
+    assert _erasure_deficit(raw, bound)(np.array(drops)).tolist() == [2] * 3
     assert_downdate_matches_lstsq(etf64, drops, 1)
 
 
@@ -864,13 +888,122 @@ def lines_and_axes(draw):
 @settings(max_examples=200, deadline=None)
 @given(pm1_frames() | root_frames() | lines_and_axes(), st.data())
 def test_erasure_deficit_is_what_the_survivors_fail_to_span(obj, data):
-    _, rows, raw, scales, bound = channel_inputs(obj)
+    _, rows, raw, bound = channel_inputs(obj)
     m = raw.shape[0]
-    deficit = _erasure_deficit(raw, rows, scales, bound)
+    deficit = _erasure_deficit(raw, bound)
     unit_masks = st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
     for keep in data.draw(st.lists(unit_masks, min_size=1, max_size=6)):
         keep = np.array(keep, dtype=bool)
-        assert deficit(keep) == m - int_rank(raw[:, np.repeat(keep, rows)]), keep
+        [(_, e)] = erased_groups(rows, [keep])
+        assert deficit(e).tolist() == [m - int_rank(raw[:, np.repeat(keep, rows)])], keep
+
+
+@st.composite
+def lines_and_axis_layers(draw):
+    """Tight fusion frames of F^3 with two scales, in random unit order: the
+    order-4 ETF's lines (scale 1/3, A = 4/3) once or twice, and one or two
+    layers of coordinate subspaces that partition the axes (scale 1, A = 1
+    each). A/s is then fractional on the axes, and units have 1 to 3 columns."""
+    lines = etf_from_hadamard(build_walsh(2).base).raw
+    e = np.eye(3, dtype=int)
+    subspaces = [subspace_from_columns(lines[:, j:j + 1], Fraction(1, 3)) for j in range(4)]
+    subspaces *= draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(1, 2))):
+        labels = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        subspaces += [subspace_from_columns(e[:, [j for j in range(3) if labels[j] == label]], 1)
+                      for label in sorted(set(labels))]
+    return make_fusion_frame([subspaces[i] for i in draw(st.permutations(range(len(subspaces))))])
+
+
+@st.composite
+def huge_entry_frames(draw):
+    """A Sylvester matrix's columns (a basis, A = 1) or its ETF's, perhaps
+    twice over, with every entry multiplied by 2**31: their exact Grams pass
+    int64's bound, so checked_matmul returns Python ints."""
+    h = build_sylvester(draw(st.integers(2, 4))).entries.astype(np.int64)
+    raw = draw(st.sampled_from([h, h[1:]])) << 31
+    raw = np.hstack([raw] * draw(st.integers(1, 2)))
+    assert checked_matmul(raw.T[:1], raw[:, :1]).dtype == object
+    return frame_from_integer_columns(raw, Fraction(1, len(raw) << 62))
+
+
+@settings(max_examples=120, deadline=None)
+@given(lines_and_axis_layers() | huge_entry_frames(), st.data())
+def test_each_blocks_deficits_are_what_its_survivors_fail_to_span(obj, data):
+    # One block as the trial loop forms it: every trial erases k units, and
+    # _erased_columns groups them by k'. The deficit memo is keyed by the
+    # exact Gram block alone: two sets with equal blocks have equal scales on
+    # their columns, since every scaled column has norm 1 (s_j G_jj = 1).
+    _, rows, raw, bound = channel_inputs(obj)
+    assert bound is not None
+    m, units = raw.shape[0], len(rows)
+    k = data.draw(st.integers(1, units - 1))
+    erased = st.sets(st.integers(0, units - 1), min_size=k, max_size=k).map(sorted)
+    sets = data.draw(st.lists(erased, min_size=1, max_size=8))
+    keeps = [~survivor_mask(units, s) for s in sets]
+    groups = _erased_columns(np.array(sets), rows, np.cumsum(rows) - rows)
+    want = {len(e[0]): (t.tolist(), e.tolist()) for t, e in erased_groups(rows, keeps)}
+    assert {e.shape[1]: (t.tolist(), e.tolist()) for t, e in groups} == want
+    col_scale = np.repeat(np.array(obj.scales, dtype=object), rows)
+    deficit = _erasure_deficit(raw, bound)
+    for trials, e in groups:
+        for t, cols, d in zip(trials.tolist(), e.tolist(), deficit(e).tolist()):
+            gram = raw[:, cols].astype(object).T @ raw[:, cols].astype(object)
+            assert all(col_scale[c] * gram[j, j] == 1 for j, c in enumerate(cols))
+            assert d == m - int_rank(raw[:, np.repeat(keeps[t], rows)]), sets[t]
+
+
+@pytest.mark.parametrize("erasure", [ErasureSpec.none(), ErasureSpec.random_k(2)],
+                         ids=["none", "random2"])
+def test_the_channel_forms_no_n_by_n_matrix(monkeypatch, erasure):
+    # The order-1024 ETF, N = 1024 vectors in F^1023: phi takes 8 MiB, and
+    # an N x N float64 Gram would take 8 MiB more, which the bound leaves no
+    # room for (28.5 and 32.7 MiB when both N x N Grams were formed).
+    etf = etf_from_hadamard(build_walsh(10).base)
+    shapes = []
+    exact = channel.checked_matmul
+    monkeypatch.setattr(channel, "checked_matmul",
+                        lambda a, b: shapes.append(a.shape[:-1] + b.shape[-1:]) or exact(a, b))
+    cfg = ChannelConfig(noise_std=0.1, erasure=erasure, trials=256, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        simulate(etf, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one k' = 2 group per block of 128 trials, and nothing without erasures
+    assert shapes == ([(128, 2, 2)] * 2 if erasure.k else [])
+    assert peak < 20 * 2**20, peak
+
+
+def test_memory_per_survivor_set_stays_small():
+    # The order-256 ETF with two random erasures draws 2451 distinct survivor
+    # sets in 2560 trials and 17733 in 25600. Each costs its erased units'
+    # 16 bytes in a set; a memo on N-byte survivor masks grew the peak by
+    # 5.2 MiB here. The collector and free lists as in
+    # test_memory_does_not_grow_with_trials.
+    etf = etf_from_hadamard(build_walsh(8).base)
+
+    def run(trials):
+        cfg = ChannelConfig(noise_std=0.1, erasure=ErasureSpec.random_k(2), trials=trials, seed=5)
+        return simulate(etf, cfg).survivor_sets
+
+    gc.disable()
+    try:
+        run(2560)
+        sets, peaks = [], []
+        for trials in (2560, 25600):
+            tracemalloc.start()
+            try:
+                sets.append(run(trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert sets == [2451, 17733]
+    assert peaks[1] - peaks[0] <= 2 * 2**20, peaks
 
 
 def test_bench_simulate_commands_call_no_lstsq_qr_or_svd(tmp_path, capsys, monkeypatch):
@@ -932,7 +1065,7 @@ def reference_report(obj, cfg):
     from the run's signal, noise and erasure streams, np.linalg.lstsq on the
     surviving rows (or the naive sum in naive mode), and int_rank of the
     surviving columns for recoverability."""
-    phi, rows, raw, scales, bound = channel_inputs(obj)
+    phi, rows, raw, bound = channel_inputs(obj)
     m = phi.shape[1]
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)
@@ -1045,16 +1178,17 @@ def test_the_first_trials_of_a_longer_run_are_a_shorter_run(monkeypatch, obj, mo
     assert [e for e, _ in long_t[:137]] == pytest.approx([e for e, _ in short_t], rel=1e-12)
 
 
-def recorded_masks(monkeypatch):
-    """The survivor masks that reach the tight decoder, one array per block."""
-    masks = []
+def recorded_units(monkeypatch):
+    """The erased units of every trial, one array per block, as the trial
+    loop hands them to ``_erased_columns``."""
+    units = []
 
-    def build(*args):
-        decode = _downdate_decoder(*args)
-        return lambda y, keeps, deficits: masks.append(keeps.copy()) or decode(y, keeps, deficits)
+    def record(erased, *rest):
+        units.append(np.array(erased))
+        return _erased_columns(erased, *rest)
 
-    monkeypatch.setattr(channel, "_downdate_decoder", build)
-    return masks
+    monkeypatch.setattr(channel, "_erased_columns", record)
+    return units
 
 
 @pytest.mark.parametrize("obj", [build_gff(5, 2), ETF8], ids=["gff52", "etf8"])
@@ -1070,24 +1204,25 @@ def test_naive_two_erasure_mean_is_within_four_standard_errors_of_the_exact_valu
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_every_trial_erases_exactly_k_distinct_units(monkeypatch, k):
-    masks = recorded_masks(monkeypatch)
+    recorded = recorded_units(monkeypatch)
     for obj, units in ((ETF16, 16), (build_gff(4, 1), len(build_gff(4, 1).subspaces))):
-        masks.clear()
+        recorded.clear()
         simulate(obj, ChannelConfig(erasure=ErasureSpec.random_k(k), trials=300, seed=k))
-        keeps = np.vstack(masks)
-        assert keeps.shape == (300, units)
-        assert (keeps.sum(axis=1) == units - k).all()
+        erased = np.vstack(recorded)
+        assert erased.shape == (300, k)
+        assert ((0 <= erased) & (erased < units)).all()
+        assert (np.diff(erased, axis=1) > 0).all()  # ascending, so distinct
 
 
 def test_random_erasure_pairs_are_uniform(monkeypatch):
     # 15 000 trials erase 2 of 6 units: each of the 15 pairs is expected
     # 1000 times. The bound 36.12 is the 0.999 quantile of chi-square with
     # 14 degrees of freedom.
-    masks = recorded_masks(monkeypatch)
+    recorded = recorded_units(monkeypatch)
     basis6 = frame_from_integer_columns(np.eye(6, dtype=int), 1)
     trials = 15000
     simulate(basis6, ChannelConfig(erasure=ErasureSpec.random_k(2), trials=trials, seed=1))
-    counts = collections.Counter(tuple(np.flatnonzero(~keep).tolist()) for keep in np.vstack(masks))
+    counts = collections.Counter(map(tuple, np.vstack(recorded).tolist()))
     assert set(counts) == set(itertools.combinations(range(6), 2))
     expected = trials / 15
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())

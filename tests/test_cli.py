@@ -742,3 +742,24 @@ def test_numpy_loads_with_idle_blas_workers_asleep_unless_the_user_chose(entry, 
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == repr([seen])
+
+
+def test_only_commands_that_draw_import_numpy_random(tmp_path):
+    # numpy loads numpy.random, and with it secrets, hmac and _hashlib, on
+    # first use; gen-etf and verify draw nothing, simulate does.
+    obj = tmp_path / "e.json"
+    probe = "\n".join([
+        "import sys, hadframes, hadframes.cli",
+        f"argv = ['gen-etf', '--order', '16', '--output', {str(obj)!r}]",
+        "assert hadframes.cli.main(argv) == 0",
+        f"assert hadframes.cli.main(['verify', '--input', {str(obj)!r}]) == 0",
+        "before = 'numpy.random' in sys.modules",
+        f"assert hadframes.cli.main(['simulate', '--input', {str(obj)!r}, '--trials', '2']) == 0",
+        "print(before, 'numpy.random' in sys.modules)",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False True"
