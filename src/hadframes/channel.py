@@ -31,31 +31,50 @@ products over all its rows, b = y phi first. The errors are then
 aggregated in trial order. How the trials are blocked moves a report's
 floats in their last bits at most, and its counts not at all.
 
-Decoding a tight input. Every object the package builds is tight: the
-scaled columns T of its units (a frame's vectors, or each subspace's
-orthonormal basis) satisfy T T^T = A I. Least squares on the survivors then
-solves N x = b, with b = phi^T y (y zero at E) and N = A I - T_E T_E^T, where
-T_E holds only the k' erased columns (k for a frame, the sum of the erased
-m_i for a fusion frame). Write T_E^T T_E = W diag(lam) W^T, every lam_j in
-[0, A]. The minimum-norm solution that np.linalg.lstsq would return is
+Decoding. Least squares on the survivors solves N x = b, with
+b = phi^T y (y zero at E) and N = T T^T - T_E T_E^T, where T_E holds only
+the k' erased columns (k for a frame, the sum of the erased m_i for a
+fusion frame). One decoder serves every input, in four steps.
 
-    x = b / A + T_E W diag(h) W^T T_E^T b,
+Whitening, once per run: phi = Q R with Q^T Q = a I. Every object the
+package builds is tight, T T^T = A I, and then Q = phi, R = I and a = A, so
+nothing is formed. Any other input, which only an import can give, takes
+phi's QR factorization and a = 1. The survivors' least squares in z = R x
+has the normal matrix a I - U_E U_E^T, where U_E^T holds the erased rows
+Q[E] of Q.
 
-with h_j = 1 / (A (A - lam_j)) (the Woodbury identity), except
-h_j = -1 / A^2 where lam_j = A: those directions span the null space of N,
-and -1/A^2 gives the pseudo-inverse's 0 there. Each group reads its
-trials' k' rows phi[e] of phi and forms T_E^T T_E, T_E^T b and T_E v from
-them, one batched product each, and runs one batched k' x k' eigenproblem;
-no N x N matrix is formed and no survivor set's rows are factored. Which
-lam_j equal A is never decided by a float cutoff: they come out within
-about eps * A of A, and 1 / (A - lam_j) would then blow rounding error up
-by 1/eps. Their number is the exact deficit below, the dimension of the
-null space of N.
+Downdate. Write U_E^T U_E = W diag(lam) W^T, every lam_j in [0, a]. The
+minimum-norm z is
 
-Decoding an input that is not tight. Such an input can only come from an
-import. Each group of a block splits its trials by erased set, and each
-set's trials are solved together by one np.linalg.lstsq call on the
-surviving rows, with one right-hand side per trial.
+    z = Q^T y / a + U_E W diag(h) W^T U_E^T Q^T y,
+
+with h_j = 1 / (a (a - lam_j)) (the Woodbury identity), except
+h_j = -1 / a^2 where lam_j = a: those directions span the null space of
+the normal matrix, and -1/a^2 gives the pseudo-inverse's 0 there. Then
+x = R^-1 z, with R^-1 formed once per run. Each group reads its trials' k'
+rows Q[e] and forms U_E^T U_E, U_E^T b and U_E v from them, one batched
+product each, and runs one batched k' x k' eigenproblem; no N x N matrix is
+formed and no survivor set's rows are factored. Which lam_j equal a is
+never decided by a float cutoff: they come out within about eps * a of a,
+and 1 / (a - lam_j) would then blow rounding error up by 1/eps. Their
+number is the exact deficit below, the dimension of the null space of N.
+
+Refinement. Going through the normal matrix makes the downdate's error
+grow as eps * kappa^2, kappa the condition number of the survivors, where
+lstsq's grows as eps * kappa. One refinement step brings it back, as in
+corrected semi-normal equations (Bjorck, Linear Algebra Appl. 1987): the
+residual y - x phi^T, zeroed at E, goes through the same downdate, with
+the same eigendecompositions, and is added to x. A block in which nothing
+is erased is not refined: its z = Q^T y / a involves no normal matrix.
+
+Minimum norm. For a tight input R = I, so the minimum-norm z is the
+minimum-norm x. For any other input the survivors' null space in x is
+spanned by the columns of U = R^-1 U_E W_0, W_0 the null directions, and x
+is projected off them, x -= U (U^T U)^-1 U^T x: one batched k' x k' solve
+per group, with the identity on the live slots, so a trial whose survivors
+span is left as it is. U^T U can be as ill-conditioned as R^T R, so its
+rounding leaves part of x along U; a second pass with the same U^T U
+removes it, as reorthogonalization does in Gram-Schmidt.
 
 Recoverability. A trial is recoverable when its survivors span F^M, and
 one rule decides it for every input, in both modes. Let raw be the input's
@@ -67,14 +86,14 @@ that vanish on E, a space of dimension N - M - rank(C_E), so the N - k'
 survivors span M - k' + rank(C_E). An input that is not tight reads C_E
 from an integer null-space basis Z of raw (``int_kernel``), computed once
 per run, when the first erased set is decided. A tight input reads it from
-C = diag(q) (A D^-1 - raw^T raw), where D holds the columns' scales and q
-clears the denominators (for a frame, C = c I - raw^T raw with
-c = A / scale_sq): A I - T^T T is A times
-the projection onto the null space of T, so C is that projection with its
-rows and columns scaled by positive factors, and C's k' x k' block at E,
-which serves as C_E, has the rank of C's rows at E. That block needs only
-the exact k' x k' Gram block raw_E^T raw_E, which one batched checked_matmul
-forms for a whole group of trials; no N x N Gram is formed. One memo maps
+C = q (A D^-1 - raw^T raw), where D holds the columns' scales and q is the
+denominator of A (for a frame, C = q (A / scale_sq) I - q raw^T raw):
+A I - T^T T is A times the projection onto the null space of T, so C is
+that projection with its rows and columns scaled by positive factors, and
+C's k' x k' block at E, which serves as C_E, has the rank of C's rows at
+E. That block needs only the exact k' x k' Gram block raw_E^T raw_E, which
+one batched checked_matmul forms for a whole group of trials; no N x N
+Gram is formed. One memo maps
 what fixes C_E exactly to the deficit: the Gram block for a tight input
 (the scales follow from its diagonal), the erased columns for any other.
 C_E is built from Python ints and eliminated by fraction-free elimination
@@ -327,67 +346,63 @@ def _erased_columns(units: np.ndarray, rows: np.ndarray, starts: np.ndarray):
     return groups
 
 
-def _lstsq_decoder(phi: np.ndarray):
-    """Least-squares decoder for the analysis map ``phi`` of an input that
-    is not tight, which only an import can give.
+def _decoder(phi: np.ndarray, bound: Fraction | None):
+    """Least-squares decoder for the analysis map ``phi``: the module
+    docstring's whitening, downdate, refinement and, for an input that is
+    not tight, projection, run on a block of trials.
 
-    The returned ``decode(y, groups)`` takes one trial per row of ``y`` and
-    the groups of ``_simulate``: each a triple of trial indices, their
-    erased columns (rows of ``phi``) and their deficits, which it ignores.
+    ``bound`` is A for a tight input, where phi^T phi = A I, and None for
+    any other. The returned ``decode(y, groups)`` takes one trial per row of
+    ``y``, zero at its erased rows, and the groups of ``_simulate``: each a
+    triple of trial indices, their erased rows of ``phi`` as a (trials, k')
+    array ``e``, and the exact dimension of the null space of each trial's
+    normal matrix, which marks its null directions. Beyond the products with
+    the whole map, everything a trial needs comes from its k' rows of Q.
     Row t of the result is ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)``
-    for trial t's surviving rows S, or 0 where every row is erased. Each
-    distinct erased set of a group is solved once, with its trials as the
-    right-hand sides.
+    for trial t's survivors S, computed without factoring phi_S.
     """
+    if bound is None:
+        q, r = np.linalg.qr(phi)
+        r_inv, a = np.linalg.inv(r), 1.0
+    else:
+        q, r_inv, a = phi, None, float(bound)
 
     def decode(y: np.ndarray, groups) -> np.ndarray:
-        x = np.zeros((len(y), phi.shape[1]))
-        for trials, e, _ in groups:
-            sets: dict[tuple, list[int]] = {}
-            for t, erased in zip(trials.tolist(), map(tuple, e.tolist())):
-                sets.setdefault(erased, []).append(t)
-            for erased, t in sets.items():
-                keep = np.ones(len(phi), dtype=bool)
-                keep[list(erased)] = False
-                if keep.any():
-                    x[t] = np.linalg.lstsq(phi[keep], y[t][:, keep].T, rcond=None)[0].T
-        return x
-
-    return decode
-
-
-def _downdate_decoder(phi: np.ndarray, bound: Fraction):
-    """Least-squares decoder for a tight input: the rank-k' downdate of the
-    module docstring, run on a block of trials.
-
-    ``phi^T phi`` = ``bound`` * I. The returned ``decode(y, groups)`` takes
-    one trial per row of ``y``, zero at its erased rows, and the groups of
-    ``_simulate``: each a triple of trial indices, their erased rows of
-    ``phi`` as a (trials, k') array ``e``, and the exact dimension of the
-    null space of each trial's normal matrix. Everything a trial needs
-    beyond b = y phi comes from its k' rows ``phi[e]``: one batched product
-    each gives T_E^T T_E, T_E^T b and T_E v. Row t of the result is
-    ``np.linalg.lstsq(phi_S, y[t]_S, rcond=None)`` for trial t's survivors
-    S, computed without factoring phi_S.
-    """
-    a = float(bound)
-
-    def decode(y: np.ndarray, groups) -> np.ndarray:
-        b = y @ phi
-        x = b / a
+        ops = []
         for trials, e, deficits in groups:
-            k = e.shape[1]
-            if not k:
-                continue
-            t_e = phi[e]  # (trials, k', M): each trial's T_E^T
+            t_e = q[e]  # (trials, k', M): each trial's U_E^T
             lam, w = np.linalg.eigh(t_e @ t_e.transpose(0, 2, 1))
-            # lam <= A in ascending order, so each trial's null directions come last
-            live = np.arange(k) < k - deficits[:, None]
+            # lam <= a in ascending order, so each trial's null directions come last
+            live = np.arange(e.shape[1]) < e.shape[1] - deficits[:, None]
             h = np.full(lam.shape, -1.0 / a**2)
             h[live] = 1.0 / (a * (a - lam[live]))
-            z = t_e @ b[trials][:, :, None]  # T_E^T b
-            v = w @ (h[:, :, None] * (w.transpose(0, 2, 1) @ z))
-            x[trials] += (v.transpose(0, 2, 1) @ t_e)[:, 0]  # T_E v
+            ops.append((trials, t_e, w, h, live))
+
+        def downdate(v):
+            b = v @ q
+            z = b / a
+            for trials, t_e, w, h, _ in ops:
+                s = t_e @ b[trials][:, :, None]  # U_E^T b
+                s = w @ (h[:, :, None] * (w.transpose(0, 2, 1) @ s))
+                z[trials] += (s.transpose(0, 2, 1) @ t_e)[:, 0]  # U_E s
+            return z if r_inv is None else z @ r_inv.T
+
+        x = downdate(y)
+        if any(e.size for _, e, _ in groups):  # with nothing erased, Q^T y / a needs no refinement
+            res = y - x @ phi.T
+            for trials, e, _ in groups:
+                res[trials[:, None], e] = 0.0  # nothing is received there
+            x += downdate(res)
+        if r_inv is None:  # R = I: the minimum-norm z is the minimum-norm x
+            return x
+        for trials, t_e, w, _, live in ops:
+            # the rows of U^T, R^-1 U_E w for each null direction w, and 0 on the live
+            # slots, where the identity in U^T U leaves x alone
+            u = (w.transpose(0, 2, 1) @ t_e) @ r_inv.T * ~live[:, :, None]
+            g = u @ u.transpose(0, 2, 1) + np.eye(live.shape[1]) * live[:, :, None]
+            for _ in range(2):  # the second pass removes what rounding in g left along U
+                c = np.linalg.solve(g, u @ x[trials][:, :, None])
+                x[trials] -= (c.transpose(0, 2, 1) @ u)[:, 0]
         return x
 
     return decode
@@ -402,12 +417,12 @@ def _erasure_deficit(raw: np.ndarray, bound: Fraction | None):
     what fixes C_E exactly to the deficit, and C_E is built from Python ints
     and eliminated only on a miss. For a tight input the key is the exact
     Gram block G = raw_E^T raw_E, one batched checked_matmul per call: row j
-    of C_E is q_j (A/s_j e_j - G_j), where s_j is column j's scale and q_j
-    the denominator of A/s_j, so scaling rows by q_j keeps the rank and
-    clears every fraction. G fixes the scales too, since every scaled basis
-    is orthonormal: s_j G_jj = 1, so A/s_j = A G_jj. Distinct erased sets
-    often share G (on an ETF, G only depends on the signs of the erased
-    vectors' inner products), so each G is eliminated once. For any other
+    of C_E is p G_jj e_j - q G_j for A = p / q, that is q (A/s_j e_j - G_j)
+    with s_j column j's scale, since G fixes the scales: every scaled basis
+    is orthonormal, so s_j G_jj = 1 and A/s_j = A G_jj. Scaling every row by
+    the one positive q keeps the rank and clears every fraction. Distinct
+    erased sets often share G (on an ETF, G only depends on the signs of the
+    erased vectors' inner products), so each G is eliminated once. For any other
     input the key is the erased columns, and C_E their rows of the integer
     kernel basis Z of ``raw``, computed once, on the first miss; a run that
     erases nothing never builds it.
@@ -424,9 +439,8 @@ def _erasure_deficit(raw: np.ndarray, bound: Fraction | None):
         def c_block(key):
             k = math.isqrt(len(key))
             gram = [key[i * k:(i + 1) * k] for i in range(k)]
-            ratios = [bound * row[i] for i, row in enumerate(gram)]
-            return [[r.numerator * (i == j) - r.denominator * g for j, g in enumerate(row)]
-                    for i, (r, row) in enumerate(zip(ratios, gram))]
+            return [[bound.numerator * row[i] * (i == j) - bound.denominator * g
+                     for j, g in enumerate(row)] for i, row in enumerate(gram)]
     memo: dict[tuple, int] = {}
 
     def deficit(e: np.ndarray) -> np.ndarray:
@@ -456,10 +470,10 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     module docstring says. Each block's trials are grouped by k', and each
     group's erased columns ``e`` are all that the rest of the block reads of
     the erasures: the received rows there are zeroed, the deficits come from
-    ``_erasure_deficit``, and the decoder reads its blocks from ``phi[e]``.
-    Naive mode needs a tight input and returns ``y phi / A``; otherwise a
-    tight input decodes through ``_downdate_decoder`` and any other through
-    ``_lstsq_decoder``, one lstsq call per erased set and block. Every input
+    ``_erasure_deficit``, and the decoder reads its blocks from the rows at
+    ``e`` of the whitened map. Naive mode needs a tight input and returns
+    ``y phi / A``; otherwise every input decodes through ``_decoder``, whose
+    exact deficits mark the null directions. Every input
     decides recoverability by one rule: the survivors fail to span F^M by
     k' - rank(C_E), since their null vectors are the null vectors of the
     input's integer matrix that vanish on the erased columns. A run with no
@@ -476,15 +490,9 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     m = phi.shape[1]
     deficit = _erasure_deficit(raw, bound)
 
-    if cfg.mode == "naive":
-        if bound is None:
-            raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
-        a = float(bound)
-        decode = lambda y, _: y @ phi / a  # noqa: E731
-    elif bound is not None:
-        decode = _downdate_decoder(phi, bound)
-    else:
-        decode = _lstsq_decoder(phi)
+    if cfg.mode == "naive" and bound is None:
+        raise ValidationError("naive reconstruction requires a tight frame or fusion frame")
+    decode = (lambda y, _: y @ phi / float(bound)) if cfg.mode == "naive" else _decoder(phi, bound)
     fixed = np.array(spec.indices, dtype=np.intp)  # empty unless the mode is fixed
     streams = np.random.SeedSequence(int(cfg.seed)).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)

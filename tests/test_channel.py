@@ -43,10 +43,9 @@ from hadframes.intlinalg import _rank_fraction_free
 from hadframes.channel import (
     MAX_TRIALS,
     SimReport,
-    _downdate_decoder,
+    _decoder,
     _erased_columns,
     _erasure_deficit,
-    _lstsq_decoder,
     default_signal_source,
     simulate,
 )
@@ -487,15 +486,26 @@ def decode_block(decode, deficit, rows, keeps, y):
     return decode(y, groups), deficits
 
 
-def assert_decodes_like_lstsq(phi, rows, sets, seed):
-    """Decode one block that sends every set of surviving units twice; unit
-    i owns the next ``rows[i]`` rows of ``phi``. Each row must match
-    x = np.linalg.lstsq's solution for its trial within 1e-12 * (1 + |x|)."""
+def assert_decodes_like_lstsq(raw, rows, scales, sets, seed):
+    """Decode one block that sends every set of surviving units twice through
+    the decoder as a non-tight input would; unit i owns the next ``rows[i]``
+    columns of the integer matrix ``raw``, which span F^M, at scale
+    ``scales[i]``. Each trial gets its exact deficit, M - int_rank of its
+    surviving columns, and each row must match x = np.linalg.lstsq's
+    solution for its trial within 1e-12 * (1 + |x|)."""
+    phi, rows = coordinate_map(raw, rows, scales)
+    m = phi.shape[1]
     keeps = np.array([survivor_mask(len(rows), surv) for surv in list(sets) * 2])
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((len(keeps), phi.shape[1])) @ phi.T
+    y = rng.standard_normal((len(keeps), m)) @ phi.T
     y += rng.normal(0.0, 0.1, y.shape)
-    got, _ = decode_block(_lstsq_decoder(phi), lambda e: np.zeros(len(e), dtype=int), rows, keeps, y)
+
+    def deficit(e):
+        keep = np.ones((len(e), len(phi)), dtype=bool)
+        keep[np.arange(len(e))[:, None], e] = False
+        return np.array([m - int_rank(raw[:, k]) for k in keep], dtype=int)
+
+    got, _ = decode_block(_decoder(phi, None), deficit, rows, keeps, y)
     for surv, keep, y_t, x in zip(list(sets) * 2, keeps, y, got):
         idx = np.repeat(keep, rows)
         want = np.linalg.lstsq(phi[idx], y_t[idx], rcond=None)[0]
@@ -509,13 +519,13 @@ def survivor_sets(units):
 
 @st.composite
 def integer_frames(draw):
-    """A small integer synthesis map (columns need not be unit-norm or span)
-    and survivor sets of its columns, rank-deficient ones included."""
+    """A small integer synthesis map whose columns span F^M (they need not
+    be unit-norm) and survivor sets of its columns, rank-deficient ones
+    included."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(m, 7))
     entries = draw(st.lists(st.integers(-3, 3), min_size=m * n, max_size=m * n))
-    t_syn = np.array(entries, dtype=float).reshape(m, n)
-    return t_syn.T, draw(survivor_sets(n))
+    return spanning(np.array(entries).reshape(m, n)), draw(survivor_sets(n))
 
 
 WALSH4 = np.array(build_walsh(2).base.entries)
@@ -523,23 +533,24 @@ WALSH4 = np.array(build_walsh(2).base.entries)
 
 @st.composite
 def mixed_fusion_maps(draw):
-    """The coordinate map of subspaces of F^4 with unequal dimensions and
-    two scales: coordinate planes (scale 1) and Walsh-column spans (1/4)."""
+    """Subspaces of F^4 that jointly span it, with unequal dimensions and
+    two scales: coordinate planes (scale 1) and Walsh-column spans (1/4).
+    Returns their integer matrix, row counts and scales, and survivor sets."""
     subs = []
     for _ in range(draw(st.integers(2, 5))):
         cols = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
         basis, scale = draw(st.sampled_from([(np.eye(4, dtype=int), 1), (WALSH4, Fraction(1, 4))]))
         subs.append(subspace_from_columns(basis[:, cols], scale))
-    phi, rows = coordinate_map(np.hstack([s.basis_raw for s in subs]), [s.dim for s in subs],
-                               [s.scale_sq for s in subs])
-    return phi, rows, draw(survivor_sets(len(subs)))
+    raw = spanning(np.hstack([s.basis_raw for s in subs]))
+    return raw, [s.dim for s in subs], [s.scale_sq for s in subs], draw(survivor_sets(len(subs)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(integer_frames(), st.integers(0, 2**32 - 1))
 def test_decoder_matches_lstsq_on_integer_frames(case, seed):
-    phi, sets = case
-    assert_decodes_like_lstsq(phi, np.ones(len(phi), dtype=int), sets, seed)
+    raw, sets = case
+    n = raw.shape[1]
+    assert_decodes_like_lstsq(raw, [1] * n, [1] * n, sets, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,19 +561,68 @@ def test_decoder_matches_lstsq_on_mixed_fusion_frames(case, seed):
 
 def test_decoder_matches_lstsq_on_rank_deficient_and_ill_conditioned_survivors(basis3):
     # basis3 minus a vector, a pair of columns with condition number 1600 on
-    # the set (0, 1), and 61 of the 64 vectors of the order-64 ETF in F^63
-    nearly_parallel = np.array([[21.0, 20.0], [20.0, 19.0], [1.0, -1.0]])
+    # the set (0, 1), 61 of the 64 vectors of the order-64 ETF in F^63, and
+    # well-conditioned rank-deficient sets of a square map with condition
+    # number 512, which R^-1 amplifies
+    nearly_parallel = np.array([[21, 20, 1], [20, 19, -1]])
+    square = np.array([[1, 3, -3, 0], [1, 2, 2, -2], [-2, 3, 3, 1], [1, 2, -3, 0]])
     etf64 = etf_from_hadamard(build_walsh(6).base)
     drops = [(0, 1, 2), (5, 17, 63), (10, 20, 30)]
-    phi3, _ = coordinate_map(basis3.raw, [1] * 3, [1] * 3)
-    phi64, _ = coordinate_map(etf64.raw, [1] * 64, [etf64.scale_sq] * 64)
     cases = [
-        (phi3, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0),
-        (nearly_parallel, [(0, 1), (0, 1, 2)], 2),
-        (phi64, [tuple(i for i in range(64) if i not in d) for d in drops], 1),
+        (basis3.raw, 1, [(0, 1), (0, 2), (1, 2), (0, 1, 2)], 0),
+        (nearly_parallel, 1, [(0, 1), (0, 1, 2)], 2),
+        (etf64.raw, etf64.scale_sq, [tuple(i for i in range(64) if i not in d) for d in drops], 1),
+        (square, 1, [(2, 3), (1, 3), (1, 2), (2,)], 2026),
     ]
-    for phi, sets, seed in cases:
-        assert_decodes_like_lstsq(phi, np.ones(len(phi), dtype=int), sets, seed)
+    for raw, scale, sets, seed in cases:
+        n = raw.shape[1]
+        assert_decodes_like_lstsq(raw, [1] * n, [scale] * n, sets, seed)
+
+
+def exact_min_norm(rows, y):
+    """The minimum-norm least-squares solution of rows @ x = y in Fractions:
+    x = B^T w for a basis B of the row space, with B A^T A B^T w = B A^T y."""
+    basis = []
+    for r in rows:
+        if _rank_fraction_free(basis + [r]) > len(basis):
+            basis.append(r)
+    cols = list(zip(*rows))
+    aty = [sum(Fraction(a) * t for a, t in zip(col, y)) for col in cols]
+    av = [[sum(a * b for a, b in zip(row, v)) for row in rows] for v in basis]  # A B^T, by column
+    # Gauss-Jordan on [B A^T A B^T | B A^T y]
+    aug = [[Fraction(sum(p * q for p, q in zip(u, v))) for v in av]
+           + [sum(b * t for b, t in zip(bu, aty))] for u, bu in zip(av, basis)]
+    k = len(basis)
+    for c in range(k):
+        p = next(i for i in range(c, k) if aug[i][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c]:
+                aug[i] = [v - aug[i][c] * w for v, w in zip(aug[i], aug[c])]
+    return [sum(aug[j][k] * basis[j][i] for j in range(k)) for i in range(len(cols))]
+
+
+@pytest.mark.parametrize("c", [10, 100, 1000])
+def test_decoder_is_as_close_to_the_exact_minimum_norm_solution_as_lstsq(c):
+    # columns (c+1, c), (c, c-1), (1, -1), (0, 1): the survivors {0, 1} have
+    # condition number about 4c^2, and every single survivor is deficient
+    raw = np.array([[c + 1, c, 1, 0], [c, c - 1, -1, 1]])
+    phi = raw.T.astype(float)
+    rng = np.random.default_rng(c)
+    decode = _decoder(phi, None)
+    for k in (1, 2, 3):
+        for erased in itertools.combinations(range(4), k):
+            keep = [j for j in range(4) if j not in erased]
+            y = phi @ rng.standard_normal(2) + rng.normal(0.0, 0.1, 4)
+            y[list(erased)] = 0.0
+            deficit = np.array([2 - int_rank(raw[:, keep])])
+            x = decode(y[None], [(np.array([0]), np.array([erased]), deficit)])[0]
+            want = np.array(exact_min_norm(raw.T[keep].tolist(), [Fraction(v) for v in y[keep]]),
+                            dtype=float)
+            lstsq = np.linalg.lstsq(phi[keep], y[keep], rcond=None)[0]
+            bound = 2 * np.abs(lstsq - want).max() + 1e-15 * (1 + np.linalg.norm(want))
+            assert np.abs(x - want).max() <= bound, erased
 
 
 def test_memory_does_not_grow_with_trials():
@@ -719,7 +779,7 @@ def assert_downdate_matches_lstsq(obj, erased_sets, seed):
     keeps = np.array([~survivor_mask(len(rows), erased) for erased in erased_sets])
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((len(keeps), m)) @ phi.T + rng.normal(0.0, 0.1, (len(keeps), len(phi)))
-    got, deficits = decode_block(_downdate_decoder(phi, bound), _erasure_deficit(raw, bound),
+    got, deficits = decode_block(_decoder(phi, bound), _erasure_deficit(raw, bound),
                                  rows, keeps, y)
     for erased, keep, y_t, x, d in zip(erased_sets, keeps, y, got, deficits):
         idx = np.repeat(keep, rows)
@@ -1025,13 +1085,22 @@ def test_bench_simulate_commands_call_no_lstsq_qr_or_svd(tmp_path, capsys, monke
     assert calls == []
 
 
-def test_non_tight_import_decodes_through_the_lstsq_decoder(monkeypatch):
+def test_non_tight_import_decodes_without_lstsq(monkeypatch):
     lop = frame_from_integer_columns([[1, 0, 1], [0, 1, 0]], 1)  # frame operator diag(2, 1)
-    built = []
-    monkeypatch.setattr(channel, "_lstsq_decoder", lambda *a: built.append(1) or _lstsq_decoder(*a))
-    rep = simulate_frame(lop, ChannelConfig(erasure=ErasureSpec.random_k(1), trials=40, seed=6))
-    assert built == [1]
-    # erasing the only vector along e_1 loses that axis; any other erasure recovers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the channel called np.linalg.lstsq")
+
+    cfgs = [ChannelConfig(noise_std=s, erasure=ErasureSpec.random_k(1), trials=40, seed=6)
+            for s in (0.0, 0.1)]
+    want = [reference_report(lop, cfg) for cfg in cfgs]
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    got = [simulate_frame(lop, cfg) for cfg in cfgs]
+    for rep, ref in zip(got, want):
+        assert_reports_agree(rep, ref)
+    # erasing the only vector along e_1 loses that axis; any other erasure
+    # recovers, exactly when there is no noise
+    rep = got[0]
     assert 0 < rep.non_recoverable_count < 40
     assert rep.exact_recovery_count == 40 - rep.non_recoverable_count
     assert rep.survivor_sets == 3
@@ -1133,6 +1202,18 @@ REFERENCE_CASES = [
 def test_block_decoding_matches_a_per_trial_lstsq_reference(obj, noise_std, erasure, mode):
     cfg = ChannelConfig(noise_std=noise_std, erasure=erasure, trials=300, seed=31, mode=mode)
     assert_reports_agree(simulate(obj, cfg), reference_report(obj, cfg))
+
+
+def test_order_256_etf_decodes_within_2e_14_of_the_lstsq_reference():
+    # One erasure leaves A - lam = 1/255, which amplifies the rounding of lam;
+    # the refinement step brings the report back to lstsq's.
+    etf = etf_from_hadamard(build_walsh(8).base)
+    cfg = ChannelConfig(noise_std=0.01, erasure=ErasureSpec.random_k(1), trials=300, seed=3)
+    got, want = simulate(etf, cfg), reference_report(etf, cfg)
+    for name in ("exact_recovery_count", "non_recoverable_count", "survivor_sets"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("mean_mse", "max_mse", "mean_mse_stderr"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=2e-14, abs=0), name
 
 
 @pytest.mark.parametrize("obj,mode", [
