@@ -346,6 +346,15 @@ def _erased_columns(units: np.ndarray, rows: np.ndarray, starts: np.ndarray):
     return groups
 
 
+def _distinct_rows(a: np.ndarray) -> int:
+    """The number of distinct rows of the nonempty C-contiguous 2-D array
+    ``a``: its rows, read as void scalars, are sorted in place and
+    neighbours compared (np.unique would import numpy.ma)."""
+    v = a.view(f"V{a.itemsize * a.shape[1]}").ravel()
+    v.sort()
+    return 1 + int(np.count_nonzero(v[1:] != v[:-1]))
+
+
 def _decoder(phi: np.ndarray, bound: Fraction | None):
     """Least-squares decoder for the analysis map ``phi``: the module
     docstring's whitening, downdate, refinement and, for an input that is
@@ -478,8 +487,10 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     k' - rank(C_E), since their null vectors are the null vectors of the
     input's integer matrix that vanish on the erased columns. A run with no
     erasures forms no Gram block and decides no deficit. ``survivor_sets``
-    counts the distinct rows of erased unit indices, kept as bytes. ``what``
-    names the units in error messages.
+    counts the distinct sets of erased units: each block writes its sorted
+    rows of unit indices into one packed (trials, k) array of the narrowest
+    unsigned type that holds a unit index, counted by one sort at the end.
+    ``what`` names the units in error messages.
     """
     raw, rows, bound = ff.basis_raw, np.array(ff.dims), ff.bound_A
     starts = np.cumsum(rows) - rows
@@ -497,7 +508,8 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     streams = np.random.SeedSequence(int(cfg.seed)).spawn(3)
     signals, noises, erasures = map(np.random.default_rng, streams)
     acc = _Accumulator()
-    survivor_sets: set[bytes] = set()
+    # every trial's erased units; k is 0, and the array empty, unless they are random
+    drawn = np.empty((cfg.trials, spec.k), dtype=np.min_scalar_type(n_units - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite errors raise below
         for start in range(0, cfg.trials, BLOCK_TRIALS):
             n = min(BLOCK_TRIALS, cfg.trials - start)
@@ -510,7 +522,7 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
             if spec.mode == "random":  # the k smallest of one uniform per unit
                 erased = np.argpartition(erasures.random((n, n_units)), spec.k - 1, axis=1)
                 units = np.sort(erased[:, :spec.k], axis=1)
-                survivor_sets.update(units.view(f"V{units.itemsize * spec.k}").ravel().tolist())
+                drawn[start:start + n] = units
             else:
                 units = np.broadcast_to(fixed, (n, len(fixed)))
             deficits = np.zeros(n, dtype=int)
@@ -525,7 +537,7 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
             for err, d in zip(mse.tolist(), deficits.tolist()):
                 acc.add(err, d == 0)
     # a fixed erasure, or none, leaves one survivor set
-    return acc.report(cfg, len(survivor_sets) if spec.mode == "random" else 1)
+    return acc.report(cfg, _distinct_rows(drawn) if spec.k else 1)
 
 
 def simulate_frame(

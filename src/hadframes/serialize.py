@@ -204,7 +204,7 @@ def _int_text(a: np.ndarray, sep: str, end: str) -> str:
         buf[..., j] = np.where(shown, r + ord("0"), 0)
     buf[:, :-1, 1 + width:] = np.frombuffer(sep.encode().ljust(slot, b"\0"), np.uint8)
     buf[:, -1, 1 + width:] = np.frombuffer(end.encode().ljust(slot, b"\0"), np.uint8)
-    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _json_text(value) -> str:

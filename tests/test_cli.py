@@ -744,11 +744,22 @@ def test_numpy_loads_with_idle_blas_workers_asleep_unless_the_user_chose(entry, 
     assert done.stdout.splitlines()[-1] == repr([seen])
 
 
+def last_probe_line(*lines: str) -> str:
+    """Run ``lines`` as one program in a fresh interpreter on this checkout's
+    package; the last line it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_only_commands_that_draw_import_numpy_random(tmp_path):
     # numpy loads numpy.random, and with it secrets, hmac and _hashlib, on
     # first use; gen-etf and verify draw nothing, simulate does.
     obj = tmp_path / "e.json"
-    probe = "\n".join([
+    assert last_probe_line(
         "import sys, hadframes, hadframes.cli",
         f"argv = ['gen-etf', '--order', '16', '--output', {str(obj)!r}]",
         "assert hadframes.cli.main(argv) == 0",
@@ -756,10 +767,17 @@ def test_only_commands_that_draw_import_numpy_random(tmp_path):
         "before = 'numpy.random' in sys.modules",
         f"assert hadframes.cli.main(['simulate', '--input', {str(obj)!r}, '--trials', '2']) == 0",
         "print(before, 'numpy.random' in sys.modules)",
-    ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False True"
+    ) == "False True"
+
+
+def test_counting_survivor_sets_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique's 1-D form imports numpy.ma, about 1.3 MiB of RSS; simulate
+    # counts its distinct survivor sets with one sort instead.
+    obj = tmp_path / "e.json"
+    assert last_probe_line(
+        "import sys, hadframes.cli",
+        f"assert hadframes.cli.main(['gen-etf', '--order', '16', '--output', {str(obj)!r}]) == 0",
+        f"argv = ['simulate', '--input', {str(obj)!r}, '--erase-random', '2', '--trials', '300']",
+        "assert hadframes.cli.main(argv) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ) == "False"
