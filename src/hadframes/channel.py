@@ -2,7 +2,7 @@
 
 A fusion frame of L subspaces is a frame of sum_i m_i scaled basis
 vectors, sent in L units of m_i coefficients each; a frame of N vectors is
-the case m_i = 1. One trial loop (``_simulate``) sends both through one
+the case m_i = 1. One trial loop (``simulate``) sends both through one
 analysis map phi = T^T, where T is the input's one integer matrix with
 every column scaled by the square root of its unit's scale. Every
 transmitted scalar picks up i.i.d. zero-mean Gaussian noise of standard
@@ -254,7 +254,9 @@ def default_signal_source(rng: np.random.Generator, n: int, dim: int) -> np.ndar
     return v / nrm[:, None]
 
 
-def _check_erasure(spec: ErasureSpec, units: int, what: str) -> None:
+def _check_erasure(spec: ErasureSpec, ff: FusionFrame) -> None:
+    units = len(ff.dims)
+    what = "coefficients" if isinstance(ff, ScaledFrame) else "subspace pieces"
     if spec.indices and spec.indices[-1] >= units:
         raise ValidationError(
             f"fixed erasure index {spec.indices[-1]} out of range for {units} {what}"
@@ -362,7 +364,7 @@ def _decoder(phi: np.ndarray, bound: Fraction | None):
 
     ``bound`` is A for a tight input, where phi^T phi = A I, and None for
     any other. The returned ``decode(y, groups)`` takes one trial per row of
-    ``y``, zero at its erased rows, and the groups of ``_simulate``: each a
+    ``y``, zero at its erased rows, and the groups of ``simulate``: each a
     triple of trial indices, their erased rows of ``phi`` as a (trials, k')
     array ``e``, and the exact dimension of the null space of each trial's
     normal matrix, which marks its null directions. Beyond the products with
@@ -463,16 +465,22 @@ def _erasure_deficit(raw: np.ndarray, bound: Fraction | None):
     return deficit
 
 
-def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
-              signal_source: SignalSource) -> SimReport:
-    """The trial loop: send ``phi @ x`` in units, add noise, erase, decode.
+def simulate(ff: FusionFrame, cfg: ChannelConfig,
+             signal_source: SignalSource = default_signal_source) -> SimReport:
+    """Run the channel over a frame or a fusion frame: send ``phi @ x`` in
+    units, add noise, erase, decode, and aggregate the squared errors.
 
-    Unit i is subspace i of ``ff``, the next ``ff.dims[i]`` columns of its
-    integer matrix, scaled by the square root of ``ff.scales[i]``; a frame
-    is the fusion frame of its lines, one column per unit. The scaled
-    columns are T, and ``phi = T^T`` is the one analysis map: unit i sends
-    its columns' coefficients, so it owns as many rows of ``phi`` as it has
-    columns.
+    Unit i is subspace i of ``ff``: the m_i coordinates ``B_i^T x`` of the
+    signal in subspace i's scaled orthonormal basis, that is, the next
+    ``ff.dims[i]`` columns of its integer matrix scaled by the square root
+    of ``ff.scales[i]``, so an erasure drops the whole subspace. A frame is
+    the fusion frame of its lines, one column and so one coefficient per
+    unit. The scaled columns are T, and ``phi = T^T`` is the one analysis
+    map: unit i sends its columns' coefficients, so it owns as many rows of
+    ``phi`` as it has columns. The noise model is in the module docstring.
+    Errors name the units by the object's kind: "coefficients" for a frame,
+    "subspace pieces" for any other fusion frame.
+
     Tightness and A are ``ff.bound_A``, which the constructor's spanning
     proof has already formed. Trials are drawn and decoded ``BLOCK_TRIALS``
     at a time from the run's signal, noise and erasure streams, as the
@@ -482,21 +490,25 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     ``_erasure_deficit``, and the decoder reads its blocks from the rows at
     ``e`` of the whitened map. Naive mode needs a tight input and returns
     ``y phi / A``; otherwise every input decodes through ``_decoder``, whose
-    exact deficits mark the null directions. Every input
-    decides recoverability by one rule: the survivors fail to span F^M by
-    k' - rank(C_E), since their null vectors are the null vectors of the
-    input's integer matrix that vanish on the erased columns. A run with no
-    erasures forms no Gram block and decides no deficit. ``survivor_sets``
-    counts the distinct sets of erased units: each block writes its sorted
-    rows of unit indices into one packed (trials, k) array of the narrowest
-    unsigned type that holds a unit index, counted by one sort at the end.
-    ``what`` names the units in error messages.
+    exact deficits mark the null directions.
+
+    Every input decides recoverability by one rule: the survivors fail to
+    span F^M by k' - rank(C_E), since their null vectors are the null
+    vectors of the input's integer matrix that vanish on the erased columns.
+    A survivor set that does not span counts as non-recoverable; its
+    minimum-norm solution is still recorded. A run with no erasures forms no
+    Gram block and decides no deficit. ``survivor_sets`` counts the distinct
+    sets of erased units: each block writes its sorted rows of unit indices
+    into one packed (trials, k) array of the narrowest unsigned type that
+    holds a unit index, counted by one sort at the end.
     """
+    if not isinstance(ff, FusionFrame):
+        raise ValidationError(f"simulate needs a frame or fusion frame, got {type(ff).__name__}")
     raw, rows, bound = ff.basis_raw, np.array(ff.dims), ff.bound_A
     starts = np.cumsum(rows) - rows
     n_units = len(rows)
     spec = cfg.erasure
-    _check_erasure(spec, n_units, what)
+    _check_erasure(spec, ff)
     phi = _analysis_map(raw, rows, ff.scales)
     m = phi.shape[1]
     deficit = _erasure_deficit(raw, bound)
@@ -540,56 +552,13 @@ def _simulate(ff: FusionFrame, what: str, cfg: ChannelConfig,
     return acc.report(cfg, _distinct_rows(drawn) if spec.k else 1)
 
 
-def simulate_frame(
-    f: ScaledFrame,
-    cfg: ChannelConfig,
-    signal_source: SignalSource = default_signal_source,
-) -> SimReport:
-    """Transmit frame coefficients of random signals; reconstruct; aggregate.
-
-    A frame is the fusion frame of its lines, so it goes down
-    ``simulate_fusion``'s path: each of the ``count`` units is one
-    coefficient, a row of ``T^T``. A survivor set that does not span F^M
-    counts as non-recoverable; its minimum-norm solution is still recorded.
-    """
-    return _simulate(f, "coefficients", cfg, signal_source)
-
-
-def simulate_fusion(
-    ff: FusionFrame,
-    cfg: ChannelConfig,
-    signal_source: SignalSource = default_signal_source,
-) -> SimReport:
-    """Transmit subspace coordinates of random signals; erasures drop whole
-    subspaces; reconstruct; aggregate.
-
-    Each of the L units is the m_i coordinates ``B_i^T x`` of the signal in
-    subspace i's scaled orthonormal basis, so the fusion frame goes through
-    the channel as the frame of all its basis vectors. The noise model is in
-    the module docstring.
-    """
-    return _simulate(ff, "subspace pieces", cfg, signal_source)
-
-
-# Entries call through the module names, so a simulator rebound on this module
-# (by a monkeypatch or the benchmark's span tracer) is the one that runs.
-_SIMULATORS = {
-    ScaledFrame: lambda f, cfg, source: simulate_frame(f, cfg, source),
-    FusionFrame: lambda ff, cfg, source: simulate_fusion(ff, cfg, source),
-}
-
-
-def simulate(obj, cfg: ChannelConfig,
-             signal_source: SignalSource = default_signal_source) -> SimReport:
-    """Run the channel over a frame or a fusion frame."""
-    run = _SIMULATORS.get(type(obj))
-    if run is None:
-        raise ValidationError(f"simulate needs a frame or fusion frame, got {type(obj).__name__}")
-    return run(obj, cfg, signal_source)
+# Two more public names of ``simulate``. The benchmark's span tracer wraps these
+# names, and as it patches by identity, every binding of ``simulate`` too.
+simulate_frame = simulate_fusion = simulate
 
 
 def compare(
-    candidates: Sequence[tuple[str, ScaledFrame | FusionFrame]],
+    candidates: Sequence[tuple[str, FusionFrame]],
     cfg: ChannelConfig,
     signal_source: SignalSource = default_signal_source,
 ) -> list[tuple[str, SimReport]]:
@@ -606,7 +575,7 @@ def compare(
     if not cands:
         raise ValidationError("compare needs at least one candidate")
     for name, obj in cands:
-        if type(obj) not in _SIMULATORS:
+        if not isinstance(obj, FusionFrame):
             raise ValidationError(f"candidate {name!r} is not a frame or fusion frame")
     dims = {obj.ambient_dim for _, obj in cands}
     if len(dims) != 1:

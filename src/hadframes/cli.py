@@ -203,32 +203,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadframes",
         description="Hadamard-based tight frames and fusion frames with exact certificates",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        # every option is spelled in full: a prefix could pass for another option
+        return sub.add_parser(name, help=text, allow_abbrev=False)
 
     for name, build, text in (
         ("gen-hadamard", hadamard.build_sylvester,
          "order-2^k Hadamard matrix (doubling construction)"),
         ("gen-walsh", hadamard.build_walsh, "sequency-ordered Hadamard matrix of order 2^k"),
     ):
-        p = sub.add_parser(name, help=text)
+        p = command(name, text)
         p.add_argument("--k", type=int, required=True)
         _add_format(p, "json")
         p.set_defaults(handler=_cmd_gen_matrix, build=build)
 
-    p = sub.add_parser("gen-etf", help="equiangular tight frame from a Hadamard matrix")
+    p = command("gen-etf", "equiangular tight frame from a Hadamard matrix")
     p.add_argument("--order", type=int, help="power-of-two order (built internally)")
     p.add_argument("--input", help="JSON/CSV file with a Hadamard matrix of any valid order")
     _add_format(p, "json")
     p.set_defaults(handler=_cmd_gen_etf)
 
-    p = sub.add_parser("gen-gff", help="equi-distance tight fusion frame from W_n")
+    p = command("gen-gff", "equi-distance tight fusion frame from W_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_format(p, "json")
     p.set_defaults(handler=_cmd_gen_gff)
 
-    p = sub.add_parser("verify", help="re-run certificates on an imported object")
+    p = command("verify", "re-run certificates on an imported object")
     p.add_argument("--input", required=True)
     p.add_argument(
         "--require", choices=["valid", "tight", "grassmannian"], default="tight",
@@ -237,20 +242,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "text", choices=("json", "text"))
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("simulate", help="noise/erasure Monte-Carlo on a frame or fusion frame")
+    p = command("simulate", "noise/erasure Monte-Carlo on a frame or fusion frame")
     p.add_argument("--input", required=True)
     _add_channel_flags(p)
     _add_format(p, "text", choices=("json", "text"))
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="simulate several candidates with a shared seed schedule")
-    p.add_argument("--inputs", nargs="+", required=True)
+    p = command("compare", "simulate several candidates with a shared seed schedule")
+    p.add_argument("--inputs", nargs="+", action="extend", required=True,
+                   help="object files; a repeated --inputs adds to the list")
     p.add_argument("--names", help="comma-separated names, one per input")
     _add_channel_flags(p)
     _add_format(p, "text", choices=("json", "text"))
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("export", help="convert an object between JSON and CSV")
+    p = command("export", "convert an object between JSON and CSV")
     p.add_argument("--input", required=True)
     _add_format(p, "json", choices=("json", "csv"))
     p.set_defaults(handler=_cmd_export)

@@ -14,7 +14,8 @@ its ``fusion.py`` twin on the frame itself:
   unit norm is orthonormality of each line's basis, and spanning is its
   spanning proof;
 - tightness is ``bound_A``, formed once by that proof and read again by
-  ``is_tight``, the certificate, tight reconstruction and the channel;
+  ``is_tight`` (another name of ``fusion_tight``), the certificate, tight
+  reconstruction and the channel;
 - the certificate is the lines' ``equidistance_certificate`` under frame
   names: equal angles are equal distances, and the squared correlation
   |<e_i, e_j>|^2 = tr(P_i P_j) is 1 minus the lines' squared chordal
@@ -144,11 +145,8 @@ def welch_bound_sq(count: int, dim: int) -> Fraction:
     return Fraction(n - m, m * (n - 1))
 
 
-def is_tight(f: ScaledFrame) -> tuple[bool, Fraction | None]:
-    """Decide sum_i e_i e_i^T == A * I exactly; return A when tight.
-
-    The frame's ``bound_A``, formed once per frame."""
-    return fusion_tight(f)
+# A frame is tight, sum_i e_i e_i^T == A * I, when the fusion frame of its lines is.
+is_tight = fusion_tight
 
 
 def etf_from_hadamard(h: SignMatrix) -> ScaledFrame:

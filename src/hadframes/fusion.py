@@ -14,8 +14,8 @@ each B_i as a column view of B. Every check reads B in place:
   common denominator q of the scales, s_i = p_i / q: B diag(p) B^T, which
   is B B^T when all scales agree. ``FusionFrame.bound_A`` forms it once per
   object and keeps the result, which the spanning proof, the certificate,
-  the row criterion (lemma_row_check), tight reconstruction and the
-  channel all read;
+  the row criterion (``fusion_tight``, also named ``lemma_row_check``),
+  tight reconstruction and the channel all read;
 - the pairwise traces tr(P_i P_j) = s_i s_j ||B_i^T B_j||_F^2 come from
   the one block Gram B^T B.
 
@@ -270,22 +270,18 @@ def _weights(ff: FusionFrame) -> tuple[list[int], int]:
 def fusion_tight(ff: FusionFrame) -> tuple[bool, Fraction | None]:
     """Decide sum_i P_i == A * I exactly; return A when tight.
 
-    Reads ``ff.bound_A``, so the product is formed at most once per object.
+    This is the row criterion: stack every scaled basis vector as a column
+    and test whether the rows of the stacked matrix are pairwise orthogonal
+    with one common squared norm, A. That is the statement stacked @
+    stacked.T == A * I, and stacked @ stacked.T is the sum of the
+    projections, so the check holds exactly when the fusion frame is tight
+    with bound A; a failed row check proves non-tightness. It reads
+    ``ff.bound_A``, so the product is formed at most once per object.
     """
     return ff.bound_A is not None, ff.bound_A
 
 
-def lemma_row_check(ff: FusionFrame) -> tuple[bool, Fraction | None]:
-    """Row criterion: stack every scaled basis vector as a column and test
-    whether the rows of the stacked matrix are pairwise orthogonal with one
-    common squared norm, A. That is the statement stacked @ stacked.T ==
-    A * I, and stacked @ stacked.T is the sum of the projections, so the
-    check holds exactly when the fusion frame is tight with bound A.
-
-    It reads the same ``bound_A`` as fusion_tight, so the two always agree;
-    a failed row check proves non-tightness.
-    """
-    return fusion_tight(ff)
+lemma_row_check = fusion_tight
 
 
 def build_gff(n: int, m: int) -> FusionFrame:

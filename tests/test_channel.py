@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -274,6 +276,52 @@ def test_compare_rejects_mixed_ambient_dimensions(etf4):
 
 
 # ---------------------------------------------------------------------------
+# one entry point: ``simulate``, also named ``simulate_frame`` and ``simulate_fusion``
+
+SIMULATE_NAMES = pytest.mark.parametrize(
+    "run", [simulate, simulate_frame, simulate_fusion],
+    ids=["simulate", "simulate_frame", "simulate_fusion"])
+
+
+@SIMULATE_NAMES
+def test_simulate_refuses_a_sign_matrix_by_its_type(run):
+    h = build_sylvester(2)
+    with pytest.raises(ValidationError, match=f"frame or fusion frame, got {type(h).__name__}"):
+        run(h, ChannelConfig(trials=1))
+
+
+def test_compare_refuses_a_non_frame_and_an_empty_list(etf4):
+    with pytest.raises(ValidationError, match="candidate 'h' is not a frame or fusion frame"):
+        compare([("etf", etf4), ("h", build_sylvester(2))], ChannelConfig(trials=1))
+    with pytest.raises(ValidationError, match="at least one candidate"):
+        compare([], ChannelConfig(trials=1))
+
+
+@SIMULATE_NAMES
+def test_out_of_range_erasure_names_the_units_by_the_objects_kind(run, etf4):
+    lines = build_gff(2, 0)  # the same four lines of F^3, as a fusion frame
+    for obj, units in ((etf4, "coefficients"), (lines, "subspace pieces")):
+        with pytest.raises(ValidationError, match=f"out of range for 4 {units}$"):
+            run(obj, ChannelConfig(erasure=ErasureSpec.fixed([4]), trials=1))
+        with pytest.raises(ValidationError, match=f"below the 4 transmitted {units}$"):
+            run(obj, ChannelConfig(erasure=ErasureSpec.random_k(4), trials=1))
+
+
+def test_compare_and_the_cli_run_a_patched_simulate(etf4, tmp_path, monkeypatch, capsys):
+    # a mean no channel run can give marks the patched function's report
+    cfg = ChannelConfig(trials=3, seed=1)
+    marked = dataclasses.replace(simulate(etf4, cfg), mean_mse=-1.0)
+    seen = []
+    monkeypatch.setattr(channel, "simulate", lambda obj, *rest: seen.append(obj) or marked)
+    assert compare([("etf", etf4)], cfg) == [("etf", marked)]
+    path = tmp_path / "etf.json"
+    assert main(["gen-etf", "--order", "4", "--output", str(path)]) == 0
+    assert main(["simulate", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_mse"] == -1.0
+    assert seen[0] is etf4 and type(seen[1]) is type(etf4) and len(seen) == 2
+
+
+# ---------------------------------------------------------------------------
 # configuration validation
 
 
@@ -463,7 +511,7 @@ def survivor_mask(units, surv):
 
 
 def erased_groups(rows, keeps):
-    """The groups that ``_simulate`` forms for one block of survivor masks,
+    """The groups that ``simulate`` forms for one block of survivor masks,
     read off the masks: for each count k' of erased columns, the trials and
     a (trials, k') array of their erased columns, ascending."""
     erased = [np.flatnonzero(~np.repeat(keep, rows)) for keep in keeps]
@@ -475,7 +523,7 @@ def erased_groups(rows, keeps):
 
 
 def decode_block(decode, deficit, rows, keeps, y):
-    """Hand one block to ``decode`` as ``_simulate`` does: the received rows
+    """Hand one block to ``decode`` as ``simulate`` does: the received rows
     zeroed where erased, and each group with its deficits. Returns the
     decoded rows and each trial's deficit."""
     y, deficits, groups = y.copy(), np.zeros(len(keeps), dtype=int), []
@@ -765,15 +813,10 @@ def test_a_frame_and_the_fusion_frame_of_its_lines_share_one_channel(n, k):
 # the downdate decoder for tight inputs
 
 
-def channel_inputs(obj):
-    """What ``simulate`` hands the trial loop for ``obj``: its coordinate
-    map and row table, its integer matrix, and the tight bound (None when
-    ``obj`` is not tight)."""
-    captured = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel, "_simulate", lambda *args: captured.append(args))
-        simulate(obj, ChannelConfig())
-    ff = captured[0][0]
+def channel_inputs(ff):
+    """What ``simulate``'s trial loop reads of the frame or fusion frame
+    ``ff``: its coordinate map and row table, its integer matrix, and the
+    tight bound (None when ``ff`` is not tight)."""
     return *coordinate_map(ff.basis_raw, ff.dims, ff.scales), ff.basis_raw, ff.bound_A
 
 

@@ -276,6 +276,38 @@ def test_compare_text_table(tmp_path, capsys):
                                 str(r["exact_recovery_count"]), str(r["non_recoverable_count"])]
 
 
+@pytest.fixture
+def e16_g41_g40(tmp_path, capsys):
+    """The order-16 ETF (in F^15), GFF(4,1) (in F^14) and GFF(4,0) (in F^15)."""
+    paths = [tmp_path / f"{stem}.json" for stem in ("e16", "g41", "g40")]
+    for path, argv in zip(paths, (("gen-etf", "--order", "16"), ("gen-gff", "--n", "4", "--m", "1"),
+                                  ("gen-gff", "--n", "4", "--m", "0"))):
+        assert run(capsys, *argv, "--output", str(path))[0] == 0
+    return [str(path) for path in paths]
+
+
+def test_compare_refuses_input_as_a_prefix_of_inputs(e16_g41_g40, capsys):
+    # read as --inputs, the second --input would drop e16, whose dimension differs
+    e16, g41, _ = e16_g41_g40
+    code, err = run_malformed(capsys, "compare", "--input", e16, "--input", g41, "--trials", "20")
+    assert_diagnosed(code, err)
+
+
+def test_repeated_inputs_add_candidates(e16_g41_g40, capsys):
+    e16, _, g40 = e16_g41_g40
+    code, out, _ = run(capsys, "compare", "--inputs", e16, "--inputs", g40, "--trials", "5",
+                       "--format", "json")
+    assert code == 0
+    assert sorted(row["name"] for row in json.loads(out)["rows"]) == ["e16", "g40"]
+
+
+def test_simulate_refuses_abbreviated_options(e16_g41_g40, capsys):
+    code, err = run_malformed(capsys, "simulate", "--input", e16_g41_g40[0], "--tri", "5",
+                              "--noise", "0.1", "--erase-r", "1")
+    assert_diagnosed(code, err)
+    assert "--tri" in err
+
+
 def test_gen_text_format_lists_the_certificate(capsys):
     code, out, _ = run(capsys, "gen-gff", "--n", "3", "--m", "1", "--format", "text")
     assert code == 0
