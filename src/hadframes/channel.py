@@ -27,9 +27,10 @@ trial by trial. Each block groups its trials by k', the number of
 columns they erase, and holds one array e of erased columns per group; the
 rest of the block reads the erasures from e alone. It zeroes the received
 coefficients y = x phi^T + noise at e and decodes with a few matrix
-products over all its rows, b = y phi first. The errors are then
-aggregated in trial order. How the trials are blocked moves a report's
-floats in their last bits at most, and its counts not at all.
+products over all its rows, b = y phi first. The blocks' errors are then
+merged in trial order by the pairwise update, in power-of-two units. How
+the trials are blocked moves a report's floats in their last bits at most,
+and its counts not at all.
 
 Decoding. Least squares on the survivors solves N x = b, with
 b = phi^T y (y zero at E) and N = T T^T - T_E T_E^T, where T_E holds only
@@ -275,42 +276,43 @@ def _non_finite(cfg: ChannelConfig) -> ValidationError:
 
 @dataclass
 class _Accumulator:
-    total: float = 0.0
     peak: float = 0.0
     exact: int = 0
     nonrec: int = 0
     count: int = 0
-    # Welford running mean and sum of squared deviations, both counted in
-    # units of ``unit``: a power of two, 1 until a squared error exceeds it,
-    # then at least half the peak. Squared deviations then stay below 4 and
-    # cannot overflow while the errors are finite. Scaling by a power of two
-    # rounds nothing short of underflow, so wherever the unscaled sums stay
-    # finite, the result is theirs bit for bit.
+    # Running mean and sum of squared deviations of the squared errors, both
+    # counted in units of ``unit``: a power of two, 1 until an error exceeds
+    # it, then 2^(e-1) for the peak's binary exponent e, so never above the
+    # peak and finite up to the largest float. Errors in units then stay
+    # below 2 and their squared deviations cannot overflow while the errors
+    # are finite. Each block's two-pass mean and sum merge into the running
+    # pair by the pairwise update of Chan, Golub & LeVeque (Amer. Statist.
+    # 1983).
     unit: float = 1.0
     mean: float = 0.0
     m2: float = 0.0
 
-    def add(self, mse: float, recoverable: bool) -> None:
-        self.total += mse
-        self.peak = max(self.peak, mse)
-        if mse < EXACT_THRESHOLD:
-            self.exact += 1
-        if not recoverable:
-            self.nonrec += 1
-        self.count += 1
-        if mse > self.unit:
-            unit = math.ldexp(1.0, math.frexp(mse)[1] - 1)
+    def add(self, mse: np.ndarray, recoverable: np.ndarray) -> None:
+        """Merge one block's squared errors and their trials' recoverability."""
+        self.peak = max(self.peak, float(mse.max()))
+        self.exact += int(np.count_nonzero(mse < EXACT_THRESHOLD))
+        self.nonrec += len(recoverable) - int(np.count_nonzero(recoverable))
+        if self.peak > self.unit:
+            unit = math.ldexp(1.0, math.frexp(self.peak)[1] - 1)
             self.mean *= self.unit / unit
             self.m2 *= (self.unit / unit) ** 2
             self.unit = unit
         x = mse / self.unit
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
+        n, mean = len(x), float(x.mean())
+        x -= mean
+        delta, total = mean - self.mean, self.count + n
+        self.mean += delta * (n / total)
+        self.m2 += float(x @ x) + delta * delta * (self.count * n / total)
+        self.count = total
 
     def report(self, cfg: ChannelConfig, survivor_sets: int) -> SimReport:
         n = self.count
-        mean = self.total / cfg.trials
+        mean = self.mean * self.unit
         stderr = math.sqrt(self.m2 / (n - 1) / n) * self.unit if n > 1 else 0.0
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise _non_finite(cfg)
@@ -492,11 +494,9 @@ def simulate(ff: FusionFrame, cfg: ChannelConfig,
     ``y phi / A``; otherwise every input decodes through ``_decoder``, whose
     exact deficits mark the null directions.
 
-    Every input decides recoverability by one rule: the survivors fail to
-    span F^M by k' - rank(C_E), since their null vectors are the null
-    vectors of the input's integer matrix that vanish on the erased columns.
-    A survivor set that does not span counts as non-recoverable; its
-    minimum-norm solution is still recorded. A run with no erasures forms no
+    A survivor set that does not span F^M, by the module docstring's one
+    rule for every input, counts as non-recoverable; its minimum-norm
+    solution is still recorded. A run with no erasures forms no
     Gram block and decides no deficit. ``survivor_sets`` counts the distinct
     sets of erased units: each block writes its sorted rows of unit indices
     into one packed (trials, k) array of the narrowest unsigned type that
@@ -546,8 +546,7 @@ def simulate(ff: FusionFrame, cfg: ChannelConfig,
             mse = ((decode(y, groups) - x) ** 2).sum(axis=1)
             if not np.isfinite(mse).all():
                 raise _non_finite(cfg)
-            for err, d in zip(mse.tolist(), deficits.tolist()):
-                acc.add(err, d == 0)
+            acc.add(mse, deficits == 0)
     # a fixed erasure, or none, leaves one survivor set
     return acc.report(cfg, _distinct_rows(drawn) if spec.k else 1)
 
@@ -569,7 +568,8 @@ def compare(
     stream depends only on the seed and the ambient dimension, which all
     candidates must share, so trial t feeds every candidate the same signal.
     Candidates with as many units and rows also draw the same noise and
-    erasures.
+    erasures. Names must be nonempty and distinct, so that a reader that
+    keys the rows by name keeps every candidate.
     """
     cands = list(candidates)
     if not cands:
@@ -580,5 +580,8 @@ def compare(
     dims = {obj.ambient_dim for _, obj in cands}
     if len(dims) != 1:
         raise ValidationError(f"candidates span different ambient dimensions: {sorted(dims)}")
+    for i, (name, _) in enumerate(cands):
+        if not name or any(name == other for other, _ in cands[:i]):
+            raise ValidationError(f"candidate name {name!r} is {'repeated' if name else 'empty'}")
     rows = [(name, simulate(obj, cfg, signal_source)) for name, obj in cands]
     return sorted(rows, key=lambda r: (r[1].mean_mse, r[0]))

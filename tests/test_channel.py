@@ -275,6 +275,15 @@ def test_compare_rejects_mixed_ambient_dimensions(etf4):
         compare([("etf", etf4), ("gff", ff)], ChannelConfig(trials=1))
 
 
+def test_compare_refuses_a_repeated_or_empty_name(etf4):
+    lines = build_gff(2, 0)  # the same four lines of F^3, as a fusion frame
+    for names, bad in ((("a", "a"), "'a' is repeated"), (("x", ""), "'' is empty")):
+        with pytest.raises(ValidationError, match=f"candidate name {bad}$"):
+            compare(list(zip(names, (etf4, lines))), ChannelConfig(trials=1))
+    rows = compare([("b", etf4), ("a", etf4)], ChannelConfig(trials=1))
+    assert [name for name, _ in rows] == ["a", "b"]
+
+
 # ---------------------------------------------------------------------------
 # one entry point: ``simulate``, also named ``simulate_frame`` and ``simulate_fusion``
 
@@ -359,7 +368,7 @@ def test_custom_signal_source_is_used(etf4, monkeypatch):
     calls, mses = [], []
     add = channel._Accumulator.add
     monkeypatch.setattr(channel._Accumulator, "add",
-                        lambda self, mse, *rest: mses.append(mse) or add(self, mse, *rest))
+                        lambda self, mse, *rest: mses.extend(mse.tolist()) or add(self, mse, *rest))
 
     def growing_source(rng, n, dim):
         start = sum(c[0] for c in calls)
@@ -741,12 +750,53 @@ def test_fusion_noise_model_mse_matches_analytic_values():
 def test_report_stderr_is_the_standard_error_of_the_per_trial_errors(etf4, monkeypatch):
     seen = []
     add = channel._Accumulator.add
-    monkeypatch.setattr(channel._Accumulator, "add", lambda self, mse, *rest: seen.append(mse) or add(self, mse, *rest))
+    monkeypatch.setattr(channel._Accumulator, "add",
+                        lambda self, mse, *rest: seen.extend(mse.tolist()) or add(self, mse, *rest))
     cfg = ChannelConfig(noise_std=0.3, erasure=ErasureSpec.random_k(1), trials=300, seed=12)
     rep = simulate_frame(etf4, cfg)
     assert rep.mean_mse_stderr == pytest.approx(np.std(seen, ddof=1) / math.sqrt(len(seen)), rel=1e-9)
     assert rep.survivor_sets == 4
     assert simulate_frame(etf4, ChannelConfig(trials=1)).mean_mse_stderr == 0.0
+
+
+def error_block(errors, most=channel.BLOCK_TRIALS):
+    """One block of 1 to ``most`` (squared error, recoverable) pairs."""
+    return st.lists(st.tuples(errors, st.booleans()), min_size=1, max_size=most)
+
+
+@st.composite
+def error_blocks(draw):
+    """Blocks of (squared error, recoverable) pairs, each error 0 or between
+    1e-100 and 1.7e308. The last block holds a peak at least four times every
+    earlier error, which raises the accumulator's unit."""
+    peak = min(10.0 ** draw(st.floats(math.log10(4), math.log10(1.7e308))), 1.7e308)
+    smaller = st.just(0.0) | st.floats(-100, math.log10(peak / 4)).map(lambda t: 10.0 ** t)
+    blocks = draw(st.lists(error_block(smaller), min_size=1, max_size=4))
+    late = draw(error_block(smaller | st.just(peak), channel.BLOCK_TRIALS - 1))
+    late.insert(draw(st.integers(0, len(late))), (peak, draw(st.booleans())))
+    return blocks + [late]
+
+
+@settings(max_examples=150, deadline=None)
+@given(error_blocks())
+@example([[(0.0, True), (1e-100, False)], [(3e307, True), (1.7e308, False)]])  # a peak above 2^1023
+def test_accumulator_matches_exact_statistics_however_errors_are_blocked(blocks):
+    acc = channel._Accumulator()
+    for block in blocks:
+        mse, ok = map(np.array, zip(*block))
+        acc.add(mse, ok)
+    pairs = [pair for block in blocks for pair in block]
+    n = len(pairs)
+    rep = acc.report(ChannelConfig(trials=n), 1)
+    exact = [Fraction(e) for e, _ in pairs]
+    mean = sum(exact) / n
+    var_of_mean = sum((e - mean) ** 2 for e in exact) / (n - 1) / n
+    assert abs(Fraction(rep.mean_mse) - mean) <= Fraction(1e-13) * mean
+    # the stderr within 1e-13 relative, compared squared so nothing overflows
+    assert (1 - 1e-13) ** 2 <= Fraction(rep.mean_mse_stderr) ** 2 / var_of_mean <= (1 + 1e-13) ** 2
+    assert rep.max_mse == max(e for e, _ in pairs)
+    assert rep.exact_recovery_count == sum(e < channel.EXACT_THRESHOLD for e, _ in pairs)
+    assert rep.non_recoverable_count == sum(not ok for _, ok in pairs)
 
 
 def test_report_shows_stderr_and_survivor_sets_in_json_and_text():
@@ -1316,7 +1366,7 @@ def test_the_first_trials_of_a_longer_run_are_a_shorter_run(monkeypatch, obj, mo
     runs = []
     add = channel._Accumulator.add
     monkeypatch.setattr(channel._Accumulator, "add", lambda self, mse, ok, *rest:
-                        runs[-1][1].append((mse, ok)) or add(self, mse, ok, *rest))
+                        runs[-1][1].extend(zip(mse.tolist(), ok.tolist())) or add(self, mse, ok, *rest))
 
     def source(rng, n, dim):
         runs[-1][0].extend(default_signal_source(rng, n, dim))
@@ -1395,7 +1445,7 @@ def test_erasing_every_unit_decodes_zero_without_runtime_warning(monkeypatch, ob
     signals, mses = [], []
     add = channel._Accumulator.add
     monkeypatch.setattr(channel._Accumulator, "add",
-                        lambda self, mse, *rest: mses.append(mse) or add(self, mse, *rest))
+                        lambda self, mse, *rest: mses.extend(mse.tolist()) or add(self, mse, *rest))
 
     def source(rng, n, dim):
         signals.extend(default_signal_source(rng, n, dim))

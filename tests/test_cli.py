@@ -226,7 +226,8 @@ def test_config_with_fixed_indices_equals_the_flag(tmp_path, capsys, command):
     cfgp = tmp_path / "cfg.json"
     run(capsys, "gen-etf", "--order", "8", "--output", str(obj))
     cfgp.write_text('{"erasure": {"mode": "fixed", "indices": [1, 2]}}')
-    inputs = ("--input", str(obj)) if command == "simulate" else ("--inputs", str(obj), str(obj))
+    inputs = (("--input", str(obj)) if command == "simulate"
+              else ("--inputs", str(obj), str(obj), "--names", "a,b"))
     common = (command, *inputs, "--trials", "30", "--seed", "4", "--noise-std", "0.1",
               "--format", "json")
     code, from_config, err = run(capsys, *common, "--config", str(cfgp))
@@ -299,6 +300,27 @@ def test_repeated_inputs_add_candidates(e16_g41_g40, capsys):
                        "--format", "json")
     assert code == 0
     assert sorted(row["name"] for row in json.loads(out)["rows"]) == ["e16", "g40"]
+
+
+@pytest.mark.parametrize("inputs,names,bad", [
+    (("e", "g"), "a,a", "'a' is repeated"),
+    (("e", "g"), "x,", "'' is empty"),
+    (("e", "d/e"), None, "'e' is repeated"),  # names default to the file stems
+])
+def test_compare_refuses_a_repeated_or_empty_candidate_name(tmp_path, capsys, inputs, names, bad):
+    (tmp_path / "d").mkdir()
+    for stem, argv in (("e", ("gen-etf", "--order", "8")), ("d/e", ("gen-etf", "--order", "8")),
+                       ("g", ("gen-gff", "--n", "3", "--m", "0"))):
+        assert main([*argv, "--output", str(tmp_path / f"{stem}.json")]) == 0
+    paths = [str(tmp_path / f"{stem}.json") for stem in inputs]
+    flags = ("--names", names) if names else ()
+    code, err = run_malformed(capsys, "compare", "--inputs", *paths, *flags, "--trials", "5")
+    assert_one_error(code, err)
+    assert f"candidate name {bad}" in err
+    code, out, _ = run(capsys, "compare", "--inputs", paths[0], paths[0], "--names", "a,b",
+                       "--trials", "5", "--format", "json")
+    assert code == 0
+    assert sorted(row["name"] for row in json.loads(out)["rows"]) == ["a", "b"]
 
 
 def test_simulate_refuses_abbreviated_options(e16_g41_g40, capsys):
@@ -673,18 +695,20 @@ def test_overflowing_noise_exits_2_and_writes_no_nan(capsys, etf4, noise, mode):
 
 def test_huge_noise_reports_the_scaled_statistics(capsys, etf4):
     """At noise 1e150 every squared error is finite (about 1e300) but their
-    squared deviations are not. The decoder is linear and the draws scale
-    with the noise, so each statistic is 1e300 times the noise-1 run's."""
-    reports = []
-    for noise in ("1", "1e150"):
-        code, out, _ = run(capsys, "simulate", "--input", str(etf4), "--noise-std", noise,
-                           "--trials", "3", "--format", "json")
-        assert code == 0
-        reports.append(json.loads(out))
-    unit, huge = reports
-    for key in ("mean_mse", "max_mse", "mean_mse_stderr"):
-        assert math.isfinite(huge[key]) and huge[key] > 0
-        assert huge[key] == pytest.approx(1e300 * unit[key], rel=1e-12)
+    squared deviations are not; at 2e152 the errors of 2000 trials are
+    finite but their sum is not. The decoder is linear and the draws scale
+    with the noise, so each statistic is noise^2 times the noise-1 run's."""
+    for noise, trials, factor in (("1e150", "3", 1e300), ("2e152", "2000", 4e304)):
+        reports = []
+        for std in ("1", noise):
+            code, out, _ = run(capsys, "simulate", "--input", str(etf4), "--noise-std", std,
+                               "--trials", trials, "--format", "json")
+            assert code == 0
+            reports.append(json.loads(out))
+        unit, huge = reports
+        for key in ("mean_mse", "max_mse", "mean_mse_stderr"):
+            assert math.isfinite(huge[key]) and huge[key] > 0
+            assert huge[key] == pytest.approx(factor * unit[key], rel=1e-12)
 
 
 def test_simulate_rejects_a_matrix_input(tmp_path, capsys):
